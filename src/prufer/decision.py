@@ -53,7 +53,7 @@ from .orders import (
     power,
 )
 from .poly import RationalPolynomial
-from .splitting import component_order, decompose, idempotents_in_order
+from .splitting import _split_reduced, component_order, idempotents_in_order
 
 VERDICT_YES = "YES"
 VERDICT_NO = "NO"
@@ -220,7 +220,7 @@ def _decide(order: ZOrder) -> PrueferCertificate:
     if red.status == UNDECIDED_SEMISIMPLE:
         raise PruferError("internal: semisimple-undecided on a commutative order")
 
-    dec = decompose(order)
+    dec = _split_reduced(order)
     inside, escaping = idempotents_in_order(order, dec)
     if not inside:
         mu = minimal_polynomial(order, escaping)

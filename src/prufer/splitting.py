@@ -3,9 +3,12 @@
 For commutative reduced B of dimension n over Q there is a primitive element
 a (the minimal polynomial has degree n), and the factorization of that
 minimal polynomial into distinct irreducibles g_1 ... g_t gives orthogonal
-idempotents e_i and field components B_i = B e_i = Q[a] e_i.  Everything here
-is deterministic: the primitive element comes from a fixed search order and
-the factors are sorted canonically, so component numbering is reproducible.
+idempotents e_i and field components B_i = B e_i = Q[a] e_i.  The search
+tests each integer candidate a by one integer determinant: a is primitive
+exactly when 1, a, ..., a^(n-1) are linearly independent (Cohen, GTM 138,
+ch. 2).  Everything here is deterministic: the primitive element comes from a
+fixed search order and the factors are sorted canonically, so component
+numbering is reproducible.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import NotApplicableError, PruferError, SearchExhaustedError
 from .factor import poly_factor
 from .lattice import rational_rows_lattice
-from .linalg import solve_right
+from .linalg import bareiss_det, solve_right
 from .orders import (
     AlgebraElement,
     ZOrder,
@@ -57,12 +60,27 @@ def shell_vectors(dim: int, shell_max: int, cap: int = SEARCH_CAP) -> Iterator[t
                 return
 
 
+def _generates_algebra(order: ZOrder, vec: Sequence[int]) -> bool:
+    """Is the integer vector ``vec`` a primitive element of the ambient algebra?
+
+    deg minpoly(a) = n exactly when the Krylov rows 1, a, ..., a^(n-1) are
+    linearly independent; for integer a these rows are integer vectors, so
+    one Bareiss determinant decides it without fractions.
+    """
+    rows = [order.one]
+    for _ in range(1, order.dim):
+        rows.append(order._mul_coords(rows[-1], vec))
+    return bareiss_det(rows) != 0
+
+
 def find_primitive_element(order: ZOrder) -> AlgebraElement:
     """Deterministic search for a in A with deg(minimal polynomial) = dim.
 
-    Requires the ambient algebra to be commutative and reduced (etale), where
-    primitive elements exist and small integer combinations of the basis hit
-    one quickly.
+    Candidates come from ``shell_vectors``; the first whose powers
+    1, a, ..., a^(dim-1) have a nonzero integer determinant is returned.
+    Requires the ambient algebra to be commutative; in a reduced (etale)
+    algebra primitive elements exist and small integer combinations of the
+    basis hit one quickly.
     """
     commutative, _ = is_commutative(order)
     if not commutative:
@@ -70,15 +88,9 @@ def find_primitive_element(order: ZOrder) -> AlgebraElement:
     n = order.dim
     if n == 1:
         return order.identity()
-    tried = 0
     for vec in shell_vectors(n, shell_max=max(4, n)):
-        candidate = AlgebraElement(tuple(Fraction(c) for c in vec))
-        mu = minimal_polynomial(order, candidate)
-        tried += 1
-        if mu.degree == n:
-            return candidate
-        if tried >= SEARCH_CAP:
-            break
+        if _generates_algebra(order, vec):
+            return AlgebraElement(tuple(Fraction(c) for c in vec))
     raise SearchExhaustedError("SEARCH_EXHAUSTED: no primitive element found within the search budget")
 
 
@@ -114,6 +126,12 @@ def decompose(order: ZOrder) -> Decomposition:
     reduced = is_reduced(order)
     if reduced.status == NOT_REDUCED:
         raise NotApplicableError("NOT_REDUCED: decompose needs a reduced algebra")
+    return _split_reduced(order)
+
+
+def _split_reduced(order: ZOrder) -> Decomposition:
+    """The work of ``decompose`` on an order already known to be commutative
+    and reduced; ``decide_pruefer`` calls it after its own reducedness test."""
     a = find_primitive_element(order)
     mu = minimal_polynomial(order, a)
     factor_pairs = poly_factor(mu)

@@ -3,7 +3,8 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, settings
 
-from prufer.orders import load_order
+from prufer.orders import equation_order, load_order, product_order
+from prufer.poly import RationalPolynomial
 
 settings.register_profile(
     "fixed",
@@ -63,3 +64,16 @@ def zxz(corpus):
 @pytest.fixture(scope="session")
 def z_line(corpus):
     return corpus["z"]
+
+
+@pytest.fixture(scope="session")
+def equation_product():
+    """Build Z[X]/(f_1) x ... x Z[X]/(f_k) from ascending coefficient lists."""
+
+    def build(*polys):
+        order = equation_order(RationalPolynomial(polys[0]))
+        for f in polys[1:]:
+            order = product_order(order, equation_order(RationalPolynomial(f)))
+        return order
+
+    return build

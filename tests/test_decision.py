@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import prufer.decision
+import prufer.splitting
 from prufer.decision import PrueferCertificate, decide_pruefer, verify_certificate
 from prufer.errors import IndeterminateError, MalformedCertificateError
 from prufer.orders import element, equation_order, load_order, product_order
@@ -56,6 +58,60 @@ def test_noncommutative_witness_pair(m2z):
 def test_not_reduced_witness(corpus):
     cert = decide_pruefer(corpus["z_x_mod_x2"])
     assert set(cert.witness) == {"element", "power"}
+
+
+def test_is_reduced_runs_once_per_decision(monkeypatch, corpus):
+    calls = []
+    original = prufer.decision.is_reduced
+
+    def counting(order):
+        calls.append(order)
+        return original(order)
+
+    monkeypatch.setattr(prufer.decision, "is_reduced", counting)
+    monkeypatch.setattr(prufer.splitting, "is_reduced", counting)
+    for name in ("z_i", "zxz", "z_sqrt5", "cubic_index2", "z_x_mod_x2"):
+        calls.clear()
+        decide_pruefer(corpus[name])
+        assert len(calls) == 1, name
+
+
+# Certificates of products of equation orders, byte for byte as the
+# minimal-polynomial primitive-element search produced them.
+PRODUCT_CERTIFICATES = [
+    (
+        ((1, 0, 1), (-2, 0, 0, 1), (-3, 0, 0, 0, 1)),
+        '{"verdict": "YES", "reason": "ALL_COMPONENTS_MAXIMAL", "witness": {"primitive": ["0", "1", "0", "1", "0", "0", "1", "0", "0"], '
+        '"min_poly": "6 + 6*X^2 - 3*X^3 - 2*X^4 - 3*X^5 - 2*X^6 + X^7 + X^9", '
+        '"idempotents": [["1", "0", "0", "0", "0", "0", "0", "0", "0"], ["0", "0", "1", "0", "0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0", "1", "0", "0", "0"]], '
+        '"components": [{"factor": "1 + X^2", "dim": 2, "basis": [["1", "0", "0", "0", "0", "0", "0", "0", "0"], ["0", "1", "0", "0", "0", "0", "0", "0", "0"]]}, '
+        '{"factor": "-2 + X^3", "dim": 3, "basis": [["0", "0", "1", "0", "0", "0", "0", "0", "0"], ["0", "0", "0", "1", "0", "0", "0", "0", "0"], ["0", "0", "0", "0", "1", "0", "0", "0", "0"]]}, '
+        '{"factor": "-3 + X^4", "dim": 4, "basis": [["0", "0", "0", "0", "0", "1", "0", "0", "0"], ["0", "0", "0", "0", "0", "0", "1", "0", "0"], ["0", "0", "0", "0", "0", "0", "0", "1", "0"], ["0", "0", "0", "0", "0", "0", "0", "0", "1"]]}]}, '
+        '"citation": "product-of-maximal-orders"}',
+    ),
+    (
+        ((-2, 0, 1), (9, 0, 1), (-2, 0, 0, 1)),
+        '{"verdict": "NO", "reason": "COMPONENT_NOT_MAXIMAL", "witness": {"element": ["0", "0", "0", "1/3", "0", "0", "0"], '
+        '"min_poly": "X + X^3", "component": 1}, "citation": "component-not-integrally-closed"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("polys, expected", PRODUCT_CERTIFICATES)
+def test_product_certificate_bytes(equation_product, polys, expected):
+    order = equation_product(*polys)
+    cert = decide_pruefer(order)
+    assert cert.to_json() == expected
+    assert verify_certificate(order, cert)
+
+
+def test_dimension_12_product_is_pruefer(equation_product):
+    # Z[2^(1/3)] x Z[3^(1/4)] x Z[5^(1/5)]
+    order = equation_product((-2, 0, 0, 1), (-3, 0, 0, 0, 1), (-5, 0, 0, 0, 0, 1))
+    cert = decide_pruefer(order)
+    assert cert.verdict == "YES"
+    assert cert.witness["primitive"] == ["0", "1", "0", "0", "1", "0", "0", "0", "1", "0", "0", "0"]
+    assert verify_certificate(order, cert)
 
 
 def test_product_with_gaussians_is_pruefer(corpus):

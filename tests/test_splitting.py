@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from prufer.errors import NotApplicableError
 from prufer.orders import element, equation_order, evaluate_poly, minimal_polynomial, mul
 from prufer.poly import RationalPolynomial
 from prufer.splitting import (
+    _generates_algebra,
     component_order,
     decompose,
     find_primitive_element,
@@ -34,6 +36,58 @@ def test_find_primitive_element(z_i, zxz):
     assert minimal_polynomial(z_i, a).degree == 2
     b = find_primitive_element(zxz)
     assert minimal_polynomial(zxz, b).degree == 2
+
+
+def test_decompose_refuses_non_reduced(corpus):
+    with pytest.raises(NotApplicableError):
+        decompose(corpus["z_x_mod_x2"])
+
+
+GAUSS = (1, 0, 1)
+SQRT2 = (-2, 0, 1)
+SQRT5 = (-5, 0, 1)
+THREE_I = (9, 0, 1)
+CBRT2 = (-2, 0, 0, 1)
+CBRT3 = (-3, 0, 0, 1)
+QRT3 = (-3, 0, 0, 0, 1)
+
+# The first primitive element in shell order on products of equation orders,
+# as the minimal-polynomial search found it.
+PRODUCT_PRIMITIVES = [
+    ((GAUSS, SQRT2), (0, 1, 0, 1)),
+    ((SQRT5, CBRT2), (0, 1, 0, 1, 0)),
+    ((GAUSS, QRT3), (0, 1, 0, 1, 0, 0)),
+    ((CBRT2, CBRT3), (0, 1, 0, 0, 1, 0)),
+    ((QRT3, CBRT2), (0, 1, 0, 0, 0, 1, 0)),
+    ((SQRT2, THREE_I, CBRT2), (0, 1, 0, 1, 0, 1, 0)),
+    ((GAUSS, SQRT5, CBRT2), (0, 1, 0, 1, 0, 1, 0)),
+    ((GAUSS, CBRT2, QRT3), (0, 1, 0, 1, 0, 0, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("polys, expected", PRODUCT_PRIMITIVES)
+def test_find_primitive_element_on_products(equation_product, polys, expected):
+    a = find_primitive_element(equation_product(*polys))
+    assert a.coords == expected
+
+
+AGREEMENT_ORDERS = ("cubic_index2", "z", "z_3i", "z_golden", "z_i", "z_sqrt5", "z_x_mod_x2", "zxz", "product")
+
+
+@given(st.sampled_from(AGREEMENT_ORDERS), st.data())
+def test_determinant_test_matches_minimal_polynomial(corpus, equation_product, name, data):
+    order = equation_product(GAUSS, CBRT2) if name == "product" else corpus[name]
+    vec = data.draw(st.lists(st.integers(-3, 3), min_size=order.dim, max_size=order.dim))
+    expected = minimal_polynomial(order, element(vec)).degree == order.dim
+    assert _generates_algebra(order, vec) == expected
+
+
+def test_determinant_test_on_nilpotent_algebra(corpus):
+    # Z[X]/(X^2): c0 + c1*X generates the algebra exactly when c1 != 0.
+    order = corpus["z_x_mod_x2"]
+    assert _generates_algebra(order, (0, 1))
+    assert _generates_algebra(order, (5, -2))
+    assert not _generates_algebra(order, (3, 0))
 
 
 def test_decompose_field(z_i):
