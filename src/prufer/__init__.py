@@ -35,6 +35,7 @@ from .poly import RationalPolynomial
 from .factor import poly_factor
 from .orders import (
     AlgebraElement,
+    EmbeddedOrder,
     ZOrder,
     equation_order,
     is_commutative,
@@ -47,7 +48,6 @@ from .orders import (
 )
 from .splitting import Decomposition, component_order, decompose, find_primitive_element, idempotents_in_order
 from .closure import (
-    EmbeddedOrder,
     discriminant,
     is_integral,
     is_integrally_closed_order,

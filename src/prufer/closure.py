@@ -6,33 +6,31 @@ multipliers of its p-radical until that stabilizes.  Each enlargement divides
 the discriminant by the square of the index, so termination is immediate, and
 the fixed point at every such p certifies maximality.
 
-Everything works in the coordinates of the *original* order: an EmbeddedOrder
-carries the new order's structure constants together with rational basis rows
-expressing its basis inside the input order.
+Everything works in the coordinates of the *original* order: each result is
+an ``orders.EmbeddedOrder``, the new order's structure constants together
+with rational basis rows expressing its basis inside the input order, built
+by ``orders.embedded_order``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Sequence
+from math import gcd
 
 from .errors import DiscFactorizationError, NotApplicableError, PruferError
-from .lattice import IntegerLattice, hnf_reduce, integer_left_kernel, rational_rows_lattice
+from .lattice import IntegerLattice, hnf_reduce, integer_left_kernel
 from .linalg import bareiss_det, mat_mul, modp_left_kernel
 from .orders import (
     AlgebraElement,
+    EmbeddedOrder,
     ZOrder,
+    embedded_order,
     is_commutative,
     minimal_polynomial,
-    mul,
     trace_gram_matrix,
 )
 from .splitting import find_primitive_element
 from .factor import poly_factor
-
-Coords = tuple[Fraction, ...]
 
 
 def discriminant(order: ZOrder) -> int:
@@ -184,28 +182,6 @@ def _basis_power_mod_p(order: ZOrder, i: int, e: int, p: int) -> list[int]:
     return result
 
 
-@dataclass(frozen=True)
-class EmbeddedOrder:
-    """An overorder O' of an order O, with basis rows in O's coordinates."""
-
-    order: ZOrder
-    basis_in_ambient: tuple[Coords, ...]
-    index: int
-
-    def to_ambient(self, coords) -> AlgebraElement:
-        out = [Fraction(0)] * len(self.basis_in_ambient[0])
-        for c, row in zip(coords, self.basis_in_ambient):
-            c = Fraction(c)
-            if c:
-                out = [acc + c * x for acc, x in zip(out, row)]
-        return AlgebraElement(tuple(out))
-
-
-def _canonical_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[Coords, ...]:
-    lat, den = rational_rows_lattice(rows)
-    return tuple(tuple(Fraction(c, den) for c in row) for row in lat.basis)
-
-
 def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice) -> EmbeddedOrder:
     """O' = {x in B : x*I <= I} for a full-rank ideal lattice I.
 
@@ -238,43 +214,7 @@ def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice) -> EmbeddedOrder:
                 row[j * n + col] = -d_ideal[k][col]
             matrix.append(row)
     kernel = integer_left_kernel(matrix)
-    y_rows = [vec[:n] for vec in kernel]
-    y_lat = hnf_reduce(y_rows, n) if y_rows else hnf_reduce([], n)
-    if y_lat.rank != n:
-        raise PruferError("multiplier lattice is not full rank; invalid ideal")
-    det_y = y_lat.determinant()
-    d_power = d**n
-    if d_power % det_y:
-        raise PruferError("multiplier lattice index is not integral")
-    index = d_power // det_y
-    basis_rows = tuple(tuple(Fraction(c, d) for c in row) for row in y_lat.basis)
-    new_order = _order_from_lattice_basis(order, y_lat, d)
-    return EmbeddedOrder(order=new_order, basis_in_ambient=_canonical_rows(basis_rows), index=index)
-
-
-def _order_from_lattice_basis(order: ZOrder, y_lat: IntegerLattice, d: int) -> ZOrder:
-    """Structure constants for the order with basis rows y_lat.basis / d."""
-    n = order.dim
-    m = y_lat.rank
-    table = []
-    for r in range(m):
-        row = []
-        yr = y_lat.basis[r]
-        for s in range(m):
-            ys = y_lat.basis[s]
-            prod = order._mul_coords(yr, ys)
-            target = [Fraction(c, d) for c in prod]
-            coords = y_lat.coordinates(target)
-            if coords is None:
-                raise PruferError("candidate order basis is not multiplicatively closed")
-            row.append(coords)
-        table.append(tuple(row))
-    one_target = [d * c for c in order.one]
-    one = y_lat.coordinates(one_target)
-    if one is None:
-        raise PruferError("identity does not lie in the candidate order")
-    names = tuple(f"m{r}" for r in range(m))
-    return ZOrder(dim=m, table=tuple(table), one=one, basis_names=names)
+    return embedded_order(order, [[Fraction(c, d) for c in vec[:n]] for vec in kernel], order.one)
 
 
 # -- the maximality loop ----------------------------------------------------
@@ -304,13 +244,10 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
     if len(factors) != 1 or factors[0][1] != 1:
         raise NotApplicableError("NOT_A_FIELD: the ambient algebra splits or is not reduced")
     n = order.dim
-    identity_rows = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
     current = order
-    embedding: tuple[Coords, ...] = identity_rows
+    embedding: list[list[Fraction]] = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     total_index = 1
     disc = discriminant(order)
-    if abs(disc) == 1:
-        return EmbeddedOrder(order=order, basis_in_ambient=identity_rows, index=1)
     for p in sorted(factor_int(disc)):
         if _p_valuation(disc, p) < 2:
             continue
@@ -319,18 +256,12 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
             step = ring_of_multipliers(current, rad)
             if step.index == 1:
                 break
-            embedding = tuple(
-                tuple(c for c in row) for row in mat_mul(step.basis_in_ambient, embedding)
-            )
+            embedding = mat_mul(step.basis_in_ambient, embedding)
             current = step.order
             total_index *= step.index
             if _p_valuation(disc // (total_index * total_index), p) < 2:
                 break
-    if total_index == 1:
-        return EmbeddedOrder(order=order, basis_in_ambient=identity_rows, index=1)
-    return EmbeddedOrder(
-        order=current, basis_in_ambient=_canonical_rows(embedding), index=total_index
-    )
+    return embedded_order(order, embedding, order.one)
 
 
 def is_integrally_closed_order(order: ZOrder) -> tuple[bool, AlgebraElement | None]:

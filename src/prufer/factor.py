@@ -438,13 +438,3 @@ def modp_factor(coeffs: Sequence[int], p: int) -> list[tuple[tuple[int, ...], in
     accumulate(f, 1)
     out = sorted(result.items(), key=lambda kv: (len(kv[0]), kv[0]))
     return [(fac, mult) for fac, mult in out]
-
-
-def is_squarefree(f: RationalPolynomial) -> bool:
-    from .poly import poly_gcd
-
-    if f.is_zero:
-        raise ZeroPolynomialError("squarefree test on the zero polynomial")
-    if f.degree <= 1:
-        return True
-    return poly_gcd(f, f.derivative()).degree == 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError
 from .linalg import right_kernel, xgcd
@@ -218,32 +218,3 @@ def rational_rows_lattice(rows: Sequence[Sequence]) -> tuple[IntegerLattice, int
     if not scaled:
         raise DimensionMismatchError("empty generating set")
     return IntegerLattice.from_rows(scaled), d
-
-
-def lattice_sum(a: IntegerLattice, b: IntegerLattice) -> IntegerLattice:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatchError("ambient dimensions differ")
-    return IntegerLattice.from_rows(list(a.basis) + list(b.basis), a.ambient_dim)
-
-
-def residue_vectors(diag: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """All vectors in prod([0, d_i)); the complete residue system for a
-    full-rank lattice with HNF pivot entries ``diag``."""
-    import itertools
-
-    return itertools.product(*(range(d) for d in diag))
-
-
-def index_in(sub: IntegerLattice, sup: IntegerLattice) -> int:
-    """The index [sup : sub] for full-rank sub <= sup of the same rank."""
-    if sub.ambient_dim != sup.ambient_dim or sub.rank != sup.rank:
-        raise DimensionMismatchError("index needs equal rank lattices")
-    sup_pivots = 1
-    sub_pivots = 1
-    for row, p in zip(sup.basis, sup.pivots()):
-        sup_pivots *= row[p]
-    for row, p in zip(sub.basis, sub.pivots()):
-        sub_pivots *= row[p]
-    if sub_pivots % sup_pivots:
-        raise DimensionMismatchError("lattices are not nested")
-    return sub_pivots // sup_pivots

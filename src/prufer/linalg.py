@@ -74,10 +74,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[Row], list[int]]:
     return [tuple(row) for row in mat[:prow]], pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
-
-
 def right_kernel(rows: Sequence[Sequence]) -> list[Row]:
     """Basis of {v : M v = 0} for the matrix M with the given rows.
 
@@ -127,16 +123,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]
     return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list[Fraction]:
-    if a and len(a[0]) != len(v):
-        raise DimensionMismatchError("matrix/vector shapes differ")
-    return [sum((Fraction(x) * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free Gaussian elimination."""
     n = len(rows)
@@ -160,26 +146,6 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def fraction_det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a rational matrix (clears denominators, then Bareiss)."""
-    mat = _as_fraction_rows(rows)
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    den = 1
-    for row in mat:
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-    scaled = [[int(x * den) for x in row] for row in mat]
-    return Fraction(bareiss_det(scaled), den**n)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def modp_left_kernel(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
@@ -220,27 +186,3 @@ def modp_left_kernel(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
             v[pcol] = (-row[fc]) % p
         basis.append(v)
     return basis
-
-
-def charpoly(rows: Sequence[Sequence]) -> list[Fraction]:
-    """Characteristic polynomial det(X*I - M), coefficients ascending.
-
-    Uses the Faddeev-LeVerrier recurrence; exact over Q and plenty fast for
-    the matrix sizes seen here.
-    """
-    mat = _as_fraction_rows(rows)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise DimensionMismatchError("characteristic polynomial needs a square matrix")
-    if n == 0:
-        return [Fraction(1)]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = identity_matrix(n)
-    for k in range(1, n + 1):
-        mk = mat_mul(mat, mk)
-        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
-        coeffs[n - k] = ck
-        for i in range(n):
-            mk[i][i] += ck
-    return coeffs

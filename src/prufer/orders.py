@@ -9,12 +9,17 @@ assume a valid order.
 Elements carry Fraction coordinates so the same type serves for points of the
 ambient Q-algebra B = A (x) Q; membership in A is just integrality of the
 coordinates.
+
+An ``EmbeddedOrder`` is an order inside B together with its basis rows in
+A's coordinates: a field component A e_i, or an overorder built by round 2.
+``embedded_order`` is the one way to build one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -28,7 +33,8 @@ from .errors import (
     PruferError,
     UnitLineError,
 )
-from .linalg import charpoly, solve_right
+from .lattice import rational_rows_lattice
+from .linalg import solve_right
 from .poly import RationalPolynomial
 
 Coords = tuple[Fraction, ...]
@@ -249,21 +255,6 @@ def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> Al
     return acc
 
 
-def left_regular_matrix(order: ZOrder, x: AlgebraElement) -> list[list[Fraction]]:
-    """Matrix M with M[i][j] = coordinate i of x * b_j (so M acts on columns)."""
-    cols = [mul(order, x, order.basis_element(j)).coords for j in range(order.dim)]
-    return [[cols[j][i] for j in range(order.dim)] for i in range(order.dim)]
-
-
-def trace(order: ZOrder, x: AlgebraElement) -> Fraction:
-    m = left_regular_matrix(order, x)
-    return sum((m[i][i] for i in range(order.dim)), Fraction(0))
-
-
-def characteristic_polynomial(order: ZOrder, x: AlgebraElement) -> RationalPolynomial:
-    return RationalPolynomial(charpoly(left_regular_matrix(order, x)))
-
-
 def minimal_polynomial(order: ZOrder, x: AlgebraElement) -> RationalPolynomial:
     """Monic least-degree polynomial killing x in the ambient algebra.
 
@@ -286,19 +277,15 @@ def minimal_polynomial(order: ZOrder, x: AlgebraElement) -> RationalPolynomial:
 
 
 def trace_gram_matrix(order: ZOrder) -> list[list[int]]:
-    """Gram matrix of the trace form, G[i][j] = Tr(L_{b_i b_j}); integer."""
+    """Gram matrix of the trace form, G[i][j] = Tr(b_i b_j); integer.
+
+    The trace is linear, so with the trace vector t_k = Tr(b_k), the trace
+    of left multiplication by b_k, each entry is sum_k table[i][j][k] * t_k
+    (Cohen, GTM 138, 4.1).
+    """
     n = order.dim
-    traces = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = AlgebraElement(tuple(order.table[i][j]))
-            t = trace(order, prod)
-            if t.denominator != 1:
-                raise PruferError("trace form of an integer order came out non-integral")
-            row.append(int(t))
-        traces.append(row)
-    return traces
+    t = [sum(order.table[k][j][j] for j in range(n)) for k in range(n)]
+    return [[sum(c * tk for c, tk in zip(order.table[i][j], t)) for j in range(n)] for i in range(n)]
 
 
 def is_commutative(order: ZOrder) -> tuple[bool, tuple[AlgebraElement, AlgebraElement] | None]:
@@ -423,3 +410,72 @@ def equation_order(f: RationalPolynomial) -> ZOrder:
     one = (1,) + (0,) * (d - 1)
     names = ("1",) + tuple(f"x^{k}" if k > 1 else "x" for k in range(1, d))
     return ZOrder(dim=d, table=table, one=one, basis_names=names)
+
+
+# -- suborders of the ambient algebra ---------------------------------------
+
+
+@dataclass(frozen=True)
+class EmbeddedOrder:
+    """An order inside the ambient algebra of another order.
+
+    Row r of ``basis_in_ambient`` holds the ambient coordinates of basis
+    vector r of ``order``, and ``order.table`` multiplies those rows.  A field
+    component A e_i has fewer rows than the ambient dimension; an overorder
+    has full rank.  Build one with ``embedded_order``.
+    """
+
+    order: ZOrder
+    basis_in_ambient: tuple[Coords, ...]
+
+    def to_ambient(self, coords) -> AlgebraElement:
+        """Map coordinates in ``order``'s basis to an ambient element."""
+        out = [Fraction(0)] * len(self.basis_in_ambient[0])
+        for c, row in zip(coords, self.basis_in_ambient):
+            c = Fraction(c)
+            if c:
+                out = [acc + c * x for acc, x in zip(out, row)]
+        return AlgebraElement(tuple(out))
+
+    @cached_property
+    def index(self) -> int:
+        """[O' : O] for an overorder O' of the ambient order O.
+
+        With the rows equal to L/den for an integer lattice L of rank n, the
+        index is den^n / [Z^n : L].
+        """
+        lat, den = rational_rows_lattice(self.basis_in_ambient)
+        if lat.rank != lat.ambient_dim:
+            raise PruferError("the index needs an embedded order of full rank")
+        volume = den**lat.rank
+        if volume % lat.determinant():
+            raise PruferError("embedded order index is not integral")
+        return volume // lat.determinant()
+
+
+def embedded_order(order: ZOrder, rows: Sequence[Sequence], one: Sequence) -> EmbeddedOrder:
+    """The suborder of the ambient algebra spanned over Z by ``rows``.
+
+    ``rows`` are rational coordinates in ``order``'s basis.  They are replaced
+    by the Hermite basis of their span, so a span has one presentation, and
+    the table holds the coordinates of each product of two basis rows in that
+    basis.  Raises PruferError when the span is not closed under
+    multiplication or does not contain ``one``, the suborder's identity.
+    """
+    lat, den = rational_rows_lattice(rows)
+    # Basis row r is y_r / den, so (y_r / den)(y_s / den) is in the span
+    # exactly when y_r y_s / den is an integer combination of the y's.
+    table = []
+    for yr in lat.basis:
+        row = []
+        for ys in lat.basis:
+            coords = lat.coordinates([Fraction(c, den) for c in order._mul_coords(yr, ys)])
+            if coords is None:
+                raise PruferError("embedded order basis is not closed under multiplication")
+            row.append(coords)
+        table.append(tuple(row))
+    one_coords = lat.coordinates([den * c for c in one])
+    if one_coords is None:
+        raise PruferError("the identity does not lie in the embedded order")
+    basis = tuple(tuple(Fraction(c, den) for c in row) for row in lat.basis)
+    return EmbeddedOrder(ZOrder(dim=lat.rank, table=tuple(table), one=one_coords), basis)

@@ -250,10 +250,6 @@ class RationalPolynomial:
             acc = acc * inner + RationalPolynomial([Fraction(c, self._den)])
         return acc
 
-    def shift(self, a: Scalar) -> "RationalPolynomial":
-        """self(X + a)."""
-        return self.compose(RationalPolynomial([a, 1]))
-
     def content_and_primitive(self) -> tuple[Fraction, tuple[int, ...]]:
         """Write self = c * P with P primitive integer-coefficient, lc(P) > 0."""
         if self.is_zero:
@@ -380,15 +376,6 @@ def poly_xgcd(
         return r0, s0, t0
     lead = r0.leading_coefficient
     return r0 / lead, s0 / lead, t0 / lead
-
-
-def squarefree_part(f: RationalPolynomial) -> RationalPolynomial:
-    """Monic product of the distinct irreducible factors of f."""
-    if f.is_zero:
-        raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    if f.degree <= 0:
-        return RationalPolynomial.one_poly
-    return (f // poly_gcd(f, f.derivative())).monic()
 
 
 def squarefree_decomposition(f: RationalPolynomial) -> list[tuple[RationalPolynomial, int]]:

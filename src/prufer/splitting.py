@@ -8,7 +8,8 @@ tests each integer candidate a by one integer determinant: a is primitive
 exactly when 1, a, ..., a^(n-1) are linearly independent (Cohen, GTM 138,
 ch. 2).  Everything here is deterministic: the primitive element comes from a
 fixed search order and the factors are sorted canonically, so component
-numbering is reproducible.
+numbering is reproducible.  A component A e_i comes back as an
+``orders.EmbeddedOrder``, the same type round 2 uses for overorders.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from typing import Iterator, Sequence
 
 from .errors import NotApplicableError, PruferError, SearchExhaustedError
 from .factor import poly_factor
-from .lattice import rational_rows_lattice
-from .linalg import bareiss_det, solve_right
+from .linalg import bareiss_det
 from .orders import (
     AlgebraElement,
+    EmbeddedOrder,
     ZOrder,
+    embedded_order,
     evaluate_poly,
     is_commutative,
     is_reduced,
@@ -189,63 +191,12 @@ def idempotents_in_order(
     return True, None
 
 
-@dataclass(frozen=True)
-class ComponentOrder:
-    """The image lattice A e_i as a standalone order plus its embedding.
-
-    ``basis_in_ambient`` rows are coordinates in the original order's basis;
-    row r is the image of the component order's basis vector r.
-    """
-
-    order: ZOrder
-    basis_in_ambient: tuple[tuple[Fraction, ...], ...]
-
-    def to_ambient(self, coords) -> AlgebraElement:
-        """Map component coordinates (rational) to an ambient element."""
-        out = [Fraction(0)] * len(self.basis_in_ambient[0])
-        for c, row in zip(coords, self.basis_in_ambient):
-            c = Fraction(c)
-            if c:
-                out = [acc + c * x for acc, x in zip(out, row)]
-        return AlgebraElement(tuple(out))
-
-
-def component_order(order: ZOrder, dec: Decomposition, index: int) -> ComponentOrder:
-    """The projection A e_i of the order into component i, as a ZOrder.
-
-    The projection is a finitely generated ring with identity e_i; its basis
-    is the Hermite-form basis of the lattice spanned by b_j e_i.
-    """
+def component_order(order: ZOrder, dec: Decomposition, index: int) -> EmbeddedOrder:
+    """The projection A e_i of the order into component i, as an order with
+    identity e_i, on the Hermite basis of the lattice spanned by b_j e_i."""
     e = dec.idempotents[index]
     generators = [mul(order, order.basis_element(j), e).coords for j in range(order.dim)]
-    lat, den = rational_rows_lattice(generators)
-    basis_rows = tuple(tuple(Fraction(c, den) for c in row) for row in lat.basis)
-    m = len(basis_rows)
-    if m != dec.factors[index].degree:
+    comp = embedded_order(order, generators, e.coords)
+    if comp.order.dim != dec.factors[index].degree:
         raise PruferError("component lattice rank does not match the factor degree")
-
-    cols = [[basis_rows[r][i] for r in range(m)] for i in range(order.dim)]
-
-    def in_component_coords(vec: AlgebraElement) -> tuple[int, ...]:
-        sol = solve_right(cols, list(vec.coords))
-        if sol is None:
-            raise PruferError("element does not lie in the component span")
-        out = []
-        for c in sol:
-            if c.denominator != 1:
-                raise PruferError("component lattice is not multiplicatively closed")
-            out.append(int(c))
-        return tuple(out)
-
-    table = []
-    for r in range(m):
-        row = []
-        er = AlgebraElement(basis_rows[r])
-        for s in range(m):
-            es = AlgebraElement(basis_rows[s])
-            row.append(in_component_coords(mul(order, er, es)))
-        table.append(tuple(row))
-    one = in_component_coords(e)
-    names = tuple(f"c{index}.{r}" for r in range(m))
-    comp = ZOrder(dim=m, table=tuple(table), one=one, basis_names=names)
-    return ComponentOrder(order=comp, basis_in_ambient=basis_rows)
+    return comp

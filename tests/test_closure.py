@@ -11,10 +11,10 @@ from prufer.closure import (
     p_radical,
     ring_of_multipliers,
 )
-from prufer.errors import BudgetExceededError, DiscFactorizationError
-from prufer.lattice import IntegerLattice, index_in
-from prufer.orders import element, equation_order, load_order, minimal_polynomial
+from prufer.errors import BudgetExceededError, DiscFactorizationError, PruferError
+from prufer.orders import element, equation_order, load_order, minimal_polynomial, mul
 from prufer.poly import RationalPolynomial
+from prufer.splitting import component_order, decompose
 
 
 def P(*coeffs):
@@ -65,7 +65,7 @@ def test_p_radical_z_sqrt5(z_sqrt5):
     rad = p_radical(z_sqrt5, 2)
     # the radical at 2 is (2, 1 + sqrt5)
     assert rad.basis == ((1, 1), (0, 2))
-    assert index_in(rad, IntegerLattice.standard(2)) == 2
+    assert rad.determinant() == 2
 
 
 def test_p_radical_z_3i(corpus):
@@ -118,6 +118,37 @@ def test_maximal_order_to_ambient(z_sqrt5):
     denominators = {emb.to_ambient(emb.order.basis_element(k).coords).denominator for k in range(2)}
     assert 2 in denominators
     assert minimal_polynomial(z_sqrt5, lifted).is_monic
+
+
+def _assert_table_multiplies_rows(emb, ambient, one):
+    """The suborder's table is the ambient product of its basis rows, and
+    its identity is ``one``."""
+    rows = [element(row) for row in emb.basis_in_ambient]
+    for r, row_r in enumerate(rows):
+        for s, row_s in enumerate(rows):
+            assert emb.to_ambient(emb.order.table[r][s]) == mul(ambient, row_r, row_s), (r, s)
+    assert emb.to_ambient(emb.order.one) == one
+
+
+@pytest.mark.parametrize("f", ["X^2-5", "X^2+9", "X^4-12", "X^6+108", "X^8-162", "X^4+36"])
+def test_maximal_order_table_multiplies_its_rows(f):
+    order = equation_order(RationalPolynomial.parse(f))
+    _assert_table_multiplies_rows(maximal_order(order), order, order.identity())
+
+
+def test_maximal_order_table_multiplies_its_rows_cubic(corpus):
+    order = corpus["cubic_index2"]
+    _assert_table_multiplies_rows(maximal_order(order), order, order.identity())
+
+
+def test_component_tables_multiply_their_rows(equation_product):
+    order = equation_product((1, 0, 1), (-2, 0, 0, 1))  # Z[i] x Z[2^(1/3)]
+    dec = decompose(order)
+    for i, e in enumerate(dec.idempotents):
+        comp = component_order(order, dec, i)
+        _assert_table_multiplies_rows(comp, order, e)
+        with pytest.raises(PruferError):
+            comp.index  # a component is not of full rank
 
 
 def test_is_integrally_closed_order(z_sqrt5, z_i):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prufer.errors import FactorDegreeError, ZeroPolynomialError
-from prufer.factor import is_squarefree, modp_factor, poly_factor
+from prufer.factor import modp_factor, poly_factor
 from prufer.poly import RationalPolynomial
 
 
@@ -86,11 +86,6 @@ def test_modp_factor_inert():
 
 def test_modp_factor_inseparable():
     assert modp_factor((0, 0, 1), 2) == [((0, 1), 2)]
-
-
-def test_is_squarefree():
-    assert is_squarefree(P(-1, 0, 1))
-    assert not is_squarefree(P(1, -2, 1))
 
 
 @st.composite

@@ -1,17 +1,14 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from prufer.linalg import (
     bareiss_det,
-    charpoly,
-    fraction_det,
-    identity_matrix,
     mat_mul,
-    mat_vec,
     modp_left_kernel,
-    rank,
     right_kernel,
     rref,
     solve_right,
@@ -25,6 +22,15 @@ def square_matrix(n):
     return st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(len(m)))
+    return total
+
+
 def test_rref_invertible():
     rows, pivots = rref([[1, 2], [3, 4]])
     assert pivots == [0, 1]
@@ -35,12 +41,6 @@ def test_rref_singular():
     rows, pivots = rref([[1, 2], [2, 4]])
     assert pivots == [0]
     assert rows[0] == (1, 2)
-
-
-def test_rank():
-    assert rank([[1, 2], [2, 4]]) == 1
-    assert rank([[1, 0], [0, 1]]) == 2
-    assert rank([[0, 0], [0, 0]]) == 0
 
 
 def test_solve_right():
@@ -61,28 +61,17 @@ def test_right_kernel_dimension():
 
 def test_determinants_agree():
     m = [[2, 7, 1], [0, 3, -4], [5, 1, 1]]
-    assert bareiss_det(m) == fraction_det(m)
     assert bareiss_det(m) == 2 * (3 * 1 - (-4) * 1) - 7 * (0 - (-20)) + 1 * (0 - 15)
 
 
 def test_det_identity():
-    assert bareiss_det(identity_matrix(4)) == 1
-
-
-def test_charpoly_companion():
-    # companion matrix of X^2 - 2X - 4 acting by left multiplication
-    assert charpoly([[0, 4], [1, 2]]) == [Fraction(-4), Fraction(-2), Fraction(1)]
-
-
-def test_charpoly_identity():
-    # (X - 1)^3
-    assert charpoly(identity_matrix(3)) == [Fraction(-1), Fraction(3), Fraction(-3), Fraction(1)]
+    assert bareiss_det([[1 if i == j else 0 for j in range(4)] for i in range(4)]) == 1
 
 
 def test_mat_helpers():
     a = [[1, 2], [3, 4]]
-    assert mat_mul(a, identity_matrix(2)) == [[1, 2], [3, 4]]
-    assert tuple(mat_vec(a, (1, 1))) == (3, 7)
+    assert mat_mul(a, [[1, 0], [0, 1]]) == [[1, 2], [3, 4]]
+    assert mat_mul(a, [[1], [1]]) == [[3], [7]]
 
 
 def test_modp_left_kernel():
@@ -101,18 +90,11 @@ def test_xgcd_bezout(a, b):
 
 @given(square_matrix(3))
 def test_det_routes_agree(m):
-    assert bareiss_det(m) == fraction_det(m)
-
-
-@given(square_matrix(3))
-def test_charpoly_constant_term_is_det(m):
-    # det(X*I - M) at X = 0 is (-1)^3 det(M)
-    cp = charpoly(m)
-    assert cp[0] == -Fraction(bareiss_det(m))
+    assert bareiss_det(m) == leibniz_det(m)
 
 
 @given(square_matrix(2), st.lists(small_ints, min_size=2, max_size=2))
 def test_solve_right_solves(m, rhs):
     x = solve_right(m, rhs)
     if x is not None:
-        assert tuple(mat_vec(m, x)) == tuple(Fraction(c) for c in rhs)
+        assert [sum(a * xj for a, xj in zip(row, x)) for row in m] == list(rhs)

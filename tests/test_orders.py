@@ -8,6 +8,7 @@ from prufer.errors import (
     MalformedInputError,
     NoIdentityError,
     NonAssociativeError,
+    PruferError,
     UnitLineError,
 )
 from prufer.orders import (
@@ -15,21 +16,19 @@ from prufer.orders import (
     REDUCED,
     UNDECIDED_SEMISIMPLE,
     ZOrder,
-    characteristic_polynomial,
     element,
+    embedded_order,
     equation_order,
     evaluate_poly,
     is_commutative,
     is_reduced,
     jacobson_radical_basis,
-    left_regular_matrix,
     load_order,
     minimal_polynomial,
     mul,
     order_to_dict,
     power,
     product_order,
-    trace,
     trace_gram_matrix,
 )
 import pathlib
@@ -115,7 +114,6 @@ def test_evaluate_poly(z_i):
 def test_minimal_polynomial_matrix_example(m2z):
     a = element((0, 4, 1, 2))  # the matrix [[0, 4], [1, 2]]
     assert minimal_polynomial(m2z, a) == P(-4, -2, 1)
-    assert characteristic_polynomial(m2z, a) == P(-4, -2, 1) ** 2
 
 
 def test_minimal_polynomial_of_identity(z_golden):
@@ -127,24 +125,37 @@ def test_golden_ratio_minimal_polynomial(z_golden):
     assert minimal_polynomial(z_golden, w) == P(-1, -1, 1)
 
 
-def test_trace(m2z, z_i):
-    # left regular trace doubles the matrix trace on M2
-    assert trace(m2z, m2z.identity()) == 4
-    assert trace(m2z, element((0, 4, 1, 2))) == 4
-    assert trace(z_i, element((0, 1))) == 0
-
-
 def test_trace_gram_matrix(z_i):
     assert [list(r) for r in trace_gram_matrix(z_i)] == [[2, 0], [0, -2]]
 
 
-def test_left_regular_matrix_consistent(m2z):
-    a = element((0, 4, 1, 2))
-    b = element((1, 1, 0, 0))
-    M = left_regular_matrix(m2z, a)
-    from prufer.linalg import mat_vec
+def _trace_gram_reference(order):
+    """G[i][j] = Tr(b_i b_j), the trace read off column by column:
+    the sum over k of coordinate k of (b_i b_j) b_k."""
+    n = order.dim
+    b = order.basis()
+    return [
+        [sum(mul(order, mul(order, b[i], b[j]), b[k]).coords[k] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
 
-    assert tuple(mat_vec(M, b.coords)) == mul(m2z, a, b).coords
+
+def test_trace_gram_matrix_matches_reference(corpus, equation_product):
+    orders = dict(corpus)
+    for n in range(3, 13):
+        orders[f"X^{n}-2"] = equation_order(P(-2, *[0] * (n - 1), 1))
+    orders["Z[i] x Z[2^(1/3)]"] = equation_product((1, 0, 1), (-2, 0, 0, 1))
+    for name, order in orders.items():
+        assert trace_gram_matrix(order) == _trace_gram_reference(order), name
+
+
+def test_embedded_order_rejects_bad_spans(z_i):
+    # i/2 squares to -1/4, outside the span of 1 and i/2
+    with pytest.raises(PruferError):
+        embedded_order(z_i, [(1, 0), (0, Fraction(1, 2))], z_i.one)
+    # 2Z[i] is closed under multiplication but does not contain 1
+    with pytest.raises(PruferError):
+        embedded_order(z_i, [(2, 0), (0, 2)], z_i.one)
 
 
 def test_is_commutative(m2z, z_i):
@@ -226,16 +237,3 @@ def test_min_poly_divides_composition(z_golden, coords, fcoeffs):
     fb = evaluate_poly(z_golden, f, b)
     mu_fb = minimal_polynomial(z_golden, fb)
     assert (mu_fb.compose(f) % mu_b).is_zero
-
-
-@given(small_elems, small_elems)
-def test_trace_is_linear(z_i, x_coords, y_coords):
-    x, y = element(x_coords), element(y_coords)
-    assert trace(z_i, x + y) == trace(z_i, x) + trace(z_i, y)
-
-
-@given(small_elems)
-def test_cayley_hamilton(z_golden, coords):
-    x = element(coords)
-    cp = characteristic_polynomial(z_golden, x)
-    assert evaluate_poly(z_golden, cp, x).is_zero

@@ -9,7 +9,6 @@ from prufer.poly import (
     poly_gcd,
     poly_xgcd,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 fractions = st.fractions(min_value=Fraction(-10), max_value=Fraction(10), max_denominator=6)
@@ -85,11 +84,6 @@ def test_evaluate_and_compose():
     assert f.compose(g) == P(0, 2, 1)  # (X+1)^2 - 1
 
 
-def test_shift():
-    f = P(0, 1)
-    assert f.shift(-1) == P(-1, 1)
-
-
 def test_denominator_and_content():
     f = P(Fraction(2, 3), Fraction(4, 3))
     content, prim = f.content_and_primitive()
@@ -153,11 +147,6 @@ def test_squarefree_decomposition():
     f = P(-1, 1) ** 2 * P(2, 1)
     dec = squarefree_decomposition(f)
     assert dec == [(P(2, 1), 1), (P(-1, 1), 2)]
-
-
-def test_squarefree_part():
-    f = P(-1, 1) ** 3 * P(2, 1)
-    assert squarefree_part(f) == P(-1, 1) * P(2, 1)
 
 
 @given(rational_polys)
