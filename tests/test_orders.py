@@ -125,8 +125,34 @@ def test_golden_ratio_minimal_polynomial(z_golden):
     assert minimal_polynomial(z_golden, w) == P(-1, -1, 1)
 
 
+def _trace(order, x):
+    """Tr(x) = Tr(x * 1), read off the trace form: x^T G one."""
+    gram = trace_gram_matrix(order)
+    n = order.dim
+    return sum(x.coords[i] * gram[i][j] * order.one[j] for i in range(n) for j in range(n))
+
+
+def test_trace(m2z, z_i):
+    # left regular trace doubles the matrix trace on M2
+    assert _trace(m2z, m2z.identity()) == 4
+    assert _trace(m2z, element((0, 4, 1, 2))) == 4
+    assert _trace(z_i, element((0, 1))) == 0
+
+
 def test_trace_gram_matrix(z_i):
     assert [list(r) for r in trace_gram_matrix(z_i)] == [[2, 0], [0, -2]]
+
+
+def test_left_regular_matrix_consistent(m2z):
+    # column j of the left-regular matrix of a is a * b_j; it acts as a * -,
+    # and its trace is the trace the trace form gives
+    a = element((0, 4, 1, 2))
+    b = element((1, 1, 0, 0))
+    n = m2z.dim
+    cols = [mul(m2z, a, bj).coords for bj in m2z.basis()]
+    M = [[cols[j][i] for j in range(n)] for i in range(n)]
+    assert tuple(sum(M[i][j] * b.coords[j] for j in range(n)) for i in range(n)) == mul(m2z, a, b).coords
+    assert sum(M[i][i] for i in range(n)) == _trace(m2z, a)
 
 
 def _trace_gram_reference(order):
@@ -237,3 +263,9 @@ def test_min_poly_divides_composition(z_golden, coords, fcoeffs):
     fb = evaluate_poly(z_golden, f, b)
     mu_fb = minimal_polynomial(z_golden, fb)
     assert (mu_fb.compose(f) % mu_b).is_zero
+
+
+@given(small_elems, small_elems)
+def test_trace_is_linear(z_i, x_coords, y_coords):
+    x, y = element(x_coords), element(y_coords)
+    assert _trace(z_i, x + y) == _trace(z_i, x) + _trace(z_i, y)
