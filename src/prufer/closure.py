@@ -1,10 +1,13 @@
 """Integral closure of an order in a number field.
 
-The enlargement loop is the classical radical/multiplier-ring iteration: for
-every prime p with p^2 dividing the discriminant, replace O by the ring of
-multipliers of its p-radical until that stabilizes.  Each enlargement divides
-the discriminant by the square of the index, so termination is immediate, and
-the fixed point at every such p certifies maximality.
+The enlargement loop is round 2 (Pohst-Zassenhaus; Cohen, GTM 138, 6.1):
+for every prime p with p^2 dividing the discriminant, replace O by the ring
+of multipliers of its p-radical I until that stabilizes.  Both steps are
+linear algebra over F_p: I/pO is the kernel of Frobenius on O/pO, and the
+multiplier ring is (1/p) times the lift of the kernel of O/pO -> End(I/pI).
+Each enlargement divides the discriminant by the square of the index, so
+termination is immediate, and the fixed point at every such p certifies
+maximality.
 
 Everything works in the coordinates of the *original* order: each result is
 an ``orders.EmbeddedOrder``, the new order's structure constants together
@@ -18,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DiscFactorizationError, NotApplicableError, PruferError
-from .lattice import IntegerLattice, hnf_reduce, integer_left_kernel
+from .lattice import IntegerLattice, hnf_reduce
 from .linalg import bareiss_det, mat_mul, modp_left_kernel
 from .orders import (
     AlgebraElement,
@@ -30,7 +33,7 @@ from .orders import (
     trace_gram_matrix,
 )
 from .splitting import find_primitive_element
-from .factor import poly_factor
+from .factor import is_probable_prime, poly_factor
 
 
 def discriminant(order: ZOrder) -> int:
@@ -46,40 +49,16 @@ def is_integral(order: ZOrder, x: AlgebraElement) -> bool:
 # -- integer factorization (for discriminants) ------------------------------
 
 _TRIAL_LIMIT = 100000
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _pollard_brent(n: int, budget: int) -> int | None:
-    """One nontrivial factor of composite odd n, or None within the budget."""
+    """One nontrivial factor of composite odd n, or None once ``budget``
+    iterations, counted over all the constants c tried, are spent."""
+    count = 0
     for c in range(1, 20):
         y, m = 2, 128
         g, r, q = 1, 1, 1
         x = ys = y
-        count = 0
         while g == 1 and count < budget:
             x = y
             for _ in range(r):
@@ -104,6 +83,8 @@ def _pollard_brent(n: int, budget: int) -> int | None:
                     break
         if 1 < g < n:
             return g
+        if count >= budget:
+            return None
     return None
 
 
@@ -130,7 +111,7 @@ def factor_int(n: int, budget: int = 500000) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_probable_prime(m):
+        if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_brent(m, budget)
@@ -146,6 +127,14 @@ def factor_int(n: int, budget: int = 500000) -> dict[int, int]:
 # -- radical and multiplier ring --------------------------------------------
 
 
+def _modp_kernel_lattice(rows: list[list[int]], p: int) -> IntegerLattice:
+    """The lattice {y in Z^n : y * M = 0 (mod p)} for n rows M, in HNF:
+    the lift of the F_p left kernel plus p*Z^n."""
+    n = len(rows)
+    gens = modp_left_kernel(rows, p) + [[p if j == i else 0 for j in range(n)] for i in range(n)]
+    return hnf_reduce(gens, n)
+
+
 def p_radical(order: ZOrder, p: int) -> IntegerLattice:
     """The p-radical: preimage in A of the nilradical of A/pA (commutative).
 
@@ -156,19 +145,10 @@ def p_radical(order: ZOrder, p: int) -> IntegerLattice:
     commutative, _ = is_commutative(order)
     if not commutative:
         raise NotApplicableError("NOT_COMMUTATIVE: the p-radical construction needs a commutative order")
-    n = order.dim
     q = p
-    while q < n:
+    while q < order.dim:
         q *= p
-    rows = []
-    for i in range(n):
-        img = _basis_power_mod_p(order, i, q, p)
-        rows.append(img)
-    kernel = modp_left_kernel(rows, p)
-    gens = [list(v) for v in kernel]
-    for i in range(n):
-        gens.append([p if j == i else 0 for j in range(n)])
-    return hnf_reduce(gens, n)
+    return _modp_kernel_lattice([_basis_power_mod_p(order, i, q, p) for i in range(order.dim)], p)
 
 
 def _basis_power_mod_p(order: ZOrder, i: int, e: int, p: int) -> list[int]:
@@ -182,12 +162,15 @@ def _basis_power_mod_p(order: ZOrder, i: int, e: int, p: int) -> list[int]:
     return result
 
 
-def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice) -> EmbeddedOrder:
-    """O' = {x in B : x*I <= I} for a full-rank ideal lattice I.
+def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice, p: int) -> EmbeddedOrder:
+    """O' = {x in K : x*I <= I} for an ideal I of O = Z^n with p*O <= I.
 
-    Since d*Z^n <= I <= Z^n for d = [Z^n : I], any multiplier x satisfies
-    d*x in Z^n, so writing x = y/d turns the condition into integer linear
-    constraints y * (b_i w_j) in d*I, solved by an integer kernel.
+    p is a prime; the p-radical contains p*O by construction.  As p is in
+    I, every multiplier x has p*x in I <= O, so O' = U/p with
+    U = {y in O : y*I <= p*I}.  U contains p*O, and U/pO is the kernel of
+    the F_p-linear map O/pO -> End(I/pI), y -> (w_j -> y*w_j): row i of its
+    n x n^2 matrix holds the coordinates of b_i*w_j in I's Hermite basis
+    w_1..w_n, mod p (Cohen, GTM 138, Alg. 6.1.8).
     """
     commutative, _ = is_commutative(order)
     if not commutative:
@@ -195,26 +178,20 @@ def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice) -> EmbeddedOrder:
     n = order.dim
     if ideal.ambient_dim != n or ideal.rank != n:
         raise NotApplicableError("multiplier ring needs a full-rank ideal lattice")
-    d = ideal.determinant()
-    w = [list(row) for row in ideal.basis]
-    d_ideal = [[d * c for c in row] for row in w]
-    # Unknowns: y_0..y_{n-1}, then z_{j,k} for j,k in range(n).
-    # Conditions (n blocks of n columns): y * (b_i w_j) - z_j * (d I) = 0.
-    products = [[order._mul_coords([1 if t == i else 0 for t in range(n)], w[j]) for j in range(n)] for i in range(n)]
+    unit = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    if any(ideal.coordinates([p * c for c in e]) is None for e in unit):
+        raise NotApplicableError(f"multiplier ring at {p} needs {p}*O inside the ideal")
     matrix = []
-    for i in range(n):
+    for b in unit:
         row = []
-        for j in range(n):
-            row.extend(products[i][j])
+        for w in ideal.basis:
+            coords = ideal.coordinates(order._mul_coords(b, w))
+            if coords is None:
+                raise NotApplicableError("multiplier ring needs an ideal of the order")
+            row.extend(c % p for c in coords)
         matrix.append(row)
-    for j in range(n):
-        for k in range(n):
-            row = [0] * (n * n)
-            for col in range(n):
-                row[j * n + col] = -d_ideal[k][col]
-            matrix.append(row)
-    kernel = integer_left_kernel(matrix)
-    return embedded_order(order, [[Fraction(c, d) for c in vec[:n]] for vec in kernel], order.one)
+    u = _modp_kernel_lattice(matrix, p)
+    return embedded_order(order, [[Fraction(c, p) for c in row] for row in u.basis], order.one)
 
 
 # -- the maximality loop ----------------------------------------------------
@@ -253,7 +230,7 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
             continue
         while True:
             rad = p_radical(current, p)
-            step = ring_of_multipliers(current, rad)
+            step = ring_of_multipliers(current, rad, p)
             if step.index == 1:
                 break
             embedding = mat_mul(step.basis_in_ambient, embedding)

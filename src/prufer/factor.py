@@ -285,19 +285,38 @@ def _symmetric(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_WHEEL_LIMIT = 100000
 
 
-def _small_primes():
-    yield 3
-    n = 5
-    while n < _PRIME_WHEEL_LIMIT:
-        for d in range(3, isqrt(n) + 1, 2):
-            if n % d == 0:
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: exact for n below about
+    3.18 * 10^23, a probable-prime test above."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
         else:
-            yield n
-        n += 2
+            return False
+    return True
+
+
+def _small_primes():
+    return (n for n in range(3, _PRIME_WHEEL_LIMIT, 2) if is_probable_prime(n))
 
 
 def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:

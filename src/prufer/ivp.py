@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .closure import _is_probable_prime, discriminant, maximal_order
+from .closure import discriminant, maximal_order
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -33,7 +33,7 @@ from .errors import (
     NotApplicableError,
     PruferError,
 )
-from .factor import modp_factor, poly_factor
+from .factor import is_probable_prime, modp_factor, poly_factor
 from .lattice import IntegerLattice, lattice_intersect
 from .orders import (
     AlgebraElement,
@@ -294,7 +294,7 @@ def ramification_profile(order: ZOrder, p: int) -> RamificationProfile:
     order Z[a] in the maximal order (INDEX_DIVISIBLE otherwise; full ideal
     factorization at such primes is out of scope).
     """
-    if p < 2 or not _is_probable_prime(p):
+    if p < 2 or not is_probable_prime(p):
         raise MalformedInputError(f"MALFORMED_INPUT: {p} is not prime")
     a = find_primitive_element(order)
     mu = minimal_polynomial(order, a)
@@ -356,7 +356,7 @@ def nilpotent_witness(order: ZOrder, p: int, cap: int = SEARCH_CAP) -> AlgebraEl
     widened once to [-2p, 2p]; None means not found within the budget, which
     is not a proof of absence.
     """
-    if p < 2 or not _is_probable_prime(p):
+    if p < 2 or not is_probable_prime(p):
         raise MalformedInputError(f"MALFORMED_INPUT: {p} is not prime")
     psq = p * p
     for vec in shell_vectors(order.dim, 2 * p, cap):

@@ -11,8 +11,10 @@ from prufer.closure import (
     p_radical,
     ring_of_multipliers,
 )
-from prufer.errors import BudgetExceededError, DiscFactorizationError, PruferError
-from prufer.orders import element, equation_order, load_order, minimal_polynomial, mul
+from prufer.decision import decide_pruefer, verify_certificate
+from prufer.errors import BudgetExceededError, DiscFactorizationError, NotApplicableError, PruferError
+from prufer.lattice import IntegerLattice, hnf_reduce, integer_left_kernel
+from prufer.orders import element, equation_order, is_commutative, load_order, minimal_polynomial, mul
 from prufer.poly import RationalPolynomial
 from prufer.splitting import component_order, decompose
 
@@ -61,6 +63,15 @@ def test_factor_int_budget():
         factor_int(n)
 
 
+def test_factor_int_budget_is_a_total():
+    # Each constant c alone finds a factor within 1600 iterations; the
+    # budget covers all of them together, so the cap is 1600, not 19 * 1600.
+    n = 1000003 * 3000017
+    with pytest.raises(DiscFactorizationError):
+        factor_int(n, budget=1600)
+    assert factor_int(n) == {1000003: 1, 3000017: 1}
+
+
 def test_p_radical_z_sqrt5(z_sqrt5):
     rad = p_radical(z_sqrt5, 2)
     # the radical at 2 is (2, 1 + sqrt5)
@@ -77,11 +88,76 @@ def test_p_radical_z_3i(corpus):
 
 def test_ring_of_multipliers_z_sqrt5(z_sqrt5):
     rad = p_radical(z_sqrt5, 2)
-    grown = ring_of_multipliers(z_sqrt5, rad)
+    grown = ring_of_multipliers(z_sqrt5, rad, 2)
     assert grown.index == 2
     assert discriminant(grown.order) == 5
     rows = [tuple(r) for r in grown.basis_in_ambient]
     assert (Fraction(1, 2), Fraction(1, 2)) in rows or (1, 0) in rows
+
+
+def test_ring_of_multipliers_needs_p_in_the_ideal(z_sqrt5):
+    with pytest.raises(NotApplicableError):
+        ring_of_multipliers(z_sqrt5, p_radical(z_sqrt5, 2), 3)  # 3*Z^2 is not inside
+    with pytest.raises(NotApplicableError):
+        ring_of_multipliers(z_sqrt5, hnf_reduce([[1, 0], [0, 2]]), 2)  # not an ideal
+
+
+def _reference_multipliers(order, ideal):
+    """{x : x*I <= I} by the integer kernel of an (n + n^2) x n^2 system:
+    with d = [Z^n : I], x = y/d and the unknowns y, z_j solve
+    y*(b_i w_j) = z_j*(d*I) for every i, j."""
+    n = order.dim
+    d = ideal.determinant()
+    w = [list(row) for row in ideal.basis]
+    matrix = []
+    for i in range(n):
+        b = [1 if t == i else 0 for t in range(n)]
+        matrix.append([c for j in range(n) for c in order._mul_coords(b, w[j])])
+    for j in range(n):
+        for k in range(n):
+            row = [0] * (n * n)
+            row[j * n : (j + 1) * n] = [-d * c for c in w[k]]
+            matrix.append(row)
+    kernel = integer_left_kernel(matrix)
+    lattice = IntegerLattice.from_rows([vec[:n] for vec in kernel], n)
+    return tuple(tuple(Fraction(c, d) for c in row) for row in lattice.basis)
+
+
+def _assert_multipliers_match_reference(order):
+    """Along each round-2 chain, at 2, 3 and every p with p^2 | disc, the
+    mod-p multiplier ring is the one the integer kernel gives.  A chain on a
+    non-reduced order (disc 0) never stops growing, so there only the first
+    step is compared, at 2, 3 and 5."""
+    disc = discriminant(order)
+    primes = {2, 3, 5} if disc == 0 else {2, 3} | {p for p, v in factor_int(disc).items() if v >= 2}
+    for p in sorted(primes):
+        current = order
+        while True:
+            rad = p_radical(current, p)
+            step = ring_of_multipliers(current, rad, p)
+            assert step.basis_in_ambient == _reference_multipliers(current, rad), p
+            if step.index == 1 or disc == 0:
+                break
+            current = step.order
+
+
+@pytest.mark.parametrize("name", ["cubic_index2", "z", "z_3i", "z_golden", "z_i", "z_sqrt5", "z_x_mod_x2", "zxz"])
+def test_ring_of_multipliers_matches_reference_corpus(corpus, name):
+    assert is_commutative(corpus[name])[0]
+    _assert_multipliers_match_reference(corpus[name])
+
+
+@pytest.mark.parametrize("f", ["X^2-5", "X^2+9", "X^4-12", "X^4+36", "X^6+108"])
+def test_ring_of_multipliers_matches_reference_fields(f):
+    _assert_multipliers_match_reference(equation_order(RationalPolynomial.parse(f)))
+
+
+def test_x11_minus_2_decides_and_verifies():
+    # The integer-kernel round 2 never finished at p = 11 here (a 132 x 121 HNF).
+    order = equation_order(RationalPolynomial.parse("X^11-2"))
+    cert = decide_pruefer(order)
+    assert cert.verdict == "YES"
+    assert verify_certificate(order, cert) is True
 
 
 def test_maximal_order_z_sqrt5(z_sqrt5):

@@ -207,6 +207,15 @@ def test_verify_rejects_tampered_component_basis(z_i):
     assert not verify_certificate(z_i, cert)
 
 
+def test_verify_rejects_swapped_idempotents(zxz):
+    # Component 0 keeps its rows but is handed the other idempotent, which
+    # lies outside its span: the component check must fail, not raise.
+    doc = decide_pruefer(zxz).to_dict()
+    assert verify_certificate(zxz, PrueferCertificate.from_dict(doc))
+    doc["witness"]["idempotents"].reverse()
+    assert not verify_certificate(zxz, PrueferCertificate.from_dict(doc))
+
+
 def test_verify_rejects_tampered_primitive(z_i):
     doc = json.loads(GOLDEN_ZI)
     doc["witness"]["primitive"] = ["1", "0"]  # not a root of X^2 + 1

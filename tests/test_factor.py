@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prufer.errors import FactorDegreeError, ZeroPolynomialError
-from prufer.factor import modp_factor, poly_factor
+from prufer.factor import is_probable_prime, modp_factor, poly_factor
 from prufer.poly import RationalPolynomial
 
 
@@ -67,6 +67,16 @@ def test_factor_degree_cap():
 def test_factor_zero():
     with pytest.raises(ZeroPolynomialError):
         poly_factor(RationalPolynomial.zero_poly)
+
+
+def test_is_probable_prime():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if is_probable_prime(n)] == [n for n in range(3000) if by_trial_division(n)]
+    assert is_probable_prime(1000000007) and is_probable_prime(2**61 - 1)
+    # Carmichael numbers and a strong pseudoprime to bases 2, 3, 5 and 7.
+    assert not any(is_probable_prime(n) for n in (561, 41041, 3215031751, 1000003 * 3000017))
 
 
 def test_modp_factor_square():
