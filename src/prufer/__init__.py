@@ -6,9 +6,11 @@ of polynomials f in Q[X] with f(A) contained in A a Prufer domain?  The
 answer comes with a certificate that can be re-verified independently of the
 decision procedure.
 
-Everything is exact: scalars are ``fractions.Fraction``, lattices are integer
-matrices in Hermite normal form, and polynomial factorization is done from
-scratch over Q.  No floating point enters any verdict.
+Everything is exact: linear algebra is fraction-free elimination on integer
+rows with one common denominator, lattices are integer matrices in Hermite
+normal form, and polynomial factorization is done from scratch over Q.
+``fractions.Fraction`` appears only at the boundary, in element coordinates
+and certificate fields.  No floating point enters any verdict.
 """
 
 from fractions import Fraction
@@ -30,7 +32,7 @@ from .errors import (
     UnitLineError,
     ZeroPolynomialError,
 )
-from .lattice import IntegerLattice, hnf_reduce, lattice_intersect, lattice_member
+from .lattice import IntegerLattice, hnf_reduce, lattice_member
 from .poly import RationalPolynomial
 from .factor import poly_factor
 from .orders import (
@@ -40,7 +42,6 @@ from .orders import (
     equation_order,
     is_commutative,
     is_reduced,
-    jacobson_radical_basis,
     load_order,
     minimal_polynomial,
     order_to_dict,
@@ -99,7 +100,6 @@ __all__ = [
     "IntegerLattice",
     "hnf_reduce",
     "lattice_member",
-    "lattice_intersect",
     "RationalPolynomial",
     "poly_factor",
     "ZOrder",
@@ -111,7 +111,6 @@ __all__ = [
     "minimal_polynomial",
     "is_commutative",
     "is_reduced",
-    "jacobson_radical_basis",
     "Decomposition",
     "find_primitive_element",
     "decompose",

@@ -22,7 +22,7 @@ from math import gcd
 
 from .errors import DiscFactorizationError, NotApplicableError, PruferError
 from .lattice import IntegerLattice, hnf_reduce
-from .linalg import bareiss_det, mat_mul, modp_left_kernel
+from .linalg import bareiss_det, modp_left_kernel
 from .orders import (
     AlgebraElement,
     EmbeddedOrder,
@@ -220,25 +220,26 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
     factors = poly_factor(mu)
     if len(factors) != 1 or factors[0][1] != 1:
         raise NotApplicableError("NOT_A_FIELD: the ambient algebra splits or is not reduced")
+    # ``running.order`` is the current overorder and ``running`` maps its
+    # coordinates into the input order's; each step is composed through it.
     n = order.dim
-    current = order
-    embedding: list[list[Fraction]] = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    running = EmbeddedOrder(order, tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
     total_index = 1
     disc = discriminant(order)
     for p in sorted(factor_int(disc)):
         if _p_valuation(disc, p) < 2:
             continue
         while True:
-            rad = p_radical(current, p)
-            step = ring_of_multipliers(current, rad, p)
+            rad = p_radical(running.order, p)
+            step = ring_of_multipliers(running.order, rad, p)
             if step.index == 1:
                 break
-            embedding = mat_mul(step.basis_in_ambient, embedding)
-            current = step.order
+            rows = tuple(running.to_ambient(row).coords for row in step.basis_in_ambient)
+            running = EmbeddedOrder(step.order, rows)
             total_index *= step.index
             if _p_valuation(disc // (total_index * total_index), p) < 2:
                 break
-    return embedded_order(order, embedding, order.one)
+    return embedded_order(order, running.basis_in_ambient, order.one)
 
 
 def is_integrally_closed_order(order: ZOrder) -> tuple[bool, AlgebraElement | None]:

@@ -34,16 +34,16 @@ from .errors import (
     PruferError,
 )
 from .factor import is_probable_prime, modp_factor, poly_factor
-from .lattice import IntegerLattice, lattice_intersect
+from .linalg import first_relation
 from .orders import (
     AlgebraElement,
     ZOrder,
     element,
     equation_order,
     evaluate_poly,
+    integer_powers,
     minimal_polynomial,
     mul,
-    power,
 )
 from .poly import RationalPolynomial, poly_xgcd
 from .splitting import SEARCH_CAP, find_primitive_element, shell_vectors
@@ -199,9 +199,9 @@ def pointwise_integrally_closed(order: ZOrder, a: AlgebraElement) -> PointwiseCl
     mu = minimal_polynomial(order, a)
     m = mu.degree
 
-    power_rows = [power(order, a, k).coords for k in range(m)]
-    meet = lattice_intersect(IntegerLattice.standard(order.dim), power_rows)
-    if meet.rank != m:
+    # Z^n ∩ V has rank dim V for every rational subspace V, so A ∩ Q[a] has
+    # rank deg(mu) exactly when 1, a, ..., a^(m-1) are independent.
+    if first_relation(integer_powers(order, [int(c) for c in a.coords], m)) is not None:
         raise PruferError("internal: A ∩ Q[a] does not have rank deg(mu)")
 
     factors = poly_factor(mu)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .linalg import right_kernel, xgcd
+from .linalg import xgcd
 
 
 def _hnf_in_place(rows: list[list[int]], width: int, extra: int = 0) -> int:
@@ -108,16 +108,22 @@ class IntegerLattice:
         return IntegerLattice(self.ambient_dim, tuple(tuple(k * x for x in row) for row in self.basis))
 
     def coordinates(self, v) -> tuple[int, ...] | None:
-        """Integer coordinates of v in the HNF basis, or None if v is outside."""
-        vec = [Fraction(x) for x in v]
+        """Integer coordinates of v in the HNF basis, or None if v is outside.
+
+        Rational entries are accepted; a non-integral one is never in the
+        lattice.
+        """
+        vec = list(v)
         if len(vec) != self.ambient_dim:
             raise DimensionMismatchError("vector length does not match ambient dimension")
+        if any(Fraction(x).denominator != 1 for x in vec if not isinstance(x, int)):
+            return None
+        vec = [int(x) for x in vec]
         coords = []
         for row, p in zip(self.basis, self.pivots()):
-            c = vec[p] / row[p]
-            if c.denominator != 1:
+            c, r = divmod(vec[p], row[p])
+            if r:
                 return None
-            c = int(c)
             coords.append(c)
             if c:
                 vec = [x - c * y for x, y in zip(vec, row)]
@@ -155,56 +161,14 @@ def hnf_with_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
     return h, u, k
 
 
-def integer_left_kernel(rows: Sequence[Sequence]) -> list[list[int]]:
-    """HNF basis of {c in Z^m : c * M = 0} for a rational matrix M.
-
-    Column-scaling M to integers does not change the left kernel, so rational
-    entries are cleared first.
-    """
+def integer_left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """HNF basis of {c in Z^m : c * M = 0} for an integer matrix M."""
     m = len(rows)
     if m == 0:
         return []
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat[0])
-    cols = list(zip(*mat))
-    scaled_cols = []
-    for col in cols:
-        d = lcm(*(x.denominator for x in col)) if col else 1
-        scaled_cols.append([int(x * d) for x in col])
-    int_rows = [list(r) for r in zip(*scaled_cols)] if scaled_cols else [[] for _ in range(m)]
-    _, _, kernel = hnf_with_transform(int_rows)
-    if not kernel:
-        return []
-    k = [list(row) for row in kernel]
-    rank = _hnf_in_place(k, m)
-    return k[:rank]
-
-
-def lattice_intersect(lattice: IntegerLattice, subspace_rows: Sequence[Sequence]) -> IntegerLattice:
-    """Intersection of an integer lattice with a rational subspace.
-
-    ``subspace_rows`` span the subspace over Q.  The result is the set of
-    lattice vectors lying in that span; it is automatically saturated in the
-    input lattice (if k*v lands in the span, so does v).
-    """
-    span = [[Fraction(x) for x in row] for row in subspace_rows]
-    if span and any(len(row) != lattice.ambient_dim for row in span):
-        raise DimensionMismatchError("subspace rows do not match ambient dimension")
-    if lattice.rank == 0:
-        return lattice
-    relations = right_kernel(span) if span else right_kernel([[Fraction(0)] * lattice.ambient_dim])
-    if not span:
-        # The zero subspace: only the zero vector survives.
-        return IntegerLattice(lattice.ambient_dim, ())
-    if not relations:
-        # The subspace is everything.
-        return lattice
-    constraint = [[sum(Fraction(b) * k_j for b, k_j in zip(row, kvec)) for kvec in relations] for row in lattice.basis]
-    kernel = integer_left_kernel(constraint)
-    new_rows = []
-    for c in kernel:
-        new_rows.append([sum(ci * bij for ci, bij in zip(c, col)) for col in zip(*lattice.basis)])
-    return IntegerLattice.from_rows(new_rows, lattice.ambient_dim)
+    _, _, kernel = hnf_with_transform(rows)
+    rank = _hnf_in_place(kernel, m)
+    return kernel[:rank]
 
 
 def rational_rows_lattice(rows: Sequence[Sequence]) -> tuple[IntegerLattice, int]:

@@ -1,19 +1,20 @@
-"""Exact linear algebra over Q and over prime fields.
+"""Exact linear algebra on integer rows and over prime fields.
 
 Matrices are tuples (or lists) of row tuples.  Everything here is small and
 dense; orders in this package have dimension at most a few dozen, so clarity
-beats asymptotics.  Rational elimination uses ``fractions.Fraction``, integer
-determinants use Bareiss to avoid fraction blowup.
+beats asymptotics.  Elimination over Q is fraction-free: a rational question
+is asked of integer rows (one common denominator cleared by the caller), and
+rows are kept primitive by dividing out their content (Bareiss, Math. Comp.
+22, 1968; Cohen, GTM 138, 2.3-2.4).  Fractions appear only where elements and
+certificates are read or written, never in here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
-
-Row = tuple[Fraction, ...]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -31,96 +32,50 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _as_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    out = [[Fraction(x) for x in row] for row in rows]
-    if out:
-        n = len(out[0])
-        if any(len(row) != n for row in out):
-            raise DimensionMismatchError("ragged matrix")
-    return out
+def first_relation(vectors: Iterable[Sequence[int]]) -> list[int] | None:
+    """The first linear relation among integer vectors v_0, v_1, ...
 
+    Returns c_0..c_k with sum c_i v_i = 0, where v_k is the first vector that
+    depends on the ones before it.  Those are independent, so the relation is
+    unique up to scale; it comes back primitive with c_k > 0.  Returns None
+    when all the vectors are independent.  Vectors are consumed lazily, so a
+    generator stops being drawn at the first dependency.
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form over Q.
-
-    Returns (nonzero rows, pivot column indices).  Deterministic: the pivot
-    in each column is the first row with a nonzero entry there.
+    Each kept row carries its combination of the v's; a new vector is reduced
+    by the kept rows in ascending pivot order, every step an integer
+    cross-multiplication followed by division by the content.
     """
-    mat = _as_fraction_rows(rows)
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    prow = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(prow, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+    kept: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, combination)
+    width = None
+    for k, v in enumerate(vectors):
+        row = [int(x) for x in v]
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DimensionMismatchError("vectors of mixed length")
+        combo = [0] * k + [1]
+        for pivot, krow, kcombo in kept:
+            a = row[pivot]
+            if not a:
+                continue
+            b = krow[pivot]
+            g = gcd(a, b)
+            s, t = b // g, a // g
+            row = [s * x - t * y for x, y in zip(row, krow)]
+            combo = [s * x - t * y for x, y in zip(combo, kcombo)] + [s * x for x in combo[len(kcombo) :]]
+            content = gcd(*row, *combo)
+            if content > 1:
+                row = [x // content for x in row]
+                combo = [x // content for x in combo]
+        pivot = next((j for j, x in enumerate(row) if x), None)
         if pivot is None:
-            continue
-        mat[prow], mat[pivot] = mat[pivot], mat[prow]
-        inv = 1 / mat[prow][col]
-        mat[prow] = [x * inv for x in mat[prow]]
-        for r in range(len(mat)):
-            if r != prow and mat[r][col] != 0:
-                c = mat[r][col]
-                mat[r] = [x - c * y for x, y in zip(mat[r], mat[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == len(mat):
-            break
-    return [tuple(row) for row in mat[:prow]], pivots
-
-
-def right_kernel(rows: Sequence[Sequence]) -> list[Row]:
-    """Basis of {v : M v = 0} for the matrix M with the given rows.
-
-    Basis vectors are produced one per free column, in column order, with the
-    free coordinate set to 1; this makes the result deterministic.
-    """
-    mat = _as_fraction_rows(rows)
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    red, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[Row] = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for prow, pcol in zip(red, pivots):
-            v[pcol] = -prow[fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def solve_right(rows: Sequence[Sequence], rhs: Sequence) -> Row | None:
-    """One solution x of M x = b, or None if the system is inconsistent."""
-    mat = _as_fraction_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(mat) != len(b):
-        raise DimensionMismatchError("rhs length does not match row count")
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    aug = [row + [bb] for row, bb in zip(mat, b)]
-    red, pivots = rref(aug)
-    x = [Fraction(0)] * ncols
-    for prow, pcol in zip(red, pivots):
-        if pcol == ncols:
-            return None
-        x[pcol] = prow[ncols]
-    return tuple(x)
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
-    if a and b and len(a[0]) != len(b):
-        raise DimensionMismatchError("inner dimensions differ")
-    bt = list(zip(*b)) if b else []
-    return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+            content = gcd(*combo)
+            if combo[k] < 0:
+                content = -content
+            return [x // content for x in combo]
+        kept.append((pivot, row, combo))
+        kept.sort(key=lambda entry: entry[0])
+    return None
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:

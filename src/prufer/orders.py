@@ -23,7 +23,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -34,7 +34,7 @@ from .errors import (
     UnitLineError,
 )
 from .lattice import rational_rows_lattice
-from .linalg import solve_right
+from .linalg import first_relation
 from .poly import RationalPolynomial
 
 Coords = tuple[Fraction, ...]
@@ -99,10 +99,6 @@ class ZOrder:
         n = self.dim
         object.__setattr__(self, "table", tuple(tuple(tuple(int(c) for c in cell) for cell in row) for row in self.table))
         object.__setattr__(self, "one", tuple(int(c) for c in self.one))
-        if self.basis_names is None:
-            object.__setattr__(self, "basis_names", tuple(f"b{i}" for i in range(n)))
-        else:
-            object.__setattr__(self, "basis_names", tuple(str(s) for s in self.basis_names))
         if n < 1:
             raise MalformedInputError("MALFORMED_INPUT: dimension must be at least 1")
         if len(self.table) != n or any(len(row) != n for row in self.table):
@@ -111,6 +107,12 @@ class ZOrder:
             raise MalformedInputError("MALFORMED_INPUT: table entries are not coordinate vectors of length dim")
         if len(self.one) != n:
             raise MalformedInputError("MALFORMED_INPUT: identity vector has wrong length")
+        # Names are made only once dim is known to match the data, so a
+        # huge dim on a small table costs nothing.
+        if self.basis_names is None:
+            object.__setattr__(self, "basis_names", tuple(f"b{i}" for i in range(n)))
+        else:
+            object.__setattr__(self, "basis_names", tuple(str(s) for s in self.basis_names))
         if len(self.basis_names) != n:
             raise MalformedInputError("MALFORMED_INPUT: basis_names has wrong length")
         if gcd(*self.one) not in (1,):
@@ -195,9 +197,7 @@ def load_order(source: OrderSource) -> ZOrder:
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise MalformedInputError("MALFORMED_INPUT: dim must be an integer")
     names = doc.get("basis_names")
-    if names is None:
-        names = [f"b{i}" for i in range(dim)]
-    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+    if names is not None and (not isinstance(names, list) or not all(isinstance(s, str) for s in names)):
         raise MalformedInputError("MALFORMED_INPUT: basis_names must be a list of strings")
 
     def as_int_vector(v, what):
@@ -213,7 +213,7 @@ def load_order(source: OrderSource) -> ZOrder:
         tuple(as_int_vector(cell, f"table[{i}][{j}]") for j, cell in enumerate(row))
         for i, row in enumerate(table)
     )
-    return ZOrder(dim=dim, table=tab, one=one, basis_names=tuple(names))
+    return ZOrder(dim=dim, table=tab, one=one, basis_names=None if names is None else tuple(names))
 
 
 def order_to_dict(order: ZOrder) -> dict:
@@ -247,6 +247,15 @@ def power(order: ZOrder, x: AlgebraElement, k: int) -> AlgebraElement:
     return result
 
 
+def integer_powers(order: ZOrder, y: Sequence[int], count: int) -> Iterator[list[int]]:
+    """The integer vectors 1, y, ..., y^(count-1), each computed when drawn."""
+    current = list(order.one)
+    yield current
+    for _ in range(count - 1):
+        current = order._mul_coords(current, y)
+        yield current
+
+
 def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> AlgebraElement:
     """f(x) in the ambient algebra, by Horner."""
     acc = order.zero()
@@ -258,22 +267,18 @@ def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> Al
 def minimal_polynomial(order: ZOrder, x: AlgebraElement) -> RationalPolynomial:
     """Monic least-degree polynomial killing x in the ambient algebra.
 
-    Builds powers of x until they become linearly dependent; the first
-    dependency gives the (unique) monic relation.
+    With x = y/den for an integer vector y, the first relation among the
+    integer powers 1, y, y^2, ... gives mu_y, and mu_x(X) = mu_y(den X)/den^k.
     """
     if x.dim != order.dim:
         raise DimensionMismatchError("element dimension does not match the order")
-    powers: list[Coords] = [order.identity().coords]
-    current = order.identity()
-    for k in range(1, order.dim + 2):
-        current = mul(order, current, x)
-        cols = [[powers[i][row] for i in range(len(powers))] for row in range(order.dim)]
-        sol = solve_right(cols, list(current.coords))
-        if sol is not None:
-            coeffs = [-c for c in sol] + [Fraction(1)]
-            return RationalPolynomial(coeffs)
-        powers.append(current.coords)
-    raise PruferError("no linear dependency among element powers; invalid order")
+    den = x.denominator
+    y = [int(c * den) for c in x.coords]
+    rel = first_relation(integer_powers(order, y, order.dim + 1))
+    if rel is None:
+        raise PruferError("no linear dependency among element powers; invalid order")
+    k = len(rel) - 1
+    return RationalPolynomial.from_int_coeffs([c * den**i for i, c in enumerate(rel)], rel[k] * den**k)
 
 
 def trace_gram_matrix(order: ZOrder) -> list[list[int]]:
@@ -295,26 +300,6 @@ def is_commutative(order: ZOrder) -> tuple[bool, tuple[AlgebraElement, AlgebraEl
             if order.table[i][j] != order.table[j][i]:
                 return False, (order.basis_element(i), order.basis_element(j))
     return True, None
-
-
-def jacobson_radical_basis(order: ZOrder) -> list[AlgebraElement]:
-    """Basis of the radical of the ambient algebra (char 0: the kernel of the
-    trace form).  Vectors are scaled to primitive integer coordinates."""
-    from .linalg import right_kernel
-
-    gram = trace_gram_matrix(order)
-    kernel = right_kernel(gram)
-    out = []
-    for v in kernel:
-        d = lcm(*(c.denominator for c in v)) if v else 1
-        ints = [int(c * d) for c in v]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        if g > 1:
-            ints = [c // g for c in ints]
-        out.append(AlgebraElement(tuple(Fraction(c) for c in ints)))
-    return out
 
 
 REDUCED = "reduced"
@@ -345,9 +330,11 @@ def is_reduced(order: ZOrder) -> Reducedness:
     noncommutative algebra with zero radical may still contain nilpotents
     that this test cannot see; that case is reported as undecided.
     """
-    radical = jacobson_radical_basis(order)
-    if radical:
-        witness = radical[0]
+    relation = first_relation(trace_gram_matrix(order))
+    if relation is not None:
+        # The Gram matrix is symmetric, so a relation among its first k+1
+        # rows is a kernel vector of the trace form, padded with zeros.
+        witness = AlgebraElement(tuple(relation) + (0,) * (order.dim - len(relation)))
         current = witness
         for k in range(2, order.dim + 2):
             current = mul(order, current, witness)
@@ -469,7 +456,8 @@ def embedded_order(order: ZOrder, rows: Sequence[Sequence], one: Sequence) -> Em
     for yr in lat.basis:
         row = []
         for ys in lat.basis:
-            coords = lat.coordinates([Fraction(c, den) for c in order._mul_coords(yr, ys)])
+            product = order._mul_coords(yr, ys)
+            coords = None if any(c % den for c in product) else lat.coordinates([c // den for c in product])
             if coords is None:
                 raise PruferError("embedded order basis is not closed under multiplication")
             row.append(coords)

@@ -28,6 +28,7 @@ from .orders import (
     ZOrder,
     embedded_order,
     evaluate_poly,
+    integer_powers,
     is_commutative,
     is_reduced,
     minimal_polynomial,
@@ -69,10 +70,7 @@ def _generates_algebra(order: ZOrder, vec: Sequence[int]) -> bool:
     linearly independent; for integer a these rows are integer vectors, so
     one Bareiss determinant decides it without fractions.
     """
-    rows = [order.one]
-    for _ in range(1, order.dim):
-        rows.append(order._mul_coords(rows[-1], vec))
-    return bareiss_det(rows) != 0
+    return bareiss_det(list(integer_powers(order, vec, order.dim))) != 0
 
 
 def find_primitive_element(order: ZOrder) -> AlgebraElement:

@@ -78,6 +78,16 @@ def test_analyze_invalid_json_file(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+def test_analyze_huge_dim_is_malformed(capsys, tmp_path):
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"dim": 100000000, "one": [1], "table": [[[1]]]}', encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(doc))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MALFORMED_INPUT: table is not dim x dim")
+    assert "Traceback" not in err
+
+
 def test_analyze_indeterminate(capsys, tmp_path):
     p = 1000000000000000003
     q = 1000000000000000009

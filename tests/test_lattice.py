@@ -9,11 +9,9 @@ from prufer.lattice import (
     hnf_reduce,
     hnf_with_transform,
     integer_left_kernel,
-    lattice_intersect,
     lattice_member,
     rational_rows_lattice,
 )
-from prufer.linalg import mat_mul
 
 gen_rows = st.lists(
     st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
@@ -66,13 +64,6 @@ def test_scaled():
     assert (1, 0) not in L
 
 
-def test_lattice_intersect():
-    L = lattice_intersect(IntegerLattice.standard(2), [[1, 1]])
-    assert L.basis == ((1, 1),)
-    assert (2, 2) in L
-    assert (1, 0) not in L
-
-
 def test_rational_rows_lattice():
     L, den = rational_rows_lattice([[Fraction(1, 2), 0], [0, 1]])
     assert den == 2
@@ -89,12 +80,12 @@ def test_hnf_with_transform_identity():
     H, U, K = hnf_with_transform(rows)
     assert H == [[1, 1], [0, 2]]
     # U * rows == [H; 0] checked by direct multiplication
-    prod = mat_mul(U, rows)
+    prod = [[sum(u * a for u, a in zip(urow, col)) for col in zip(*rows)] for urow in U]
     assert prod[: len(H)] == H
     for r in prod[len(H):]:
         assert all(c == 0 for c in r)
     for k in K:
-        kr = mat_mul([k], rows)[0]
+        kr = [sum(c * a for c, a in zip(k, col)) for col in zip(*rows)]
         assert all(c == 0 for c in kr)
 
 
@@ -128,3 +119,38 @@ def test_determinant_matches_residue_count(rows):
     if L.rank == 3:
         diag = [L.basis[i][L.pivots()[i]] for i in range(3)]
         assert L.determinant() == prod(diag)
+
+
+def _fraction_coordinates(lattice, v):
+    """Coordinates by back-substitution in Fraction arithmetic: the reference
+    the integer ``IntegerLattice.coordinates`` has to agree with."""
+    vec = [Fraction(x) for x in v]
+    coords = []
+    for row, p in zip(lattice.basis, lattice.pivots()):
+        c = vec[p] / row[p]
+        if c.denominator != 1:
+            return None
+        c = int(c)
+        coords.append(c)
+        if c:
+            vec = [x - c * y for x, y in zip(vec, row)]
+    if any(x != 0 for x in vec):
+        return None
+    return tuple(coords)
+
+
+rational_entries = st.builds(Fraction, st.integers(min_value=-12, max_value=12), st.sampled_from([1, 1, 1, 2, 3]))
+
+
+@given(
+    gen_rows,
+    st.lists(rational_entries, min_size=3, max_size=3),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+    st.booleans(),
+)
+def test_coordinates_agree_with_fraction_back_substitution(rows, v, coeffs, member):
+    L = hnf_reduce(rows)
+    if member:
+        # Half the cases are lattice points, so the found branch is exercised.
+        v = [sum(c * r[j] for c, r in zip(coeffs, L.basis)) for j in range(3)]
+    assert L.coordinates(v) == _fraction_coordinates(L, v)

@@ -1,19 +1,11 @@
-from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from prufer.linalg import (
-    bareiss_det,
-    mat_mul,
-    modp_left_kernel,
-    right_kernel,
-    rref,
-    solve_right,
-    xgcd,
-)
+from prufer.errors import DimensionMismatchError
+from prufer.linalg import bareiss_det, first_relation, modp_left_kernel, xgcd
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -31,32 +23,39 @@ def leibniz_det(m):
     return total
 
 
-def test_rref_invertible():
-    rows, pivots = rref([[1, 2], [3, 4]])
-    assert pivots == [0, 1]
-    assert rows == [(1, 0), (0, 1)]
+def test_first_relation_independent_rows():
+    assert first_relation([[1, 2], [3, 4]]) is None
+    assert first_relation([]) is None
 
 
-def test_rref_singular():
-    rows, pivots = rref([[1, 2], [2, 4]])
-    assert pivots == [0]
-    assert rows[0] == (1, 2)
+def test_first_relation_dependent_rows():
+    assert first_relation([[1, 2], [2, 4]]) == [-2, 1]
+    # A zero vector depends on the empty set before it.
+    assert first_relation([[0, 0], [1, 0]]) == [1]
+    # Primitive, with zero coefficients on vectors the relation does not use.
+    assert first_relation([[2, 4, 6], [0, 1, 0], [3, 6, 9], [5, 5, 5]]) == [-3, 0, 2]
 
 
-def test_solve_right():
-    x = solve_right([[2, 0], [0, 3]], (4, 9))
-    assert x == (Fraction(2), Fraction(3))
+def test_first_relation_solves_a_system():
+    # The columns (2, 0), (0, 3) reach the right side (4, 9) as 2, 3.
+    assert first_relation([[2, 0], [0, 3], [4, 9]]) == [-2, -3, 1]
 
 
-def test_solve_right_inconsistent():
-    assert solve_right([[1, 1], [1, 1]], (0, 1)) is None
+def test_first_relation_stops_at_the_first_dependency():
+    drawn = []
+
+    def vectors():
+        for v in ([1, 0], [0, 1], [1, 1], [7, 7]):
+            drawn.append(v)
+            yield v
+
+    assert first_relation(vectors()) == [-1, -1, 1]
+    assert len(drawn) == 3
 
 
-def test_right_kernel_dimension():
-    ker = right_kernel([[1, 1, 1]])
-    assert len(ker) == 2
-    for v in ker:
-        assert sum(v) == 0
+def test_first_relation_rejects_mixed_lengths():
+    with pytest.raises(DimensionMismatchError):
+        first_relation([[1, 0], [1, 0, 0]])
 
 
 def test_determinants_agree():
@@ -66,12 +65,6 @@ def test_determinants_agree():
 
 def test_det_identity():
     assert bareiss_det([[1 if i == j else 0 for j in range(4)] for i in range(4)]) == 1
-
-
-def test_mat_helpers():
-    a = [[1, 2], [3, 4]]
-    assert mat_mul(a, [[1, 0], [0, 1]]) == [[1, 2], [3, 4]]
-    assert mat_mul(a, [[1], [1]]) == [[3], [7]]
 
 
 def test_modp_left_kernel():
@@ -93,8 +86,25 @@ def test_det_routes_agree(m):
     assert bareiss_det(m) == leibniz_det(m)
 
 
-@given(square_matrix(2), st.lists(small_ints, min_size=2, max_size=2))
-def test_solve_right_solves(m, rhs):
-    x = solve_right(m, rhs)
-    if x is not None:
-        assert [sum(a * xj for a, xj in zip(row, x)) for row in m] == list(rhs)
+def _gram(vectors):
+    return [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
+
+
+# Up to n + 2 vectors of length n, so both outcomes occur.
+vector_lists = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=1, max_size=n + 2)
+)
+
+
+@given(vector_lists)
+def test_first_relation_properties(vectors):
+    rel = first_relation(vectors)
+    # Vectors are independent exactly when their Gram matrix is nonsingular.
+    if rel is None:
+        assert bareiss_det(_gram(vectors)) != 0
+        return
+    k = len(rel) - 1
+    assert rel[k] > 0
+    assert gcd(*rel) == 1
+    assert [sum(c * v[j] for c, v in zip(rel, vectors)) for j in range(len(vectors[0]))] == [0] * len(vectors[0])
+    assert bareiss_det(_gram(vectors[:k])) != 0
