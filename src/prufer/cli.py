@@ -35,6 +35,7 @@ from .ivp import (
     RamificationProfile,
     int_member_finite,
     int_member_order,
+    membership_plan,
     pointwise_integrally_closed,
     pruefer_transform,
     ramification_profile,
@@ -127,7 +128,7 @@ def _cmd_member(args) -> int:
             "poly": str(f),
             "member": ok,
             "denominator": f.denominator,
-            "residues": f.denominator**order.dim,
+            "residues": membership_plan(order, f)[2],
         }
         _emit(args, payload, [f"member: {str(ok).lower()}"])
         return 0
@@ -400,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--at", help="test at one point (comma-separated coordinates)")
     target.add_argument("--all", action="store_true", help="test membership in Int_Q(A)")
-    p.add_argument("--budget", type=int, default=None, help="residue budget for --all")
+    p.add_argument("--budget", type=int, default=None, help="budget of evaluated points for --all")
 
     p = add("pointwise", _cmd_pointwise, help="is A ∩ Q[a] integrally closed at a point")
     p.add_argument("order")

@@ -54,9 +54,9 @@ class SearchExhaustedError(PruferError):
 
 
 class BudgetExceededError(PruferError):
-    """Residue enumeration would exceed the configured work budget.
+    """A membership check would evaluate more points than the budget allows.
 
-    Carries ``required`` (number of residues needed) and ``budget`` so
+    Carries ``required`` (the number of points to evaluate) and ``budget`` so
     callers can report both.
     """
 

@@ -161,6 +161,15 @@ def test_member_all_budget_exhausted(capsys):
     assert "BUDGET_EXCEEDED" in err
 
 
+def test_member_all_counts_simplex_points(capsys):
+    # d = 30 on a rank-4 order: the 15 points of the degree-2 simplex, not 30^4 residues.
+    code, out, _ = run(
+        capsys, "member", order_path("m2z"), "--poly", "1/30*X^2", "--all", "--json"
+    )
+    assert code == 0
+    assert out == '{"poly": "1/30*X^2", "member": false, "denominator": 30, "residues": 15}\n'
+
+
 def test_member_bad_coordinates(capsys):
     code, _, err = run(
         capsys, "member", order_path("z_i"), "--poly", "X", "--at", "1,oops"

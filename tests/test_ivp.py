@@ -1,8 +1,13 @@
-import random
+import itertools
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import prufer
 
 from prufer.errors import (
     BudgetExceededError,
@@ -13,9 +18,9 @@ from prufer.errors import (
 )
 from prufer.ivp import (
     RamificationProfile,
-    _int_member_order_python,
     int_member_finite,
     int_member_order,
+    membership_plan,
     nilpotent_witness,
     pointwise_integrally_closed,
     pruefer_transform,
@@ -103,39 +108,127 @@ def test_member_order_matrix(m2z):
 
 
 def test_member_order_budget_error(m2z):
+    # X^2/2 on a rank-4 order: the 15 points of the degree-2 simplex beat the
+    # 16 residues mod 2, and the budget counts the 15.
     with pytest.raises(BudgetExceededError) as exc:
-        int_member_order(m2z, P(0, half), budget=10)
-    assert exc.value.required == 16
+        int_member_order(m2z, P(0, 0, half), budget=10)
+    assert exc.value.required == 15
     assert exc.value.budget == 10
+    assert membership_plan(m2z, P(0, 0, half))[2] == 15
 
 
-def test_member_order_env_budget(monkeypatch, m2z):
-    monkeypatch.setenv("IVP_BUDGET", "10")
-    with pytest.raises(BudgetExceededError):
-        int_member_order(m2z, P(0, half))
-    # an explicit argument wins over the environment
-    assert not int_member_order(m2z, P(0, half), budget=100)
-
-
-def test_member_order_env_budget_malformed(monkeypatch, z_i):
-    monkeypatch.setenv("IVP_BUDGET", "lots")
+def test_member_order_rejects_a_nonpositive_budget(z_i):
     with pytest.raises(MalformedInputError):
-        int_member_order(z_i, P(0, half))
+        int_member_order(z_i, P(0, half), budget=0)
 
 
-def test_member_order_python_path_agrees(z_i, z_golden, zxz, z_line):
-    rng = random.Random(1234)
-    orders = [z_i, z_golden, zxz, z_line]
-    for _ in range(25):
-        order = rng.choice(orders)
-        den = rng.choice((2, 3, 4))
-        deg = rng.randint(1, 4)
-        f = RationalPolynomial(
-            [Fraction(rng.randint(-6, 6), den) for _ in range(deg + 1)]
-        )
-        fast = int_member_order(order, f)
-        slow = _int_member_order_python(order, f.integer_numerators, f.denominator)
-        assert fast == slow
+BIG_PRIME = 10**24 + 7  # 25 digits
+
+
+def test_member_order_huge_prime_denominator(corpus):
+    # X/P needs only the dim + 1 vertices of the degree-1 simplex, however large P is.
+    f = P(0, Fraction(1, BIG_PRIME))
+    for name, order in corpus.items():
+        required = order.dim + 1
+        assert membership_plan(order, f)[2] == required, name
+        assert int_member_order(order, f, budget=required) is False, name
+        with pytest.raises(BudgetExceededError) as exc:
+            int_member_order(order, f, budget=required - 1)
+        assert exc.value.required == required
+
+
+def test_import_leaves_numpy_out():
+    src = pathlib.Path(prufer.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, prufer; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
+
+
+# Every element of these orders is a root of a monic integer polynomial of
+# this degree: the dimension, or the reduced characteristic polynomial's 2
+# for M_2(Z) and the Hurwitz order.
+MIN_POLY_DEGREE = {
+    "cubic_index2": 3,
+    "hurwitz": 2,
+    "m2z": 2,
+    "z": 1,
+    "z_3i": 2,
+    "z_golden": 2,
+    "z_i": 2,
+    "z_sqrt5": 2,
+    "z_x_mod_x2": 2,
+    "zxz": 2,
+}
+
+
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _universal(d, m):
+    """prod over p^k || d of prod_(i <= m) (X^(p^i) - X)^k, which maps A into dA."""
+    u = [1]
+    p = 2
+    while d > 1:
+        while d % p == 0:
+            d //= p
+            for i in range(1, m + 1):
+                u = _int_poly_mul(u, [0, -1] + [0] * (p**i - 2) + [1])
+        p += 1
+    return u
+
+
+def _vanishes_everywhere(order, g, d):
+    """g(a) = 0 mod dA for every a in [0, d)^dim, by the multiplication table."""
+    n = order.dim
+    entries = [
+        (i, j, k, t)
+        for i, row in enumerate(order.table)
+        for j, cell in enumerate(row)
+        for k, t in enumerate(cell)
+        if t
+    ]
+    for a in itertools.product(range(d), repeat=n):
+        acc = [0] * n
+        for c in reversed(g):
+            prod = [c * o for o in order.one]
+            for i, j, k, t in entries:
+                prod[k] += acc[i] * a[j] * t
+            acc = [v % d for v in prod]
+        if any(acc):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(MIN_POLY_DEGREE))
+@settings(max_examples=8)
+@given(st.data())
+def test_member_order_composite_agrees_with_direct_evaluation(corpus, name, data):
+    order = corpus[name]
+    # Composite d whose d^dim residues stay few enough to evaluate directly.
+    d = data.draw(st.sampled_from([d for d in (6, 10, 12, 30, 36) if d**order.dim <= 1300]))
+    member = data.draw(st.booleans())
+    shift = data.draw(st.integers(0, 10**6))
+    h = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=3))
+    # u * (X + c) + d*h is a member; adding a constant 1..d-1 times X^j makes
+    # a non-member, since that constant times the identity is not in dA.
+    g = _int_poly_mul(_universal(d, MIN_POLY_DEGREE[name]), [shift % d, 1])
+    for i, c in enumerate(h):
+        g[i] += d * c
+    if not member:
+        g[shift % len(g)] += 1 + shift % (d - 1)
+    verdict = int_member_order(order, RationalPolynomial([Fraction(c, d) for c in g]))
+    assert verdict is member
+    assert verdict is _vanishes_everywhere(order, g, d)
 
 
 # -- pointwise closure --------------------------------------------------------
