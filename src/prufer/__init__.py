@@ -9,8 +9,12 @@ decision procedure.
 Everything is exact: linear algebra is fraction-free elimination on integer
 rows with one common denominator, lattices are integer matrices in Hermite
 normal form, and polynomial factorization is done from scratch over Q.
-``fractions.Fraction`` appears only at the boundary, in element coordinates
-and certificate fields.  No floating point enters any verdict.
+An element of the ambient algebra is an integer vector over one positive
+denominator, as a polynomial is integer coefficients over one denominator,
+so element arithmetic, minimal polynomials, embedded orders and round 2 run
+on integers.  ``fractions.Fraction`` is left where coordinates and
+coefficients are parsed or printed, inside polynomial division, and in the
+quaternion case study.  No floating point enters any verdict.
 """
 
 from fractions import Fraction
@@ -32,7 +36,7 @@ from .errors import (
     UnitLineError,
     ZeroPolynomialError,
 )
-from .lattice import IntegerLattice, hnf_reduce, lattice_member
+from .lattice import IntegerLattice, hnf_reduce
 from .poly import RationalPolynomial
 from .factor import poly_factor
 from .orders import (
@@ -50,7 +54,6 @@ from .orders import (
 from .splitting import Decomposition, component_order, decompose, find_primitive_element, idempotents_in_order
 from .closure import (
     discriminant,
-    is_integral,
     is_integrally_closed_order,
     maximal_order,
     p_radical,
@@ -99,7 +102,6 @@ __all__ = [
     "NotApplicableError",
     "IntegerLattice",
     "hnf_reduce",
-    "lattice_member",
     "RationalPolynomial",
     "poly_factor",
     "ZOrder",
@@ -118,7 +120,6 @@ __all__ = [
     "component_order",
     "EmbeddedOrder",
     "discriminant",
-    "is_integral",
     "p_radical",
     "ring_of_multipliers",
     "maximal_order",

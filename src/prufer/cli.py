@@ -41,7 +41,7 @@ from .ivp import (
     ramification_profile,
     transform_sequence,
 )
-from .orders import AlgebraElement, ZOrder, evaluate_poly, load_order, minimal_polynomial
+from .orders import AlgebraElement, ZOrder, element, evaluate_poly, load_order, minimal_polynomial
 from .closure import discriminant, maximal_order
 from .poly import RationalPolynomial
 from .quaternions import (
@@ -66,7 +66,7 @@ def _parse_coords(text: str) -> AlgebraElement:
             values.append(Fraction(p))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInputError(f"MALFORMED_INPUT: bad coordinate {p!r}") from exc
-    return AlgebraElement(tuple(values))
+    return element(values)
 
 
 def _parse_poly(text: str) -> RationalPolynomial:
@@ -170,11 +170,11 @@ def _cmd_maximal_order(args) -> int:
         "index": emb.index,
         "disc_input": discriminant(order),
         "disc_maximal": discriminant(emb.order),
-        "basis": [[str(c) for c in row] for row in emb.basis_in_ambient],
+        "basis": [_coords_out(x) for x in emb.basis],
     }
     lines = [f"index: {emb.index}", f"disc: {payload['disc_input']} -> {payload['disc_maximal']}"]
-    for row in emb.basis_in_ambient:
-        lines.append("basis: " + ",".join(str(c) for c in row))
+    for row in payload["basis"]:
+        lines.append("basis: " + ",".join(row))
     _emit(args, payload, lines)
     return 0
 
@@ -314,8 +314,8 @@ def _examples_rows() -> list[tuple[str, bool]]:
     half_x = _parse_poly("1/2*X")
     rows: list[tuple[str, bool]] = []
 
-    good = AlgebraElement((Fraction(0), Fraction(2), Fraction(2), Fraction(2)))
-    bad = AlgebraElement((Fraction(0), Fraction(4), Fraction(1), Fraction(2)))
+    good = AlgebraElement((0, 2, 2, 2))
+    bad = AlgebraElement((0, 4, 1, 2))
     ok, _ = int_member_finite(m2z, [good], half_x)
     rows.append(("X/2 integer-valued at [[0,2],[2,2]]", ok))
     ok, _ = int_member_finite(m2z, [bad], half_x)
@@ -336,8 +336,8 @@ def _examples_rows() -> list[tuple[str, bool]]:
 
     for k in (1, 2, 3):
         fk = (RationalPolynomial.x_poly - k) / (2 * k)
-        diag = AlgebraElement((Fraction(k), Fraction(0), Fraction(0), Fraction(-k)))
-        anti = AlgebraElement((Fraction(0), Fraction(k), Fraction(k), Fraction(0)))
+        diag = AlgebraElement((k, 0, 0, -k))
+        anti = AlgebraElement((0, k, k, 0))
         ok_diag, _ = int_member_finite(m2z, [diag], fk)
         ok_anti, _ = int_member_finite(m2z, [anti], fk)
         point_diag = pointwise_integrally_closed(m2z, diag)

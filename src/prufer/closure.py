@@ -11,13 +11,12 @@ maximality.
 
 Everything works in the coordinates of the *original* order: each result is
 an ``orders.EmbeddedOrder``, the new order's structure constants together
-with rational basis rows expressing its basis inside the input order, built
-by ``orders.embedded_order``.
+with its basis as elements of the input order's ambient algebra (integer
+coordinates over one denominator), built by ``orders.embedded_order``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DiscFactorizationError, NotApplicableError, PruferError
@@ -39,11 +38,6 @@ from .factor import is_probable_prime, poly_factor
 def discriminant(order: ZOrder) -> int:
     """Determinant of the trace-form Gram matrix on the given basis."""
     return bareiss_det(trace_gram_matrix(order))
-
-
-def is_integral(order: ZOrder, x: AlgebraElement) -> bool:
-    """Is x integral over Z?  True iff its minimal polynomial is in Z[X]."""
-    return minimal_polynomial(order, x).has_integer_coefficients
 
 
 # -- integer factorization (for discriminants) ------------------------------
@@ -191,7 +185,7 @@ def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice, p: int) -> Embedde
             row.extend(c % p for c in coords)
         matrix.append(row)
     u = _modp_kernel_lattice(matrix, p)
-    return embedded_order(order, [[Fraction(c, p) for c in row] for row in u.basis], order.one)
+    return embedded_order(order, [AlgebraElement(row, p) for row in u.basis], order.identity())
 
 
 # -- the maximality loop ----------------------------------------------------
@@ -222,8 +216,7 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
         raise NotApplicableError("NOT_A_FIELD: the ambient algebra splits or is not reduced")
     # ``running.order`` is the current overorder and ``running`` maps its
     # coordinates into the input order's; each step is composed through it.
-    n = order.dim
-    running = EmbeddedOrder(order, tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+    running = EmbeddedOrder(order, tuple(order.basis_element(i) for i in range(order.dim)))
     total_index = 1
     disc = discriminant(order)
     for p in sorted(factor_int(disc)):
@@ -234,12 +227,11 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
             step = ring_of_multipliers(running.order, rad, p)
             if step.index == 1:
                 break
-            rows = tuple(running.to_ambient(row).coords for row in step.basis_in_ambient)
-            running = EmbeddedOrder(step.order, rows)
+            running = EmbeddedOrder(step.order, tuple(running.to_ambient(x) for x in step.basis))
             total_index *= step.index
             if _p_valuation(disc // (total_index * total_index), p) < 2:
                 break
-    return embedded_order(order, running.basis_in_ambient, order.one)
+    return embedded_order(order, running.basis, order.identity())
 
 
 def is_integrally_closed_order(order: ZOrder) -> tuple[bool, AlgebraElement | None]:
@@ -249,7 +241,7 @@ def is_integrally_closed_order(order: ZOrder) -> tuple[bool, AlgebraElement | No
     closure = maximal_order(order)
     if closure.index == 1:
         return True, None
-    for row in closure.basis_in_ambient:
-        if any(c.denominator != 1 for c in row):
-            return False, AlgebraElement(row)
+    for x in closure.basis:
+        if not x.is_integral_vector:
+            return False, x
     raise PruferError("closure has index > 1 but an integral basis; impossible")

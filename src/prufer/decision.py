@@ -45,6 +45,7 @@ from .orders import (
     UNDECIDED_SEMISIMPLE,
     AlgebraElement,
     ZOrder,
+    element,
     embedded_order,
     evaluate_poly,
     is_commutative,
@@ -146,10 +147,6 @@ def _coords_json(x: AlgebraElement) -> list[str]:
     return [str(c) for c in x.coords]
 
 
-def _row_json(row: Sequence[Fraction]) -> list[str]:
-    return [str(c) for c in row]
-
-
 def _parse_coords(raw, dim: int) -> AlgebraElement:
     if not isinstance(raw, list) or len(raw) != dim:
         raise MalformedCertificateError(f"MALFORMED_CERTIFICATE: expected {dim} coordinates")
@@ -161,7 +158,7 @@ def _parse_coords(raw, dim: int) -> AlgebraElement:
             out.append(Fraction(c))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedCertificateError(f"MALFORMED_CERTIFICATE: bad coordinate {c!r}") from exc
-    return AlgebraElement(tuple(out))
+    return element(out)
 
 
 def _parse_poly(raw) -> RationalPolynomial:
@@ -235,7 +232,7 @@ def _decide(order: ZOrder) -> PrueferCertificate:
         comp = component_order(order, dec, i)
         closed, bad = is_integrally_closed_order(comp.order)
         if not closed:
-            pulled = comp.to_ambient(bad.coords)
+            pulled = comp.to_ambient(bad)
             mu = minimal_polynomial(order, pulled)
             witness = {
                 "element": _coords_json(pulled),
@@ -258,7 +255,7 @@ def _decide(order: ZOrder) -> PrueferCertificate:
             {
                 "factor": str(g),
                 "dim": g.degree,
-                "basis": [_row_json(row) for row in comp.basis_in_ambient],
+                "basis": [_coords_json(x) for x in comp.basis],
             }
             for g, comp in zip(dec.factors, components)
         ],
@@ -311,6 +308,7 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
 
     idems = [_parse_coords(raw, n) for raw in raw_idems]
     factors = []
+    dims = []
     bases = []
     for raw in raw_comps:
         if not isinstance(raw, dict):
@@ -318,10 +316,11 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
         g = _parse_poly(_field(raw, "factor"))
         d = _field(raw, "dim")
         rows_raw = _field(raw, "basis")
-        if not isinstance(d, int) or not isinstance(rows_raw, list):
+        if not isinstance(d, int) or isinstance(d, bool) or not isinstance(rows_raw, list):
             raise MalformedCertificateError("MALFORMED_CERTIFICATE: bad component shape")
         rows = [_parse_coords(r, n) for r in rows_raw]
         factors.append(g)
+        dims.append(d)
         bases.append(rows)
 
     # The primitive element must generate the whole algebra and factor as claimed.
@@ -352,13 +351,13 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
 
     # The component bases must consist of lattice vectors and tile A exactly.
     stacked = []
-    for g, rows in zip(factors, bases):
-        if len(rows) != g.degree:
+    for g, d, rows in zip(factors, dims, bases):
+        if d != g.degree or len(rows) != g.degree:
             return False
         for row in rows:
             if not row.is_integral_vector:
                 return False
-            stacked.append([int(c) for c in row.coords])
+            stacked.append(row.integer_numerators)
     if len(stacked) != n:
         return False
     lat = hnf_reduce(stacked, ambient_dim=n)
@@ -380,7 +379,7 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
 
 
 def _component_is_maximal(order: ZOrder, ei: AlgebraElement, rows: Sequence[AlgebraElement]) -> bool:
-    component = embedded_order(order, [row.coords for row in rows], ei.coords).order
+    component = embedded_order(order, rows, ei).order
     disc = discriminant(component)
     if disc == 0:
         return False

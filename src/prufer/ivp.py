@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial, isqrt
 from typing import Iterable, Sequence
 
@@ -37,7 +36,6 @@ from .factor import is_probable_prime, modp_factor, poly_factor
 from .orders import (
     AlgebraElement,
     ZOrder,
-    element,
     equation_order,
     evaluate_poly,
     minimal_polynomial,
@@ -147,12 +145,12 @@ def int_member_order(order: ZOrder, f: RationalPolynomial, budget: int | None = 
     XI).  By CRT each prime power of d takes the smaller set (membership_plan).
     The budget counts the evaluated points and is checked before any work.
     """
-    moduli, cofactor, required = membership_plan(order, f)
-    if not required:
-        return True
     limit = DEFAULT_POINT_BUDGET if budget is None else budget
     if limit < 1:
         raise MalformedInputError("MALFORMED_INPUT: budget must be positive")
+    moduli, cofactor, required = membership_plan(order, f)
+    if not required:
+        return True
     if required > limit:
         raise BudgetExceededError(
             f"BUDGET_EXCEEDED: {required} point evaluations needed, budget is {limit}",
@@ -215,12 +213,9 @@ def pointwise_integrally_closed(order: ZOrder, a: AlgebraElement) -> PointwiseCl
         cofactor = mu // g
         _, s, _ = poly_xgcd(g, cofactor)
         eps = (RationalPolynomial.one_poly - s * g) % mu
-        if g.degree == 1:
-            basis_rows: Sequence[Sequence[Fraction]] = [(Fraction(1),)]
-        else:
-            basis_rows = maximal_order(equation_order(g)).basis_in_ambient
-        for row in basis_rows:
-            lift = (RationalPolynomial(row) * eps) % mu
+        basis = (AlgebraElement((1,)),) if g.degree == 1 else maximal_order(equation_order(g)).basis
+        for x in basis:
+            lift = (RationalPolynomial.from_int_coeffs(x.integer_numerators, x.denominator) * eps) % mu
             b = evaluate_poly(order, lift, a)
             if not b.is_integral_vector:
                 return PointwiseClosure(False, b, "escaping", m)
@@ -359,8 +354,7 @@ def nilpotent_witness(order: ZOrder, p: int, cap: int = SEARCH_CAP) -> AlgebraEl
     for vec in shell_vectors(order.dim, 2 * p, cap):
         if all(c % p == 0 for c in vec):
             continue
-        x = element(vec)
-        square = mul(order, x, x)
-        if all(int(c) % psq == 0 for c in square.coords):
+        x = AlgebraElement(vec)
+        if all(c % psq == 0 for c in mul(order, x, x).integer_numerators):
             return x
     return None

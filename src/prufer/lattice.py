@@ -6,16 +6,13 @@ entry above a pivot reduced into [0, pivot).  That form is unique for a given
 lattice, so two lattices are equal iff their stored bases are equal, and
 membership testing is back-substitution along the pivots.
 
-All inputs are sequences of equal-length rows; rationals are accepted where
-documented and rejected (or reported as non-members) where they make no
-sense.
+All inputs are sequences of equal-length integer rows; callers with
+rational vectors clear one common denominator first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -78,10 +75,6 @@ class IntegerLattice:
         r = _hnf_in_place(rows, ambient_dim)
         return cls(ambient_dim, tuple(tuple(row) for row in rows[:r]))
 
-    @classmethod
-    def standard(cls, n: int) -> "IntegerLattice":
-        return cls(n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -90,7 +83,7 @@ class IntegerLattice:
         return [next(j for j, x in enumerate(row) if x) for row in self.basis]
 
     def __contains__(self, v) -> bool:
-        return lattice_member(self, v)
+        return self.coordinates(v) is not None
 
     def determinant(self) -> int:
         """Product of the pivots; the index [Z^n : L] when L has full rank."""
@@ -101,24 +94,12 @@ class IntegerLattice:
             det *= row[p]
         return det
 
-    def scaled(self, k: int) -> "IntegerLattice":
-        if k == 0:
-            return IntegerLattice(self.ambient_dim, ())
-        k = abs(k)
-        return IntegerLattice(self.ambient_dim, tuple(tuple(k * x for x in row) for row in self.basis))
-
-    def coordinates(self, v) -> tuple[int, ...] | None:
-        """Integer coordinates of v in the HNF basis, or None if v is outside.
-
-        Rational entries are accepted; a non-integral one is never in the
-        lattice.
-        """
+    def coordinates(self, v: Sequence[int]) -> tuple[int, ...] | None:
+        """Integer coordinates of the integer vector v in the HNF basis, or
+        None if v is outside."""
         vec = list(v)
         if len(vec) != self.ambient_dim:
             raise DimensionMismatchError("vector length does not match ambient dimension")
-        if any(Fraction(x).denominator != 1 for x in vec if not isinstance(x, int)):
-            return None
-        vec = [int(x) for x in vec]
         coords = []
         for row, p in zip(self.basis, self.pivots()):
             c, r = divmod(vec[p], row[p])
@@ -135,11 +116,6 @@ class IntegerLattice:
 def hnf_reduce(rows: Sequence[Sequence[int]], ambient_dim: int | None = None) -> IntegerLattice:
     """Hermite normal form of the lattice generated by ``rows``."""
     return IntegerLattice.from_rows(rows, ambient_dim)
-
-
-def lattice_member(lattice: IntegerLattice, v) -> bool:
-    """Is v in the lattice?  Rational entries are fine; non-integer combos fail."""
-    return lattice.coordinates(v) is not None
 
 
 def hnf_with_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -169,16 +145,3 @@ def integer_left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     _, _, kernel = hnf_with_transform(rows)
     rank = _hnf_in_place(kernel, m)
     return kernel[:rank]
-
-
-def rational_rows_lattice(rows: Sequence[Sequence]) -> tuple[IntegerLattice, int]:
-    """Clear denominators: returns (L, d) with the span of ``rows`` equal to L/d."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    d = 1
-    for row in mat:
-        for x in row:
-            d = lcm(d, x.denominator)
-    scaled = [[int(x * d) for x in row] for row in mat]
-    if not scaled:
-        raise DimensionMismatchError("empty generating set")
-    return IntegerLattice.from_rows(scaled), d

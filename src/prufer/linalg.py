@@ -5,8 +5,9 @@ dense; orders in this package have dimension at most a few dozen, so clarity
 beats asymptotics.  Elimination over Q is fraction-free: a rational question
 is asked of integer rows (one common denominator cleared by the caller), and
 rows are kept primitive by dividing out their content (Bareiss, Math. Comp.
-22, 1968; Cohen, GTM 138, 2.3-2.4).  Fractions appear only where elements and
-certificates are read or written, never in here.
+22, 1968; Cohen, GTM 138, 2.3-2.4).  Callers hand over integer vectors
+directly: an element of an order's ambient algebra already is integer
+coordinates over one denominator (``orders.AlgebraElement``).
 """
 
 from __future__ import annotations

@@ -6,12 +6,15 @@ basis names.  Construction validates the ring axioms (associativity, the
 identity law, primitivity of the identity vector); everything downstream may
 assume a valid order.
 
-Elements carry Fraction coordinates so the same type serves for points of the
-ambient Q-algebra B = A (x) Q; membership in A is just integrality of the
-coordinates.
+An element of the ambient Q-algebra B = A (x) Q is a vector of integer
+coordinates over one positive denominator, the way ``RationalPolynomial``
+stores its coefficients, so products, sums and minimal polynomials are
+integer arithmetic; membership in A is denominator 1.  ``element`` is the one
+constructor from rational coordinates, and ``coords`` the Fraction view for
+printing.
 
-An ``EmbeddedOrder`` is an order inside B together with its basis rows in
-A's coordinates: a field component A e_i, or an overorder built by round 2.
+An ``EmbeddedOrder`` is an order inside B together with its basis as
+elements of B: a field component A e_i, or an overorder built by round 2.
 ``embedded_order`` is the one way to build one.
 """
 
@@ -33,57 +36,80 @@ from .errors import (
     PruferError,
     UnitLineError,
 )
-from .lattice import rational_rows_lattice
+from .lattice import IntegerLattice
 from .linalg import first_relation
 from .poly import RationalPolynomial
-
-Coords = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """An element of the ambient Q-algebra of some order, as coordinates."""
+    """An element of the ambient Q-algebra of some order: the integer vector
+    ``integer_numerators`` over ``denominator``.
 
-    coords: Coords
+    Construction brings the pair to lowest terms (denominator positive and
+    coprime to the numerators), so equal elements compare and hash equal.
+    """
+
+    integer_numerators: tuple[int, ...]
+    denominator: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        nums, den = tuple(self.integer_numerators), self.denominator
+        if den == 0:
+            raise ZeroDivisionError("element denominator is zero")
+        # gcd also rejects any non-integer coordinate.
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, den = tuple(c // g for c in nums), den // g
+        object.__setattr__(self, "integer_numerators", nums)
+        object.__setattr__(self, "denominator", den)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.integer_numerators)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.integer_numerators)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    @property
-    def denominator(self) -> int:
-        return lcm(*(c.denominator for c in self.coords)) if self.coords else 1
+        return not any(self.integer_numerators)
 
     @property
     def is_integral_vector(self) -> bool:
         """Integer coordinates, i.e. membership in the order's lattice Z^n."""
-        return all(c.denominator == 1 for c in self.coords)
+        return self.denominator == 1
 
     def scaled(self, k) -> "AlgebraElement":
         k = Fraction(k)
-        return AlgebraElement(tuple(c * k for c in self.coords))
+        nums = tuple(c * k.numerator for c in self.integer_numerators)
+        return AlgebraElement(nums, self.denominator * k.denominator)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.dim != other.dim:
             raise DimensionMismatchError("adding elements of different dimensions")
-        return AlgebraElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den = lcm(self.denominator, other.denominator)
+        a, b = den // self.denominator, den // other.denominator
+        return AlgebraElement(
+            tuple(a * x + b * y for x, y in zip(self.integer_numerators, other.integer_numerators)), den
+        )
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + other.scaled(-1)
+        return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        return self.scaled(-1)
+        return AlgebraElement(tuple(-c for c in self.integer_numerators), self.denominator)
 
 
 def element(coords: Sequence) -> AlgebraElement:
-    return AlgebraElement(tuple(Fraction(c) for c in coords))
+    """The element with the given rational coordinates (ints, Fractions or
+    strings such as "1/2")."""
+    values = [Fraction(c) for c in coords]
+    den = lcm(*(c.denominator for c in values))
+    return AlgebraElement(tuple(c.numerator * (den // c.denominator) for c in values), den)
 
 
 @dataclass(frozen=True)
@@ -159,16 +185,13 @@ class ZOrder:
     # -- elements ---------------------------------------------------------
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement((Fraction(0),) * self.dim)
+        return AlgebraElement((0,) * self.dim)
 
     def identity(self) -> AlgebraElement:
-        return AlgebraElement(tuple(Fraction(c) for c in self.one))
+        return AlgebraElement(self.one)
 
     def basis_element(self, i: int) -> AlgebraElement:
-        return AlgebraElement(tuple(Fraction(1 if j == i else 0) for j in range(self.dim)))
-
-    def basis(self) -> list[AlgebraElement]:
-        return [self.basis_element(i) for i in range(self.dim)]
+        return AlgebraElement(tuple(1 if j == i else 0 for j in range(self.dim)))
 
 
 OrderSource = Union[dict, str, Path]
@@ -231,7 +254,8 @@ def order_to_dict(order: ZOrder) -> dict:
 def mul(order: ZOrder, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     if x.dim != order.dim or y.dim != order.dim:
         raise DimensionMismatchError("element dimension does not match the order")
-    return AlgebraElement(tuple(order._mul_coords(x.coords, y.coords)))
+    product = order._mul_coords(x.integer_numerators, y.integer_numerators)
+    return AlgebraElement(tuple(product), x.denominator * y.denominator)
 
 
 def power(order: ZOrder, x: AlgebraElement, k: int) -> AlgebraElement:
@@ -257,11 +281,19 @@ def integer_powers(order: ZOrder, y: Sequence[int], count: int) -> Iterator[list
 
 
 def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> AlgebraElement:
-    """f(x) in the ambient algebra, by Horner."""
-    acc = order.zero()
-    for c in reversed(f.coefficients):
-        acc = mul(order, acc, x) + order.identity().scaled(c)
-    return acc
+    """f(x) in the ambient algebra, by Horner on integer vectors.
+
+    With x = y/d and f = g/e of degree N, f(x) = sum_i g_i y^i d^(N-i) / (e d^N).
+    """
+    if x.dim != order.dim:
+        raise DimensionMismatchError("element dimension does not match the order")
+    y, d = x.integer_numerators, x.denominator
+    acc, scale = [0] * order.dim, 1
+    for k, c in enumerate(reversed(f.integer_numerators)):
+        if k:
+            scale *= d
+        acc = [a + c * scale * u for a, u in zip(order._mul_coords(acc, y), order.one)]
+    return AlgebraElement(tuple(acc), f.denominator * scale)
 
 
 def minimal_polynomial(order: ZOrder, x: AlgebraElement) -> RationalPolynomial:
@@ -272,8 +304,7 @@ def minimal_polynomial(order: ZOrder, x: AlgebraElement) -> RationalPolynomial:
     """
     if x.dim != order.dim:
         raise DimensionMismatchError("element dimension does not match the order")
-    den = x.denominator
-    y = [int(c * den) for c in x.coords]
+    y, den = x.integer_numerators, x.denominator
     rel = first_relation(integer_powers(order, y, order.dim + 1))
     if rel is None:
         raise PruferError("no linear dependency among element powers; invalid order")
@@ -387,10 +418,9 @@ def equation_order(f: RationalPolynomial) -> ZOrder:
         raise MalformedInputError("MALFORMED_INPUT: equation order needs a monic integer polynomial")
     d = f.degree
 
-    def reduced_coords(k: int) -> Coords:
-        rem = RationalPolynomial.x_power(k) % f
-        cs = rem.coefficients
-        return tuple(cs) + (Fraction(0),) * (d - len(cs))
+    def reduced_coords(k: int) -> tuple[int, ...]:
+        cs = (RationalPolynomial.x_power(k) % f).integer_numerators
+        return cs + (0,) * (d - len(cs))
 
     powers = [reduced_coords(k) for k in range(2 * d - 1)]
     table = tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
@@ -406,32 +436,39 @@ def equation_order(f: RationalPolynomial) -> ZOrder:
 class EmbeddedOrder:
     """An order inside the ambient algebra of another order.
 
-    Row r of ``basis_in_ambient`` holds the ambient coordinates of basis
-    vector r of ``order``, and ``order.table`` multiplies those rows.  A field
-    component A e_i has fewer rows than the ambient dimension; an overorder
-    has full rank.  Build one with ``embedded_order``.
+    ``basis[r]`` is the ambient element of basis vector r of ``order``, and
+    ``order.table`` multiplies those elements.  A field component A e_i has
+    fewer basis elements than the ambient dimension; an overorder has full
+    rank.  Build one with ``embedded_order``.
     """
 
     order: ZOrder
-    basis_in_ambient: tuple[Coords, ...]
+    basis: tuple[AlgebraElement, ...]
 
-    def to_ambient(self, coords) -> AlgebraElement:
-        """Map coordinates in ``order``'s basis to an ambient element."""
-        out = [Fraction(0)] * len(self.basis_in_ambient[0])
-        for c, row in zip(coords, self.basis_in_ambient):
-            c = Fraction(c)
+    @cached_property
+    def _rows(self) -> tuple[list[list[int]], int]:
+        return _over_common_denominator(self.basis)
+
+    def to_ambient(self, x: AlgebraElement) -> AlgebraElement:
+        """The ambient element with coordinates x in ``order``'s basis."""
+        if x.dim != self.order.dim:
+            raise DimensionMismatchError("element dimension does not match the embedded order")
+        rows, den = self._rows
+        out = [0] * len(rows[0])
+        for c, row in zip(x.integer_numerators, rows):
             if c:
-                out = [acc + c * x for acc, x in zip(out, row)]
-        return AlgebraElement(tuple(out))
+                out = [acc + c * r for acc, r in zip(out, row)]
+        return AlgebraElement(tuple(out), den * x.denominator)
 
     @cached_property
     def index(self) -> int:
         """[O' : O] for an overorder O' of the ambient order O.
 
-        With the rows equal to L/den for an integer lattice L of rank n, the
+        With the basis equal to L/den for an integer lattice L of rank n, the
         index is den^n / [Z^n : L].
         """
-        lat, den = rational_rows_lattice(self.basis_in_ambient)
+        rows, den = self._rows
+        lat = IntegerLattice.from_rows(rows)
         if lat.rank != lat.ambient_dim:
             raise PruferError("the index needs an embedded order of full rank")
         volume = den**lat.rank
@@ -440,16 +477,23 @@ class EmbeddedOrder:
         return volume // lat.determinant()
 
 
-def embedded_order(order: ZOrder, rows: Sequence[Sequence], one: Sequence) -> EmbeddedOrder:
+def _over_common_denominator(elements: Sequence[AlgebraElement]) -> tuple[list[list[int]], int]:
+    """(rows, den): element r is rows[r] / den, with den the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in elements))
+    return [[c * (den // x.denominator) for c in x.integer_numerators] for x in elements], den
+
+
+def embedded_order(order: ZOrder, rows: Sequence[AlgebraElement], one: AlgebraElement) -> EmbeddedOrder:
     """The suborder of the ambient algebra spanned over Z by ``rows``.
 
-    ``rows`` are rational coordinates in ``order``'s basis.  They are replaced
+    ``rows`` are elements of ``order``'s ambient algebra.  They are replaced
     by the Hermite basis of their span, so a span has one presentation, and
     the table holds the coordinates of each product of two basis rows in that
     basis.  Raises PruferError when the span is not closed under
     multiplication or does not contain ``one``, the suborder's identity.
     """
-    lat, den = rational_rows_lattice(rows)
+    ints, den = _over_common_denominator(rows)
+    lat = IntegerLattice.from_rows(ints)
     # Basis row r is y_r / den, so (y_r / den)(y_s / den) is in the span
     # exactly when y_r y_s / den is an integer combination of the y's.
     table = []
@@ -462,8 +506,11 @@ def embedded_order(order: ZOrder, rows: Sequence[Sequence], one: Sequence) -> Em
                 raise PruferError("embedded order basis is not closed under multiplication")
             row.append(coords)
         table.append(tuple(row))
-    one_coords = lat.coordinates([den * c for c in one])
+    # one = u/e is in the span L/den exactly when e divides den and u*den/e is in L.
+    one_coords = None
+    if den % one.denominator == 0:
+        one_coords = lat.coordinates([c * (den // one.denominator) for c in one.integer_numerators])
     if one_coords is None:
         raise PruferError("the identity does not lie in the embedded order")
-    basis = tuple(tuple(Fraction(c, den) for c in row) for row in lat.basis)
+    basis = tuple(AlgebraElement(row, den) for row in lat.basis)
     return EmbeddedOrder(ZOrder(dim=lat.rank, table=tuple(table), one=one_coords), basis)

@@ -68,10 +68,6 @@ class RationalPolynomial:
         return cls._raw([int(c) for c in nums], int(den))
 
     @classmethod
-    def constant(cls, c: Scalar) -> "RationalPolynomial":
-        return cls([c])
-
-    @classmethod
     def x_power(cls, k: int) -> "RationalPolynomial":
         return cls._raw([0] * k + [1], 1)
 

@@ -75,9 +75,6 @@ class Quaternion:
         c = _frac(c)
         return Quaternion(*(c * x for x in self.coords))
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a0, -self.a1, -self.a2, -self.a3)
-
     def norm(self) -> Fraction:
         return sum((x * x for x in self.coords), Fraction(0))
 

@@ -15,7 +15,6 @@ numbering is reproducible.  A component A e_i comes back as an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -90,7 +89,7 @@ def find_primitive_element(order: ZOrder) -> AlgebraElement:
         return order.identity()
     for vec in shell_vectors(n, shell_max=max(4, n)):
         if _generates_algebra(order, vec):
-            return AlgebraElement(tuple(Fraction(c) for c in vec))
+            return AlgebraElement(vec)
     raise SearchExhaustedError("SEARCH_EXHAUSTED: no primitive element found within the search budget")
 
 
@@ -98,8 +97,8 @@ def find_primitive_element(order: ZOrder) -> AlgebraElement:
 class Decomposition:
     """A splitting of the ambient algebra as a product of fields.
 
-    component_bases[i] lists coordinates (in the original basis) of the
-    Q-basis e_i, a e_i, ..., a^(d_i - 1) e_i of the i-th field component.
+    component_bases[i] lists the elements e_i, a e_i, ..., a^(d_i - 1) e_i,
+    a Q-basis of the i-th field component.
     """
 
     primitive: AlgebraElement
@@ -151,13 +150,11 @@ def _split_reduced(order: ZOrder) -> Decomposition:
     total = order.zero()
     for e in idempotents:
         total = total + e
-    if total.coords != order.identity().coords:
+    if total != order.identity():
         raise PruferError("idempotents do not sum to the identity")
     for i, ei in enumerate(idempotents):
         for j, ej in enumerate(idempotents):
-            prod = mul(order, ei, ej)
-            expected = ei.coords if i == j else order.zero().coords
-            if prod.coords != expected:
+            if mul(order, ei, ej) != (ei if i == j else order.zero()):
                 raise PruferError("idempotents are not orthogonal")
     bases = []
     for g, e in zip(factors, idempotents):
@@ -193,8 +190,8 @@ def component_order(order: ZOrder, dec: Decomposition, index: int) -> EmbeddedOr
     """The projection A e_i of the order into component i, as an order with
     identity e_i, on the Hermite basis of the lattice spanned by b_j e_i."""
     e = dec.idempotents[index]
-    generators = [mul(order, order.basis_element(j), e).coords for j in range(order.dim)]
-    comp = embedded_order(order, generators, e.coords)
+    generators = [mul(order, order.basis_element(j), e) for j in range(order.dim)]
+    comp = embedded_order(order, generators, e)
     if comp.order.dim != dec.factors[index].degree:
         raise PruferError("component lattice rank does not match the factor degree")
     return comp

@@ -23,7 +23,7 @@ from prufer.ivp import (
 )
 from prufer.lattice import IntegerLattice
 from prufer.orders import (
-    AlgebraElement,
+    element,
     equation_order,
     evaluate_poly,
     minimal_polynomial,
@@ -49,7 +49,7 @@ def P(*coeffs):
 
 
 def A(*coords):
-    return AlgebraElement(tuple(Fraction(c) for c in coords))
+    return element(coords)
 
 
 def _report(n: int, ok: bool) -> bool:

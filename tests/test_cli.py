@@ -161,6 +161,15 @@ def test_member_all_budget_exhausted(capsys):
     assert "BUDGET_EXCEEDED" in err
 
 
+def test_member_all_rejects_a_zero_budget(capsys):
+    # X^2 needs no evaluation at all, and the budget is refused all the same.
+    for poly in ("X^2", "1/2*X^2"):
+        code, out, err = run(capsys, "member", order_path("z_i"), "--poly", poly, "--all", "--budget", "0")
+        assert code == 1, poly
+        assert out == ""
+        assert "MALFORMED_INPUT" in err
+
+
 def test_member_all_counts_simplex_points(capsys):
     # d = 30 on a rank-4 order: the 15 points of the degree-2 simplex, not 30^4 residues.
     code, out, _ = run(

@@ -5,7 +5,6 @@ import pytest
 from prufer.closure import (
     discriminant,
     factor_int,
-    is_integral,
     is_integrally_closed_order,
     maximal_order,
     p_radical,
@@ -14,7 +13,15 @@ from prufer.closure import (
 from prufer.decision import decide_pruefer, verify_certificate
 from prufer.errors import BudgetExceededError, DiscFactorizationError, NotApplicableError, PruferError
 from prufer.lattice import IntegerLattice, hnf_reduce, integer_left_kernel
-from prufer.orders import element, equation_order, is_commutative, load_order, minimal_polynomial, mul
+from prufer.orders import (
+    AlgebraElement,
+    element,
+    equation_order,
+    is_commutative,
+    load_order,
+    minimal_polynomial,
+    mul,
+)
 from prufer.poly import RationalPolynomial
 from prufer.splitting import component_order, decompose
 
@@ -40,14 +47,18 @@ def test_discriminants(corpus, name, disc):
     assert discriminant(corpus[name]) == disc
 
 
+def _is_integral(order, x):
+    return minimal_polynomial(order, x).has_integer_coefficients
+
+
 def test_is_integral(m2z, z_golden):
     # (1 + sqrt5)/2 written in the Z[sqrt5] basis
     z5 = equation_order(P(-5, 0, 1))
-    assert is_integral(z5, element((Fraction(1, 2), Fraction(1, 2))))
-    assert not is_integral(z5, element((Fraction(1, 2), 0)))
+    assert _is_integral(z5, element((Fraction(1, 2), Fraction(1, 2))))
+    assert not _is_integral(z5, element((Fraction(1, 2), 0)))
     # the escaping matrix witness satisfies X^2 - X - 1
-    assert is_integral(m2z, element((0, 2, Fraction(1, 2), 1)))
-    assert is_integral(z_golden, z_golden.identity())
+    assert _is_integral(m2z, element((0, 2, Fraction(1, 2), 1)))
+    assert _is_integral(z_golden, z_golden.identity())
 
 
 def test_factor_int():
@@ -91,7 +102,7 @@ def test_ring_of_multipliers_z_sqrt5(z_sqrt5):
     grown = ring_of_multipliers(z_sqrt5, rad, 2)
     assert grown.index == 2
     assert discriminant(grown.order) == 5
-    rows = [tuple(r) for r in grown.basis_in_ambient]
+    rows = [x.coords for x in grown.basis]
     assert (Fraction(1, 2), Fraction(1, 2)) in rows or (1, 0) in rows
 
 
@@ -120,7 +131,7 @@ def _reference_multipliers(order, ideal):
             matrix.append(row)
     kernel = integer_left_kernel(matrix)
     lattice = IntegerLattice.from_rows([vec[:n] for vec in kernel], n)
-    return tuple(tuple(Fraction(c, d) for c in row) for row in lattice.basis)
+    return tuple(AlgebraElement(row, d) for row in lattice.basis)
 
 
 def _assert_multipliers_match_reference(order):
@@ -135,7 +146,7 @@ def _assert_multipliers_match_reference(order):
         while True:
             rad = p_radical(current, p)
             step = ring_of_multipliers(current, rad, p)
-            assert step.basis_in_ambient == _reference_multipliers(current, rad), p
+            assert step.basis == _reference_multipliers(current, rad), p
             if step.index == 1 or disc == 0:
                 break
             current = step.order
@@ -189,9 +200,9 @@ def test_maximal_order_idempotent(z_sqrt5):
 
 def test_maximal_order_to_ambient(z_sqrt5):
     emb = maximal_order(z_sqrt5)
-    lifted = emb.to_ambient(emb.order.basis_element(1).coords)
+    lifted = emb.to_ambient(emb.order.basis_element(1))
     # some basis vector of the maximal order has half-integer ambient coords
-    denominators = {emb.to_ambient(emb.order.basis_element(k).coords).denominator for k in range(2)}
+    denominators = {emb.to_ambient(emb.order.basis_element(k)).denominator for k in range(2)}
     assert 2 in denominators
     assert minimal_polynomial(z_sqrt5, lifted).is_monic
 
@@ -199,11 +210,11 @@ def test_maximal_order_to_ambient(z_sqrt5):
 def _assert_table_multiplies_rows(emb, ambient, one):
     """The suborder's table is the ambient product of its basis rows, and
     its identity is ``one``."""
-    rows = [element(row) for row in emb.basis_in_ambient]
+    rows = emb.basis
     for r, row_r in enumerate(rows):
         for s, row_s in enumerate(rows):
-            assert emb.to_ambient(emb.order.table[r][s]) == mul(ambient, row_r, row_s), (r, s)
-    assert emb.to_ambient(emb.order.one) == one
+            assert emb.to_ambient(AlgebraElement(emb.order.table[r][s])) == mul(ambient, row_r, row_s), (r, s)
+    assert emb.to_ambient(emb.order.identity()) == one
 
 
 @pytest.mark.parametrize("f", ["X^2-5", "X^2+9", "X^4-12", "X^6+108", "X^8-162", "X^4+36"])
@@ -233,7 +244,7 @@ def test_is_integrally_closed_order(z_sqrt5, z_i):
     closed, witness = is_integrally_closed_order(z_sqrt5)
     assert not closed
     assert witness.coords == (Fraction(1, 2), Fraction(1, 2))
-    assert is_integral(z_sqrt5, witness)
+    assert _is_integral(z_sqrt5, witness)
     assert not witness.is_integral_vector
 
 

@@ -207,6 +207,17 @@ def test_verify_rejects_tampered_component_basis(z_i):
     assert not verify_certificate(z_i, cert)
 
 
+def test_verify_rejects_wrong_component_dim(z_i, z_line):
+    doc = json.loads(GOLDEN_ZI)
+    doc["witness"]["components"][0]["dim"] = 7
+    assert not verify_certificate(z_i, PrueferCertificate.from_dict(doc))
+    # true == 1 in Python, but a JSON boolean is not a dimension.
+    doc = decide_pruefer(z_line).to_dict()
+    doc["witness"]["components"][0]["dim"] = True
+    with pytest.raises(MalformedCertificateError):
+        verify_certificate(z_line, PrueferCertificate.from_dict(doc))
+
+
 def test_verify_rejects_swapped_idempotents(zxz):
     # Component 0 keeps its rows but is handed the other idempotent, which
     # lies outside its span: the component check must fail, not raise.

@@ -35,7 +35,7 @@ def test_factor_handles_leading_coefficient():
     f = 6 * P(-1, 1) * P(1, 1)
     fs = poly_factor(f)
     assert fs == [(P(-1, 1), 1), (P(1, 1), 1)]
-    prod = RationalPolynomial.constant(f.leading_coefficient)
+    prod = RationalPolynomial([f.leading_coefficient])
     for g, m in fs:
         prod = prod * g ** m
     assert prod == f
@@ -110,7 +110,7 @@ def monic_products(draw):
 
 @given(monic_products())
 def test_factor_round_trip(f):
-    prod = RationalPolynomial.constant(f.leading_coefficient)
+    prod = RationalPolynomial([f.leading_coefficient])
     for g, m in poly_factor(f):
         assert g.is_monic
         assert m >= 1

@@ -120,6 +120,10 @@ def test_member_order_budget_error(m2z):
 def test_member_order_rejects_a_nonpositive_budget(z_i):
     with pytest.raises(MalformedInputError):
         int_member_order(z_i, P(0, half), budget=0)
+    # The budget is checked before the early answer for an integer polynomial.
+    for budget in (0, -1):
+        with pytest.raises(MalformedInputError):
+            int_member_order(z_i, P(0, 0, 1), budget=budget)
 
 
 BIG_PRIME = 10**24 + 7  # 25 digits

@@ -9,8 +9,6 @@ from prufer.lattice import (
     hnf_reduce,
     hnf_with_transform,
     integer_left_kernel,
-    lattice_member,
-    rational_rows_lattice,
 )
 
 gen_rows = st.lists(
@@ -39,8 +37,8 @@ def test_membership():
     assert (1, 1) in L
     assert (0, 2) in L
     assert (1, 0) not in L
-    assert lattice_member(L, (5, 3))  # 2*(1,1) + 3*(1,... ) check: (5,3) = 3*(1,1) + (2,0)
-    assert not lattice_member(L, (0, 1))
+    assert L.coordinates((5, 3)) is not None  # (5,3) = 3*(1,1) + (2,0)
+    assert L.coordinates((0, 1)) is None
 
 
 def test_coordinates_invert_membership():
@@ -53,21 +51,15 @@ def test_coordinates_invert_membership():
 
 
 def test_standard_lattice():
-    Z2 = IntegerLattice.standard(2)
+    Z2 = IntegerLattice(2, ((1, 0), (0, 1)))
     assert (7, -3) in Z2
     assert Z2.determinant() == 1
 
 
 def test_scaled():
-    L = IntegerLattice.standard(2).scaled(3)
+    L = IntegerLattice(2, ((3, 0), (0, 3)))
     assert (3, 0) in L
     assert (1, 0) not in L
-
-
-def test_rational_rows_lattice():
-    L, den = rational_rows_lattice([[Fraction(1, 2), 0], [0, 1]])
-    assert den == 2
-    assert L.basis == ((1, 0), (0, 2))
 
 
 def test_integer_left_kernel():

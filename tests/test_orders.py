@@ -160,7 +160,7 @@ def test_left_regular_matrix_consistent(m2z):
     a = element((0, 4, 1, 2))
     b = element((1, 1, 0, 0))
     n = m2z.dim
-    cols = [mul(m2z, a, bj).coords for bj in m2z.basis()]
+    cols = [mul(m2z, a, m2z.basis_element(j)).coords for j in range(n)]
     M = [[cols[j][i] for j in range(n)] for i in range(n)]
     assert tuple(sum(M[i][j] * b.coords[j] for j in range(n)) for i in range(n)) == mul(m2z, a, b).coords
     assert sum(M[i][i] for i in range(n)) == _trace(m2z, a)
@@ -170,7 +170,7 @@ def _trace_gram_reference(order):
     """G[i][j] = Tr(b_i b_j), the trace read off column by column:
     the sum over k of coordinate k of (b_i b_j) b_k."""
     n = order.dim
-    b = order.basis()
+    b = [order.basis_element(i) for i in range(n)]
     return [
         [sum(mul(order, mul(order, b[i], b[j]), b[k]).coords[k] for k in range(n)) for j in range(n)]
         for i in range(n)
@@ -189,10 +189,10 @@ def test_trace_gram_matrix_matches_reference(corpus, equation_product):
 def test_embedded_order_rejects_bad_spans(z_i):
     # i/2 squares to -1/4, outside the span of 1 and i/2
     with pytest.raises(PruferError):
-        embedded_order(z_i, [(1, 0), (0, Fraction(1, 2))], z_i.one)
+        embedded_order(z_i, [element((1, 0)), element((0, Fraction(1, 2)))], z_i.identity())
     # 2Z[i] is closed under multiplication but does not contain 1
     with pytest.raises(PruferError):
-        embedded_order(z_i, [(2, 0), (0, 2)], z_i.one)
+        embedded_order(z_i, [element((2, 0)), element((0, 2))], z_i.identity())
 
 
 def test_is_commutative(m2z, z_i):

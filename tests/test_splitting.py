@@ -139,7 +139,7 @@ def test_component_order_projects(zxz):
     dec = decompose(zxz)
     comp = component_order(zxz, dec, 0)
     assert comp.order.dim == 1
-    lifted = comp.to_ambient(comp.order.identity().coords)
+    lifted = comp.to_ambient(comp.order.identity())
     assert lifted.coords in {(1, 0), (0, 1)}
 
 
@@ -149,7 +149,7 @@ def test_component_order_of_quadratic_field(z_sqrt5):
     comp = component_order(z_sqrt5, dec, 0)
     assert comp.order.dim == 2
     # the component of a field algebra is the whole thing, re-expressed
-    x = comp.to_ambient(comp.order.basis_element(1).coords)
+    x = comp.to_ambient(comp.order.basis_element(1))
     assert minimal_polynomial(z_sqrt5, x).degree == 2
 
 
