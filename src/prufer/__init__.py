@@ -11,13 +11,11 @@ rows with one common denominator, lattices are integer matrices in Hermite
 normal form, and polynomial factorization is done from scratch over Q.
 An element of the ambient algebra is an integer vector over one positive
 denominator, as a polynomial is integer coefficients over one denominator,
-so element arithmetic, minimal polynomials, embedded orders and round 2 run
-on integers.  ``fractions.Fraction`` is left where coordinates and
-coefficients are parsed or printed, inside polynomial division, and in the
-quaternion case study.  No floating point enters any verdict.
+so element arithmetic, polynomial division, minimal polynomials, embedded
+orders, round 2 and the quaternion case study run on integers.
+``fractions.Fraction`` is left at the edges, where coordinates, coefficients
+and scalars come in or go out.  No floating point enters any verdict.
 """
-
-from fractions import Fraction
 
 from .errors import (
     BudgetExceededError,
@@ -74,17 +72,16 @@ from .decision import PrueferCertificate, decide_pruefer, verify_certificate
 from .quaternions import (
     HURWITZ_UNIT,
     ClosureReport,
-    Quaternion,
     closure_check,
     four_square_lemma_check,
     four_square_violations,
     hurwitz_member,
     norm_in_D_check,
     quaternion_integral,
+    reduced_char_poly,
 )
 
 __all__ = [
-    "Fraction",
     "PruferError",
     "DimensionMismatchError",
     "ZeroPolynomialError",
@@ -136,11 +133,11 @@ __all__ = [
     "PrueferCertificate",
     "decide_pruefer",
     "verify_certificate",
-    "Quaternion",
     "HURWITZ_UNIT",
     "ClosureReport",
     "hurwitz_member",
     "quaternion_integral",
+    "reduced_char_poly",
     "closure_check",
     "four_square_lemma_check",
     "four_square_violations",

@@ -46,13 +46,13 @@ from .closure import discriminant, maximal_order
 from .poly import RationalPolynomial
 from .quaternions import (
     HURWITZ_UNIT,
-    Quaternion,
     closure_check,
     four_square_lemma_check,
     four_square_violations,
     hurwitz_member,
     norm_in_D_check,
     quaternion_integral,
+    reduced_char_poly,
 )
 
 
@@ -231,12 +231,7 @@ def _odd_grid_consistent() -> bool:
             for a2 in odds:
                 for a3 in odds:
                     for e in odds:
-                        q = Quaternion.of(
-                            Fraction(a0, 2 * e),
-                            Fraction(a1, 2 * e),
-                            Fraction(a2, 2 * e),
-                            Fraction(a3, 2 * e),
-                        )
+                        q = AlgebraElement((a0, a1, a2, a3), 2 * e)
                         if not hurwitz_member(q) or not quaternion_integral(q):
                             return False
     return True
@@ -247,7 +242,7 @@ def _cmd_hurwitz(args) -> int:
         checks = [
             ("unit-is-member", hurwitz_member(HURWITZ_UNIT)),
             ("unit-is-integral", quaternion_integral(HURWITZ_UNIT)),
-            ("unit-quadratic", str(HURWITZ_UNIT.char_poly()) == "1 - X + X^2"),
+            ("unit-quadratic", str(reduced_char_poly(HURWITZ_UNIT)) == "1 - X + X^2"),
             ("odd-grid-members", _odd_grid_consistent()),
             ("norms-2-integral", norm_in_D_check(1000)),
         ]

@@ -17,9 +17,7 @@ coordinates over one denominator), built by ``orders.embedded_order``.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .errors import DiscFactorizationError, NotApplicableError, PruferError
+from .errors import NotApplicableError, PruferError
 from .lattice import IntegerLattice, hnf_reduce
 from .linalg import bareiss_det, modp_left_kernel
 from .orders import (
@@ -32,90 +30,12 @@ from .orders import (
     trace_gram_matrix,
 )
 from .splitting import find_primitive_element
-from .factor import is_probable_prime, poly_factor
+from .factor import factor_int, poly_factor
 
 
 def discriminant(order: ZOrder) -> int:
     """Determinant of the trace-form Gram matrix on the given basis."""
     return bareiss_det(trace_gram_matrix(order))
-
-
-# -- integer factorization (for discriminants) ------------------------------
-
-_TRIAL_LIMIT = 100000
-
-
-def _pollard_brent(n: int, budget: int) -> int | None:
-    """One nontrivial factor of composite odd n, or None once ``budget``
-    iterations, counted over all the constants c tried, are spent."""
-    count = 0
-    for c in range(1, 20):
-        y, m = 2, 128
-        g, r, q = 1, 1, 1
-        x = ys = y
-        while g == 1 and count < budget:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-            count += r
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-                count += 1
-                if count >= budget:
-                    break
-        if 1 < g < n:
-            return g
-        if count >= budget:
-            return None
-    return None
-
-
-def factor_int(n: int, budget: int = 500000) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}.
-
-    Trial division below 10^5, then Pollard-Brent with a work budget; raises
-    DiscFactorizationError if a composite cofactor survives.
-    """
-    n = abs(int(n))
-    if n == 0:
-        raise ZeroDivisionError("factoring zero")
-    out: dict[int, int] = {}
-    for p in range(2, _TRIAL_LIMIT):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m, budget)
-        if d is None:
-            raise DiscFactorizationError(
-                f"DISC_FACTORIZATION_FAILED: composite cofactor {m} resisted the budget"
-            )
-        stack.append(d)
-        stack.append(m // d)
-    return out
 
 
 # -- radical and multiplier ring --------------------------------------------
@@ -191,15 +111,6 @@ def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice, p: int) -> Embedde
 # -- the maximality loop ----------------------------------------------------
 
 
-def _p_valuation(n: int, p: int) -> int:
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def maximal_order(order: ZOrder) -> EmbeddedOrder:
     """The integral closure of an order whose ambient algebra is a field.
 
@@ -219,8 +130,8 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
     running = EmbeddedOrder(order, tuple(order.basis_element(i) for i in range(order.dim)))
     total_index = 1
     disc = discriminant(order)
-    for p in sorted(factor_int(disc)):
-        if _p_valuation(disc, p) < 2:
+    for p, v in sorted(factor_int(disc).items()):
+        if v < 2:
             continue
         while True:
             rad = p_radical(running.order, p)
@@ -229,7 +140,7 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
                 break
             running = EmbeddedOrder(step.order, tuple(running.to_ambient(x) for x in step.basis))
             total_index *= step.index
-            if _p_valuation(disc // (total_index * total_index), p) < 2:
+            if disc // (total_index * total_index) % (p * p):  # p^2 no longer divides
                 break
     return embedded_order(order, running.basis, order.identity())
 

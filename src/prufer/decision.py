@@ -22,7 +22,6 @@ from typing import Sequence
 
 from .closure import (
     discriminant,
-    factor_int,
     is_integrally_closed_order,
     p_radical,
     ring_of_multipliers,
@@ -38,7 +37,7 @@ from .errors import (
     PruferError,
     SearchExhaustedError,
 )
-from .factor import poly_factor
+from .factor import factor_int, poly_factor
 from .lattice import hnf_reduce
 from .orders import (
     NOT_REDUCED,

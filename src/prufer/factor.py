@@ -13,6 +13,10 @@ Pipeline for a squarefree primitive integer polynomial F:
 Everything is dense lists of ints, ascending powers.  The degree cap keeps
 the subset stage honest; inputs here are minimal polynomials of elements of
 small orders, so the cap is generous.
+
+The module is also the package's one home for primes and integer
+factorization: ``is_probable_prime`` and ``factor_int`` (trial division,
+then Pollard-Brent under a work budget), which factors discriminants.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import combinations
 from math import comb, gcd, isqrt
 from typing import Sequence
 
-from .errors import FactorDegreeError, PruferError, ZeroPolynomialError
+from .errors import DiscFactorizationError, FactorDegreeError, PruferError, ZeroPolynomialError
 from .linalg import modp_left_kernel
 from .poly import RationalPolynomial, squarefree_decomposition
 
@@ -286,7 +290,8 @@ def _symmetric(c: int, m: int) -> int:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIME_WHEEL_LIMIT = 100000
+# Trial division and the search for a good prime stop below this bound.
+_SMALL_PRIME_LIMIT = 100000
 
 
 def is_probable_prime(n: int) -> bool:
@@ -315,8 +320,81 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def _pollard_brent(n: int, budget: int) -> int | None:
+    """One nontrivial factor of composite odd n, or None once ``budget``
+    iterations, counted over all the constants c tried, are spent."""
+    count = 0
+    for c in range(1, 20):
+        y, m = 2, 128
+        g, r, q = 1, 1, 1
+        x = ys = y
+        while g == 1 and count < budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+            count += r
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+                count += 1
+                if count >= budget:
+                    break
+        if 1 < g < n:
+            return g
+        if count >= budget:
+            return None
+    return None
+
+
+def factor_int(n: int, budget: int = 500000) -> dict[int, int]:
+    """Prime factorization of |n| as {prime: exponent}.
+
+    Trial division below 10^5, then Pollard-Brent with a work budget; raises
+    DiscFactorizationError if a composite cofactor survives.
+    """
+    n = abs(int(n))
+    if n == 0:
+        raise ZeroDivisionError("factoring zero")
+    out: dict[int, int] = {}
+    for p in range(2, _SMALL_PRIME_LIMIT):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n == 1:
+        return out
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _pollard_brent(m, budget)
+        if d is None:
+            raise DiscFactorizationError(
+                f"DISC_FACTORIZATION_FAILED: composite cofactor {m} resisted the budget"
+            )
+        stack.append(d)
+        stack.append(m // d)
+    return out
+
+
 def _small_primes():
-    return (n for n in range(3, _PRIME_WHEEL_LIMIT, 2) if is_probable_prime(n))
+    return (n for n in range(3, _SMALL_PRIME_LIMIT, 2) if is_probable_prime(n))
 
 
 def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:

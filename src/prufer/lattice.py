@@ -13,6 +13,7 @@ rational vectors clear one common denominator first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -79,8 +80,13 @@ class IntegerLattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        # Worked out once per lattice: coordinates() walks them on every call.
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+
     def pivots(self) -> list[int]:
-        return [next(j for j, x in enumerate(row) if x) for row in self.basis]
+        return list(self._pivots)
 
     def __contains__(self, v) -> bool:
         return self.coordinates(v) is not None
@@ -90,7 +96,7 @@ class IntegerLattice:
         if self.rank != self.ambient_dim:
             raise DimensionMismatchError("determinant of a non-full-rank lattice")
         det = 1
-        for row, p in zip(self.basis, self.pivots()):
+        for row, p in zip(self.basis, self._pivots):
             det *= row[p]
         return det
 
@@ -101,7 +107,7 @@ class IntegerLattice:
         if len(vec) != self.ambient_dim:
             raise DimensionMismatchError("vector length does not match ambient dimension")
         coords = []
-        for row, p in zip(self.basis, self.pivots()):
+        for row, p in zip(self.basis, self._pivots):
             c, r = divmod(vec[p], row[p])
             if r:
                 return None

@@ -194,20 +194,32 @@ class RationalPolynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        div = other.coefficients
-        dq = len(rem) - len(div)
+        div = other._num
+        n = len(div) - 1
+        dq = len(self._num) - len(div)
         if dq < 0:
-            return RationalPolynomial._raw((), 1), self
-        inv_lead = 1 / div[-1]
-        quot = [Fraction(0)] * (dq + 1)
+            return RationalPolynomial.zero_poly, self
+        # Pseudo-division on the numerators (Cohen, GTM 138, Alg. 3.1.2),
+        # scaling lazily: s * self._num = quot * div + rem throughout.
+        lead = div[-1]
+        rem, quot, s = list(self._num), [0] * (dq + 1), 1
         for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] * inv_lead
-            quot[k] = c
-            if c:
-                for j, dcoef in enumerate(div):
-                    rem[k + j] -= c * dcoef
-        return RationalPolynomial(quot), RationalPolynomial(rem[: len(div) - 1])
+            top = rem[k + n]
+            if not top:
+                continue
+            m = abs(lead) // gcd(top, lead)
+            if m != 1:
+                rem = [c * m for c in rem]
+                quot = [c * m for c in quot]
+                s, top = s * m, top * m
+            c = quot[k] = top // lead
+            for j, d in enumerate(div):
+                rem[k + j] -= c * d
+        den = s * self._den
+        return (
+            RationalPolynomial._raw([c * other._den for c in quot], den),
+            RationalPolynomial._raw(rem[:n], den),
+        )
 
     def __floordiv__(self, other) -> "RationalPolynomial":
         return divmod(self, other)[0]

@@ -5,6 +5,10 @@ integer-valued polynomials; the global decision pipeline rejects every
 noncommutative order over Z, so this module carries its own membership and
 integrality tests over D = Z_(2) = {rationals with odd denominator}.
 
+A quaternion a0 + a1*i + a2*j + a3*k is an ``orders.AlgebraElement`` of
+dimension 4, integer numerators over one denominator; a coordinate lies in
+Z_(2) exactly when its reduced denominator is odd.
+
 The Hurwitz order is spanned by 1, i, j and h = (1+i+j+k)/2 (a root of
 X^2 - X + 1); its elements are the quaternions whose coordinates are either
 all in Z_(2) or all in Z_(2) + 1/2.  The checks here are the executable faces
@@ -18,97 +22,51 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import MalformedInputError, PruferError
+from .orders import AlgebraElement
 from .poly import RationalPolynomial
 
-_Scalar = int | Fraction
+HURWITZ_UNIT = AlgebraElement((1, 1, 1, 1), 2)
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _in_z2(num: int, den: int) -> bool:
+    """Is num/den in Z_(2), i.e. is its reduced denominator odd?"""
+    return (den // gcd(num, den)) % 2 == 1
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """A rational quaternion a0 + a1*i + a2*j + a3*k."""
-
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-
-    def __post_init__(self):
-        for name in ("a0", "a1", "a2", "a3"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
-
-    @classmethod
-    def of(cls, a0: _Scalar, a1: _Scalar = 0, a2: _Scalar = 0, a3: _Scalar = 0) -> "Quaternion":
-        return cls(_frac(a0), _frac(a1), _frac(a2), _frac(a3))
-
-    @property
-    def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a0, self.a1, self.a2, self.a3)
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(*(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(*(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(*(-x for x in self.coords))
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a0, a1, a2, a3 = self.coords
-        b0, b1, b2, b3 = other.coords
-        return Quaternion(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
-
-    def scale(self, c: _Scalar) -> "Quaternion":
-        c = _frac(c)
-        return Quaternion(*(c * x for x in self.coords))
-
-    def norm(self) -> Fraction:
-        return sum((x * x for x in self.coords), Fraction(0))
-
-    def trace(self) -> Fraction:
-        return 2 * self.a0
-
-    def char_poly(self) -> RationalPolynomial:
-        """X^2 - 2*a0*X + N, killed by the quaternion."""
-        return RationalPolynomial([self.norm(), -self.trace(), 1])
+def _norm_numerator(q: AlgebraElement) -> int:
+    """The norm sum(a_i^2) of q times denominator^2."""
+    return sum(c * c for c in q.integer_numerators)
 
 
-HURWITZ_UNIT = Quaternion(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+def reduced_char_poly(q: AlgebraElement) -> RationalPolynomial:
+    """X^2 - 2*a0*X + N(q), killed by the quaternion q."""
+    d, a0 = q.denominator, q.integer_numerators[0]
+    return RationalPolynomial.from_int_coeffs((_norm_numerator(q), -2 * a0 * d, d * d), d * d)
 
 
-def _in_z2(x: Fraction) -> bool:
-    return x.denominator % 2 == 1
-
-
-def hurwitz_member(q: Quaternion) -> bool:
+def hurwitz_member(q: AlgebraElement) -> bool:
     """Is q in the Hurwitz order over Z_(2)?
 
     True iff the coordinates are all in Z_(2), or all in Z_(2) + 1/2.
     """
-    if all(_in_z2(x) for x in q.coords):
+    d = q.denominator
+    if all(_in_z2(c, d) for c in q.integer_numerators):
         return True
-    return all(_in_z2(x - Fraction(1, 2)) for x in q.coords)
+    # c/d - 1/2 = (2c - d) / 2d
+    return all(_in_z2(2 * c - d, 2 * d) for c in q.integer_numerators)
 
 
-def quaternion_integral(q: Quaternion) -> bool:
+def quaternion_integral(q: AlgebraElement) -> bool:
     """Does q satisfy a monic quadratic with Z_(2) coefficients?
 
     Equivalent to: trace 2*a0 and norm N(q) both have odd denominator.
     """
-    return _in_z2(q.trace()) and _in_z2(q.norm())
+    d = q.denominator
+    return _in_z2(2 * q.integer_numerators[0], d) and _in_z2(_norm_numerator(q), d * d)
 
 
 @dataclass(frozen=True)
@@ -118,7 +76,7 @@ class ClosureReport:
     samples: int
     integral_count: int
     member_count: int
-    counterexamples: tuple[Quaternion, ...]
+    counterexamples: tuple[AlgebraElement, ...]
 
     @property
     def consistent(self) -> bool:
@@ -138,10 +96,10 @@ def closure_check(samples: int, seed: int) -> ClosureReport:
     rng = random.Random(seed)
     integral_count = 0
     member_count = 0
-    bad: list[Quaternion] = []
+    bad: list[AlgebraElement] = []
     for _ in range(samples):
         den = 2 ** rng.randint(0, 4) * rng.choice((1, 3, 5, 7, 9))
-        q = Quaternion.of(*(Fraction(rng.randint(-50, 50), den) for _ in range(4)))
+        q = AlgebraElement(tuple(rng.randint(-50, 50) for _ in range(4)), den)
         integral = quaternion_integral(q)
         member = hurwitz_member(q)
         if integral:
@@ -223,13 +181,13 @@ def norm_in_D_check(samples: int) -> bool:
         raise MalformedInputError("MALFORMED_INPUT: samples must be positive")
     rng = random.Random(271828)
     for index in range(samples):
-        parts = []
-        for _ in range(4):
-            base = Fraction(rng.randint(-99, 99), rng.choice((1, 3, 5, 7, 9)))
-            parts.append(base + Fraction(1, 2) if index % 2 else base)
-        q = Quaternion.of(*parts)
+        parts = [(rng.randint(-99, 99), rng.choice((1, 3, 5, 7, 9))) for _ in range(4)]
+        # a/e, plus 1/2 on odd indices, over the common denominator den
+        half = index % 2
+        den = (1 + half) * lcm(*(e for _, e in parts))
+        q = AlgebraElement(tuple(a * (den // e) + half * den // 2 for a, e in parts), den)
         if not hurwitz_member(q):
             raise PruferError("internal: generated a non-member sample")
-        if not _in_z2(q.norm()):
+        if not _in_z2(_norm_numerator(q), q.denominator**2):
             return False
     return True

@@ -95,17 +95,14 @@ def find_primitive_element(order: ZOrder) -> AlgebraElement:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A splitting of the ambient algebra as a product of fields.
-
-    component_bases[i] lists the elements e_i, a e_i, ..., a^(d_i - 1) e_i,
-    a Q-basis of the i-th field component.
-    """
+    """A splitting of the ambient algebra as a product of fields: the
+    primitive element a, its minimal polynomial, the irreducible factors of
+    that polynomial and the matching orthogonal idempotents."""
 
     primitive: AlgebraElement
     min_poly: RationalPolynomial
     factors: tuple[RationalPolynomial, ...]
     idempotents: tuple[AlgebraElement, ...]
-    component_bases: tuple[tuple[AlgebraElement, ...], ...]
 
     @property
     def count(self) -> int:
@@ -156,20 +153,11 @@ def _split_reduced(order: ZOrder) -> Decomposition:
         for j, ej in enumerate(idempotents):
             if mul(order, ei, ej) != (ei if i == j else order.zero()):
                 raise PruferError("idempotents are not orthogonal")
-    bases = []
-    for g, e in zip(factors, idempotents):
-        vectors = [e]
-        current = e
-        for _ in range(1, g.degree):
-            current = mul(order, current, a)
-            vectors.append(current)
-        bases.append(tuple(vectors))
     return Decomposition(
         primitive=a,
         min_poly=mu,
         factors=factors,
         idempotents=tuple(idempotents),
-        component_bases=tuple(bases),
     )
 
 

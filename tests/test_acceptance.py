@@ -23,6 +23,7 @@ from prufer.ivp import (
 )
 from prufer.lattice import IntegerLattice
 from prufer.orders import (
+    AlgebraElement,
     element,
     equation_order,
     evaluate_poly,
@@ -32,7 +33,6 @@ from prufer.orders import (
 )
 from prufer.poly import RationalPolynomial
 from prufer.quaternions import (
-    Quaternion,
     closure_check,
     four_square_lemma_check,
     four_square_violations,
@@ -277,9 +277,7 @@ def test_criterion_5_quaternion_case_study():
         failures.append("integral and member counts disagree")
     odds = (1, 3, 5, 7, 9)
     for a0, a1, a2, a3, e in itertools.product(odds, repeat=5):
-        q = Quaternion.of(
-            Fraction(a0, 2 * e), Fraction(a1, 2 * e), Fraction(a2, 2 * e), Fraction(a3, 2 * e)
-        )
+        q = AlgebraElement((a0, a1, a2, a3), 2 * e)
         if not hurwitz_member(q) or not quaternion_integral(q):
             failures.append(f"odd grid point {q} misbehaves")
             break

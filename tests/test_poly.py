@@ -180,3 +180,29 @@ def test_squarefree_decomposition_reassembles(f):
     for part, mult in squarefree_decomposition(f):
         prod = prod * part ** mult
     assert prod == f
+
+
+def _fraction_long_division(f, g):
+    """Schoolbook long division in Fraction arithmetic: the reference the
+    integer pseudo-division must match."""
+    rem = list(f.coefficients)
+    div = g.coefficients
+    quot = [Fraction(0)] * max(len(rem) - len(div) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + len(div) - 1] / div[-1]
+        for j, d in enumerate(div):
+            rem[k + j] -= c * d
+    return RationalPolynomial(quot), RationalPolynomial(rem[: len(div) - 1])
+
+
+wide_fractions = st.builds(
+    Fraction, st.integers(min_value=-60, max_value=60), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 35])
+)
+wide_polys = st.lists(wide_fractions, min_size=0, max_size=8).map(RationalPolynomial)
+
+
+@given(st.one_of(rational_polys, wide_polys), st.one_of(nonzero_polys, wide_polys.filter(lambda f: not f.is_zero)))
+def test_divmod_matches_fraction_long_division(f, g):
+    assert divmod(f, g) == _fraction_long_division(f, g)
+    assert f // g == _fraction_long_division(f, g)[0]
+    assert f % g == _fraction_long_division(f, g)[1]

@@ -4,73 +4,93 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prufer.errors import MalformedInputError
+from prufer.orders import AlgebraElement, ZOrder, element, mul
 from prufer.quaternions import (
     HURWITZ_UNIT,
-    Quaternion,
     closure_check,
     four_square_lemma_check,
     four_square_violations,
     hurwitz_member,
     norm_in_D_check,
     quaternion_integral,
+    reduced_char_poly,
 )
 
-ONE = Quaternion.of(1)
-I = Quaternion.of(0, 1)
-J = Quaternion.of(0, 0, 1)
-K = Quaternion.of(0, 0, 0, 1)
+# Hamilton's table on the basis 1, i, j, k: entry (s, c) says e_a * e_b = s * e_c.
+_HAMILTON = (
+    ((1, 0), (1, 1), (1, 2), (1, 3)),
+    ((1, 1), (-1, 0), (1, 3), (-1, 2)),
+    ((1, 2), (-1, 3), (-1, 0), (1, 1)),
+    ((1, 3), (1, 2), (-1, 1), (-1, 0)),
+)
+H = ZOrder(
+    4,
+    tuple(tuple(tuple(s if t == c else 0 for t in range(4)) for s, c in row) for row in _HAMILTON),
+    (1, 0, 0, 0),
+    ("1", "i", "j", "k"),
+)
+
+ONE = AlgebraElement((1, 0, 0, 0))
+I = AlgebraElement((0, 1, 0, 0))
+J = AlgebraElement((0, 0, 1, 0))
+K = AlgebraElement((0, 0, 0, 1))
+ZERO = AlgebraElement((0, 0, 0, 0))
+
+
+def _norm(q):
+    return sum((c * c for c in q.coords), Fraction(0))
 
 
 def test_hamilton_table():
-    assert I * J == K
-    assert J * K == I
-    assert K * I == J
-    assert J * I == -K
-    assert I * I == J * J == K * K == -ONE
-    assert I * J * K == -ONE
+    assert mul(H, I, J) == K
+    assert mul(H, J, K) == I
+    assert mul(H, K, I) == J
+    assert mul(H, J, I) == -K
+    assert mul(H, I, I) == mul(H, J, J) == mul(H, K, K) == -ONE
+    assert mul(H, mul(H, I, J), K) == -ONE
 
 
 def test_coercion_and_coords():
-    q = Quaternion.of(1, "1/2", Fraction(1, 3))
+    q = element((1, "1/2", Fraction(1, 3), 0))
     assert q.coords == (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(0))
 
 
 def test_linear_arithmetic():
-    q = Quaternion.of(1, 2, 3, 4)
-    r = Quaternion.of(0, 1, 0, -1)
+    q = AlgebraElement((1, 2, 3, 4))
+    r = AlgebraElement((0, 1, 0, -1))
     assert (q + r).coords == (1, 3, 3, 3)
     assert (q - r).coords == (1, 1, 3, 5)
     assert (-q).coords == (-1, -2, -3, -4)
-    assert q.scale(Fraction(1, 2)).coords == (Fraction(1, 2), 1, Fraction(3, 2), 2)
+    assert q.scaled(Fraction(1, 2)).coords == (Fraction(1, 2), 1, Fraction(3, 2), 2)
 
 
 def test_conjugate_norm_trace():
-    q = Quaternion.of(Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), Fraction(9, 2))
-    assert q.norm() == 41
-    assert q.trace() == 3
-    conjugate = Quaternion.of(q.a0, -q.a1, -q.a2, -q.a3)
-    assert q * conjugate == Quaternion.of(41)
-    assert Quaternion.of(conjugate.a0, -conjugate.a1, -conjugate.a2, -conjugate.a3) == q
+    q = AlgebraElement((3, 5, 7, 9), 2)
+    f = reduced_char_poly(q)
+    assert f.coefficient(0) == 41  # the norm
+    assert -f.coefficient(1) == 3  # the trace
+    conjugate = AlgebraElement((3, -5, -7, -9), 2)
+    assert mul(H, q, conjugate) == AlgebraElement((41, 0, 0, 0))
 
 
 def test_char_poly_of_unit():
-    f = HURWITZ_UNIT.char_poly()
+    f = reduced_char_poly(HURWITZ_UNIT)
     assert str(f) == "1 - X + X^2"
     # the unit is a primitive sixth root of unity
     w = HURWITZ_UNIT
-    assert w * w == w - ONE
-    assert w * w * w == -ONE
+    assert mul(H, w, w) == w - ONE
+    assert mul(H, mul(H, w, w), w) == -ONE
 
 
 def test_char_poly_kills_element():
-    q = Quaternion.of(Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), Fraction(9, 2))
-    f = q.char_poly()
-    acc = Quaternion.of(0)
+    q = AlgebraElement((3, 5, 7, 9), 2)
+    f = reduced_char_poly(q)
+    acc = ZERO
     power = ONE
     for c in f.coefficients:
-        acc = acc + power.scale(c)
-        power = power * q
-    assert acc == Quaternion.of(0)
+        acc = acc + power.scaled(c)
+        power = mul(H, power, q)
+    assert acc == ZERO
 
 
 @pytest.mark.parametrize(
@@ -86,14 +106,14 @@ def test_char_poly_kills_element():
     ],
 )
 def test_hurwitz_member_cases(coords, member):
-    assert hurwitz_member(Quaternion.of(*coords)) is member
+    assert hurwitz_member(element(coords)) is member
 
 
 def test_quaternion_integral_cases():
-    q = Quaternion.of(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(3, 2))
+    q = AlgebraElement((1, 1, 1, 3), 2)
     assert quaternion_integral(q)
     assert hurwitz_member(q)
-    r = Quaternion.of(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
+    r = AlgebraElement((1, 1, 1, 1), 4)
     assert not quaternion_integral(r)
     assert not hurwitz_member(r)
 
@@ -173,9 +193,7 @@ def hurwitz_members():
     odd = st.sampled_from((1, 3, 5))
     coord = st.builds(Fraction, ints, odd)
     return st.builds(
-        lambda a, b, c, d, half: Quaternion.of(
-            *(x + Fraction(half, 2) for x in (a, b, c, d))
-        ),
+        lambda a, b, c, d, half: element(tuple(x + Fraction(half, 2) for x in (a, b, c, d))),
         coord,
         coord,
         coord,
@@ -189,12 +207,12 @@ def test_members_closed_under_ring_ops(x, y):
     assert hurwitz_member(x)
     assert hurwitz_member(y)
     assert hurwitz_member(x + y)
-    assert hurwitz_member(x * y)
+    assert hurwitz_member(mul(H, x, y))
 
 
 @given(hurwitz_members(), hurwitz_members())
 def test_norm_is_multiplicative(x, y):
-    assert (x * y).norm() == x.norm() * y.norm()
+    assert _norm(mul(H, x, y)) == _norm(x) * _norm(y)
 
 
 @given(hurwitz_members())
@@ -204,4 +222,45 @@ def test_members_are_integral(q):
 
 @given(hurwitz_members())
 def test_char_poly_cayley_hamilton(q):
-    assert q * q - q.scale(q.trace()) + ONE.scale(q.norm()) == Quaternion.of(0)
+    f = reduced_char_poly(q)
+    assert mul(H, q, q) + q.scaled(f.coefficient(1)) + ONE.scaled(f.coefficient(0)) == ZERO
+
+
+# -- against a Fraction reference -------------------------------------------
+
+
+def _in_z2(x: Fraction) -> bool:
+    return x.denominator % 2 == 1
+
+
+def _reference_member(coords) -> bool:
+    return all(_in_z2(x) for x in coords) or all(_in_z2(x - Fraction(1, 2)) for x in coords)
+
+
+def _reference_integral(coords) -> bool:
+    return _in_z2(2 * coords[0]) and _in_z2(sum(x * x for x in coords))
+
+
+quaternions = st.lists(
+    st.builds(Fraction, st.integers(min_value=-40, max_value=40), st.sampled_from([1, 2, 3, 4, 6, 8, 10, 12, 16])),
+    min_size=4,
+    max_size=4,
+).map(element)
+
+
+# A member with one coordinate moved by 1/2: mixes Z_(2) and Z_(2) + 1/2.
+near_members = st.builds(
+    lambda q, i: q + AlgebraElement(tuple(int(j == i) for j in range(4)), 2), hurwitz_members(), st.integers(0, 3)
+)
+
+
+@given(st.one_of(quaternions, hurwitz_members(), near_members))
+def test_member_and_integral_agree_with_fraction_reference(q):
+    assert hurwitz_member(q) is _reference_member(q.coords)
+    assert quaternion_integral(q) is _reference_integral(q.coords)
+
+
+@given(quaternions)
+def test_reduced_char_poly_agrees_with_fraction_reference(q):
+    a = q.coords
+    assert reduced_char_poly(q).coefficients == (sum(x * x for x in a), -2 * a[0], 1)
