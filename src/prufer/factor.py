@@ -7,10 +7,11 @@ Pipeline for a squarefree primitive integer polynomial F:
 3. Berlekamp over F_p with exhaustive gcd splitting (deterministic);
 4. quadratic Hensel lifting of the factor tree until the modulus clears
    twice the Landau-Mignotte coefficient bound;
-5. subset recombination with exact integer division tests;
-6. map factors of G back to factors of F by primitive parts of g(l*X).
+5. subset recombination, each monic candidate tested by exact division;
+6. map factors of G back to factors of F as g(l*X), made monic by the caller.
 
-Everything is dense lists of ints, ascending powers.  The degree cap keeps
+Polynomials are dense lists of ints, ascending powers; the exact division
+of step 5 is ``RationalPolynomial``'s.  The degree cap keeps
 the subset stage honest; inputs here are minimal polynomials of elements of
 small orders, so the cap is generous.
 
@@ -247,43 +248,6 @@ def _hensel_lift_tree(f: list[int], factors: list[list[int]], p: int, target: in
 # -- integer polynomial helpers ---------------------------------------------
 
 
-def _int_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]] | None:
-    """Exact-arithmetic division over Z when lc(b) = +-1; None on failure."""
-    if not b:
-        return None
-    lead = b[-1]
-    if lead not in (1, -1):
-        raise PruferError("integer division wants a unit leading coefficient")
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], list(a)
-    quot = [0] * (len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] * lead
-        quot[k] = c
-        if c:
-            for j in range(db + 1):
-                a[k + j] -= c * b[j]
-    return _trim(quot), _trim(a[:db])
-
-
-def _content(a: list[int]) -> int:
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return g
-
-
-def _primitive(a: list[int]) -> list[int]:
-    g = _content(a)
-    if g == 0:
-        return []
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
-
-
 def _symmetric(c: int, m: int) -> int:
     c %= m
     return c - m if c > m // 2 else c
@@ -423,8 +387,9 @@ def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:
     while final_mod < target:
         final_mod *= final_mod
     lifted = _hensel_lift_tree(g_coeffs, modular, p, target)
-    # Subset recombination against the remaining cofactor.
-    remaining = list(g_coeffs)
+    # Subset recombination against the remaining cofactor.  Each candidate
+    # is monic, so division by it stays over Z and is exact when it divides.
+    remaining = RationalPolynomial.from_int_coeffs(g_coeffs)
     pool = lifted
     found: list[list[int]] = []
     size = 1
@@ -435,11 +400,8 @@ def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:
             for i in combo:
                 cand = _zp_mul(cand, pool[i], final_mod)
             cand = _trim([_symmetric(c, final_mod) for c in cand])
-            division = _int_divmod(remaining, cand)
-            if division is None:
-                continue
-            quot, rem = division
-            if rem:
+            quot, rem = divmod(remaining, RationalPolynomial.from_int_coeffs(cand))
+            if not rem.is_zero:
                 continue
             found.append(cand)
             remaining = quot
@@ -448,29 +410,23 @@ def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:
             break
         if not hit:
             size += 1
-    if len(remaining) - 1 > 0:
-        found.append(remaining)
+    if remaining.degree > 0:
+        found.append(list(remaining.integer_numerators))
     return found
 
 
 def _factor_squarefree_int(f_coeffs: list[int]) -> list[list[int]]:
-    """Irreducible primitive factors (positive lc) of a primitive squarefree
-    integer polynomial with positive leading coefficient."""
+    """Irreducible factors over Q of a squarefree integer polynomial with
+    positive leading coefficient, each as an integer coefficient list known
+    only up to a scalar; ``poly_factor`` makes them monic."""
     n = len(f_coeffs) - 1
     if n <= 1:
         return [list(f_coeffs)]
     lead = f_coeffs[-1]
-    if lead == 1:
-        monic_factors = _factor_squarefree_monic_int(f_coeffs)
-        return monic_factors
-    # G(X) = lead^(n-1) * F(X/lead) is monic with integer coefficients.
+    # G(X) = lead^(n-1) * F(X/lead) is monic with integer coefficients, and
+    # each factor g of G gives the factor g(lead * X) of F.
     g_coeffs = [c * lead ** (n - 1 - i) for i, c in enumerate(f_coeffs[:-1])] + [1]
-    out = []
-    for g in _factor_squarefree_monic_int(g_coeffs):
-        # Map back: primitive part of g(lead * X).
-        back = [c * lead**i for i, c in enumerate(g)]
-        out.append(_primitive(back))
-    return out
+    return [[c * lead**i for i, c in enumerate(g)] for g in _factor_squarefree_monic_int(g_coeffs)]
 
 
 def poly_factor(f: RationalPolynomial) -> list[tuple[RationalPolynomial, int]]:

@@ -85,9 +85,6 @@ class IntegerLattice:
         # Worked out once per lattice: coordinates() walks them on every call.
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
-    def pivots(self) -> list[int]:
-        return list(self._pivots)
-
     def __contains__(self, v) -> bool:
         return self.coordinates(v) is not None
 

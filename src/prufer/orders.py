@@ -4,7 +4,10 @@ An order of dimension n is a free Z-module Z^n with a bilinear multiplication
 ``table[i][j]`` = coordinates of b_i * b_j, an identity vector, and optional
 basis names.  Construction validates the ring axioms (associativity, the
 identity law, primitivity of the identity vector); everything downstream may
-assume a valid order.
+assume a valid order.  Associativity is proved once, where a table enters the
+program (``ZOrder(...)``, ``load_order``, ``equation_order``,
+``product_order``); an order derived by ``embedded_order`` inherits it from
+its ambient order and runs only the shape, unit-line and identity checks.
 
 An element of the ambient Q-algebra B = A (x) Q is a vector of integer
 coordinates over one positive denominator, the way ``RationalPolynomial``
@@ -122,6 +125,22 @@ class ZOrder:
     basis_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        self._check_structure()
+        self._check_associativity()
+
+    @classmethod
+    def _derived(cls, dim: int, table, one) -> "ZOrder":
+        """An order whose table is the product of an already validated order
+        restricted to a closed lattice, so associative by construction: every
+        check of ``__post_init__`` runs except the O(n^5) associativity proof."""
+        order = object.__new__(cls)
+        for name, value in (("dim", dim), ("table", table), ("one", one), ("basis_names", None)):
+            object.__setattr__(order, name, value)
+        order._check_structure()
+        return order
+
+    def _check_structure(self):
+        """Normalise the fields, then check shape, unit line and identity law."""
         n = self.dim
         object.__setattr__(self, "table", tuple(tuple(tuple(int(c) for c in cell) for cell in row) for row in self.table))
         object.__setattr__(self, "one", tuple(int(c) for c in self.one))
@@ -144,7 +163,6 @@ class ZOrder:
         if gcd(*self.one) not in (1,):
             raise UnitLineError("UNIT_LINE_NOT_SATURATED: identity coordinates have a common factor")
         self._check_identity()
-        self._check_associativity()
 
     def _mul_coords(self, x: Sequence, y: Sequence) -> list:
         out = [0] * self.dim
@@ -491,6 +509,10 @@ def embedded_order(order: ZOrder, rows: Sequence[AlgebraElement], one: AlgebraEl
     the table holds the coordinates of each product of two basis rows in that
     basis.  Raises PruferError when the span is not closed under
     multiplication or does not contain ``one``, the suborder's identity.
+
+    The table is ``order``'s product restricted to a closed lattice, so it is
+    associative because ``order`` is; the new order runs the shape, unit-line
+    and identity-law checks but not the associativity proof.
     """
     ints, den = _over_common_denominator(rows)
     lat = IntegerLattice.from_rows(ints)
@@ -513,4 +535,4 @@ def embedded_order(order: ZOrder, rows: Sequence[AlgebraElement], one: AlgebraEl
     if one_coords is None:
         raise PruferError("the identity does not lie in the embedded order")
     basis = tuple(AlgebraElement(row, den) for row in lat.basis)
-    return EmbeddedOrder(ZOrder(dim=lat.rank, table=tuple(table), one=one_coords), basis)
+    return EmbeddedOrder(ZOrder._derived(lat.rank, tuple(table), one_coords), basis)

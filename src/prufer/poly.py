@@ -227,11 +227,6 @@ class RationalPolynomial:
     def __mod__(self, other) -> "RationalPolynomial":
         return divmod(self, other)[1]
 
-    def divides(self, other: "RationalPolynomial") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
     def derivative(self) -> "RationalPolynomial":
         return RationalPolynomial._raw([i * c for i, c in enumerate(self._num)][1:], self._den)
 

@@ -8,7 +8,7 @@ import prufer.decision
 import prufer.splitting
 from prufer.decision import PrueferCertificate, decide_pruefer, verify_certificate
 from prufer.errors import IndeterminateError, MalformedCertificateError
-from prufer.orders import element, equation_order, load_order, product_order
+from prufer.orders import ZOrder, element, equation_order, load_order, product_order
 from prufer.poly import RationalPolynomial
 
 
@@ -74,6 +74,26 @@ def test_is_reduced_runs_once_per_decision(monkeypatch, corpus):
         calls.clear()
         decide_pruefer(corpus[name])
         assert len(calls) == 1, name
+
+
+def test_derived_orders_skip_the_associativity_proof(monkeypatch):
+    # Components and round-2 overorders are the ambient product restricted to
+    # a closed lattice, so they inherit associativity from the order itself.
+    order = equation_order(P(-2, *[0] * 11, 1))
+    calls = []
+    original = ZOrder._check_associativity
+
+    def counting(self):
+        calls.append(self.dim)
+        original(self)
+
+    monkeypatch.setattr(ZOrder, "_check_associativity", counting)
+    cert = decide_pruefer(order)
+    assert verify_certificate(order, cert)
+    assert calls == []
+    # A table from outside the program is still proved associative.
+    ZOrder(dim=order.dim, table=order.table, one=order.one)
+    assert calls == [12]
 
 
 # Certificates of products of equation orders, byte for byte as the
@@ -224,6 +244,17 @@ def test_verify_rejects_swapped_idempotents(zxz):
     doc = decide_pruefer(zxz).to_dict()
     assert verify_certificate(zxz, PrueferCertificate.from_dict(doc))
     doc["witness"]["idempotents"].reverse()
+    assert not verify_certificate(zxz, PrueferCertificate.from_dict(doc))
+
+
+def test_verify_rejects_a_zero_idempotent(zxz):
+    # 1 and 0 are orthogonal idempotents summing to 1, and the rows (1, 1) and
+    # (0, 1) tile Z^2, so only the component checks can refuse: the span of
+    # (0, 1) with identity 0 fails the unit-line check of its order.
+    doc = decide_pruefer(zxz).to_dict()
+    doc["witness"]["idempotents"] = [["1", "1"], ["0", "0"]]
+    doc["witness"]["components"][0]["basis"] = [["1", "1"]]
+    doc["witness"]["components"][1]["basis"] = [["0", "1"]]
     assert not verify_certificate(zxz, PrueferCertificate.from_dict(doc))
 
 

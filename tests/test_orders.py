@@ -109,6 +109,13 @@ def test_non_associative_error(m2z):
         ZOrder(dim=4, table=table, one=m2z.one)
 
 
+def test_load_order_rejects_a_non_associative_table(m2z):
+    doc = order_to_dict(m2z)
+    doc["table"][1][2] = [0, 0, 0, 1]  # e12 * e21 -> e22
+    with pytest.raises(NonAssociativeError):
+        load_order(doc)
+
+
 def test_mul_and_power(z_i):
     i = element((0, 1))
     assert mul(z_i, i, i).coords == (-1, 0)
@@ -193,6 +200,13 @@ def test_embedded_order_rejects_bad_spans(z_i):
     # 2Z[i] is closed under multiplication but does not contain 1
     with pytest.raises(PruferError):
         embedded_order(z_i, [element((2, 0)), element((0, 2))], z_i.identity())
+
+
+def test_embedded_order_equals_the_validated_order(z_i):
+    # The derived order skips only the associativity proof; it is the same
+    # value as the order built, and fully checked, from the same table.
+    derived = embedded_order(z_i, [element((1, 0)), element((0, 1))], z_i.identity()).order
+    assert derived == ZOrder(dim=2, table=z_i.table, one=z_i.one)
 
 
 def test_is_commutative(m2z, z_i):
