@@ -51,6 +51,7 @@ from .quaternions import (
     four_square_violations,
     hurwitz_member,
     norm_in_D_check,
+    odd_grid_check,
     quaternion_integral,
     reduced_char_poly,
 )
@@ -224,26 +225,13 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _odd_grid_consistent() -> bool:
-    odds = (1, 3, 5, 7, 9)
-    for a0 in odds:
-        for a1 in odds:
-            for a2 in odds:
-                for a3 in odds:
-                    for e in odds:
-                        q = AlgebraElement((a0, a1, a2, a3), 2 * e)
-                        if not hurwitz_member(q) or not quaternion_integral(q):
-                            return False
-    return True
-
-
 def _cmd_hurwitz(args) -> int:
     if args.mode == "check":
         checks = [
             ("unit-is-member", hurwitz_member(HURWITZ_UNIT)),
             ("unit-is-integral", quaternion_integral(HURWITZ_UNIT)),
             ("unit-quadratic", str(reduced_char_poly(HURWITZ_UNIT)) == "1 - X + X^2"),
-            ("odd-grid-members", _odd_grid_consistent()),
+            ("odd-grid-members", odd_grid_check()),
             ("norms-2-integral", norm_in_D_check(1000)),
         ]
         payload = {"checks": [{"name": n, "pass": ok} for n, ok in checks]}
@@ -357,7 +345,7 @@ def _examples_rows() -> list[tuple[str, bool]]:
             and pruefer_transform(x, z_at_3) == _parse_poly("-1/3*X + 1/3*X^3"),
         )
     )
-    rows.append(("odd-grid quaternions stay members", _odd_grid_consistent()))
+    rows.append(("odd-grid quaternions stay members", odd_grid_check()))
     return rows
 
 

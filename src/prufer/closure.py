@@ -105,7 +105,14 @@ def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice, p: int) -> Embedde
             row.extend(c % p for c in coords)
         matrix.append(row)
     u = _modp_kernel_lattice(matrix, p)
+    if u.determinant() == p**n:  # U = pO: the step is stable, O' = O
+        return _unchanged(order)
     return embedded_order(order, [AlgebraElement(row, p) for row in u.basis], order.identity())
+
+
+def _unchanged(order: ZOrder) -> EmbeddedOrder:
+    """The order as an overorder of itself: identity basis, index 1."""
+    return EmbeddedOrder(order, tuple(order.basis_element(i) for i in range(order.dim)))
 
 
 # -- the maximality loop ----------------------------------------------------
@@ -125,9 +132,15 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
     factors = poly_factor(mu)
     if len(factors) != 1 or factors[0][1] != 1:
         raise NotApplicableError("NOT_A_FIELD: the ambient algebra splits or is not reduced")
+    return _round_two(order)
+
+
+def _round_two(order: ZOrder) -> EmbeddedOrder:
+    """The round-2 loop of ``maximal_order``, for an order already known to
+    span a number field, such as a component A e_i of ``decompose``."""
     # ``running.order`` is the current overorder and ``running`` maps its
     # coordinates into the input order's; each step is composed through it.
-    running = EmbeddedOrder(order, tuple(order.basis_element(i) for i in range(order.dim)))
+    running = _unchanged(order)
     total_index = 1
     disc = discriminant(order)
     for p, v in sorted(factor_int(disc).items()):
@@ -149,10 +162,16 @@ def is_integrally_closed_order(order: ZOrder) -> tuple[bool, AlgebraElement | No
     """(True, None) if the order equals its integral closure; otherwise
     (False, w) with w the first Hermite-basis vector of the closure whose
     coordinates are not integral."""
-    closure = maximal_order(order)
+    bad = _first_non_integral(maximal_order(order))
+    return bad is None, bad
+
+
+def _first_non_integral(closure: EmbeddedOrder) -> AlgebraElement | None:
+    """None when the closure equals its order (index 1); otherwise its first
+    Hermite-basis vector whose coordinates are not integral."""
     if closure.index == 1:
-        return True, None
+        return None
     for x in closure.basis:
         if not x.is_integral_vector:
-            return False, x
+            return x
     raise PruferError("closure has index > 1 but an integral basis; impossible")

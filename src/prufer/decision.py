@@ -21,8 +21,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .closure import (
+    _first_non_integral,
+    _round_two,
     discriminant,
-    is_integrally_closed_order,
     p_radical,
     ring_of_multipliers,
 )
@@ -229,8 +230,10 @@ def _decide(order: ZOrder) -> PrueferCertificate:
     components = []
     for i in range(dec.count):
         comp = component_order(order, dec, i)
-        closed, bad = is_integrally_closed_order(comp.order)
-        if not closed:
+        # A e_i spans Q[X]/(g_i) with g_i irreducible, a field by construction,
+        # so round 2 runs without a second search and factorisation.
+        bad = _first_non_integral(_round_two(comp.order))
+        if bad is not None:
             pulled = comp.to_ambient(bad)
             mu = minimal_polynomial(order, pulled)
             witness = {

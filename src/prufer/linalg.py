@@ -79,6 +79,61 @@ def first_relation(vectors: Iterable[Sequence[int]]) -> list[int] | None:
     return None
 
 
+class EchelonSpan:
+    """The Q-span of integer vectors, grown one vector at a time.
+
+    It is kept in reduced row echelon form over one common denominator: row r
+    is ``rows[r] / den``, equal to 1 at column ``pivots[r]`` and to 0 at every
+    other pivot.  So v lies in the span exactly when
+    den * v = sum_r v[pivots[r]] * rows[r], and that is checked column by
+    free column: a vector outside usually fails at the first one.
+    """
+
+    def __init__(self, width: int):
+        self.den = 1
+        self.pivots: list[int] = []
+        self.rows: list[list[int]] = []
+        self._free = list(range(width))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def __contains__(self, v: Sequence[int]) -> bool:
+        terms = [(v[p], row) for p, row in zip(self.pivots, self.rows) if v[p]]
+        den = self.den
+        return all(den * v[j] == sum(c * row[j] for c, row in terms) for j in self._free)
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Put v into the span: False, and no change, when it is already there.
+
+        The residual w = den * v - sum_r v[pivots[r]] * rows[r] is zero at
+        every pivot; its first nonzero column q becomes a new pivot, cleared
+        from the other rows by one integer cross-multiplication each.
+        """
+        den = self.den
+        w = [den * x for x in v]
+        for p, row in zip(self.pivots, self.rows):
+            c = v[p]
+            if c:
+                w = [x - c * y for x, y in zip(w, row)]
+        q = next((j for j, x in enumerate(w) if x), None)
+        if q is None:
+            return False
+        a = w[q]
+        rows = [[a * x - row[q] * y for x, y in zip(row, w)] for row in self.rows]
+        rows.append([den * x for x in w])
+        den *= a
+        content = gcd(den, *(x for row in rows for x in row))
+        if den < 0:
+            content = -content
+        self.den = den // content
+        self.rows = [[x // content for x in row] for row in rows]
+        self.pivots.append(q)
+        self._free.remove(q)
+        return True
+
+
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free Gaussian elimination."""
     n = len(rows)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from math import gcd, lcm
 from typing import Sequence
 
@@ -169,6 +170,16 @@ def four_square_violations(n: int) -> list[tuple[int, int, int, int]]:
                     if (partial + d * d) % modulus == 0 and (a | b | c | d) & 1:
                         hits.append((a, b, c, d))
     return hits
+
+
+def odd_grid_check() -> bool:
+    """The 3125 quaternions (a0 + a1*i + a2*j + a3*k) / (2e) with odd
+    a_i, e <= 9 are Hurwitz members, all in Z_(2) + 1/2, and integral."""
+    odds = (1, 3, 5, 7, 9)
+    return all(
+        hurwitz_member(q) and quaternion_integral(q)
+        for q in (AlgebraElement(nums[:4], 2 * nums[4]) for nums in product(odds, repeat=5))
+    )
 
 
 def norm_in_D_check(samples: int) -> bool:

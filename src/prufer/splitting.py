@@ -3,13 +3,20 @@
 For commutative reduced B of dimension n over Q there is a primitive element
 a (the minimal polynomial has degree n), and the factorization of that
 minimal polynomial into distinct irreducibles g_1 ... g_t gives orthogonal
-idempotents e_i and field components B_i = B e_i = Q[a] e_i.  The search
-tests each integer candidate a by one integer determinant: a is primitive
-exactly when 1, a, ..., a^(n-1) are linearly independent (Cohen, GTM 138,
-ch. 2).  Everything here is deterministic: the primitive element comes from a
-fixed search order and the factors are sorted canonically, so component
-numbering is reproducible.  A component A e_i comes back as an
-``orders.EmbeddedOrder``, the same type round 2 uses for overorders.
+idempotents e_i and field components B_i = B e_i = Q[a] e_i.
+
+The search walks integer candidates in a fixed shell order and returns the
+first primitive one (Cohen, GTM 138, 2.4 and 6.1).  a is primitive exactly
+when the Krylov rows 1, a, ..., a^(n-1) are linearly independent; otherwise
+the rows before the first dependent power span the subalgebra Q[a], which is
+proper.  Every later candidate c inside a rejected candidate's Q[a] has
+Q[c] <= Q[a], so it is not primitive either and is skipped without computing
+one power of it.  The argument uses only the identity element, so it holds
+in non-reduced algebras too, and the element chosen is the same as testing
+every candidate.  Everything here is deterministic: the factors are sorted
+canonically, so component numbering is reproducible.  A component A e_i
+comes back as an ``orders.EmbeddedOrder``, the same type round 2 uses for
+overorders.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Iterator, Sequence
 
 from .errors import NotApplicableError, PruferError, SearchExhaustedError
 from .factor import poly_factor
-from .linalg import bareiss_det
+from .linalg import EchelonSpan
 from .orders import (
     AlgebraElement,
     EmbeddedOrder,
@@ -62,24 +69,34 @@ def shell_vectors(dim: int, shell_max: int, cap: int = SEARCH_CAP) -> Iterator[t
                 return
 
 
-def _generates_algebra(order: ZOrder, vec: Sequence[int]) -> bool:
-    """Is the integer vector ``vec`` a primitive element of the ambient algebra?
+def _generated_subalgebra(order: ZOrder, vec: Sequence[int]) -> EchelonSpan | None:
+    """None when the integer vector ``vec`` is a primitive element of the
+    ambient algebra; otherwise the Q-span of the subalgebra Q[vec].
 
-    deg minpoly(a) = n exactly when the Krylov rows 1, a, ..., a^(n-1) are
-    linearly independent; for integer a these rows are integer vectors, so
-    one Bareiss determinant decides it without fractions.
+    The powers 1, a, a^2, ... go into one fraction-free elimination, each
+    computed only once the ones before it are independent.  If all n are
+    independent, a is primitive.  Otherwise the first dependent power lies in
+    the span of the earlier ones, so every higher power does too, and that
+    span is Q[a].
     """
-    return bareiss_det(list(integer_powers(order, vec, order.dim))) != 0
+    span = EchelonSpan(order.dim)
+    for row in integer_powers(order, vec, order.dim):
+        if not span.add(row):
+            return span
+    return None
 
 
 def find_primitive_element(order: ZOrder) -> AlgebraElement:
     """Deterministic search for a in A with deg(minimal polynomial) = dim.
 
-    Candidates come from ``shell_vectors``; the first whose powers
-    1, a, ..., a^(dim-1) have a nonzero integer determinant is returned.
-    Requires the ambient algebra to be commutative; in a reduced (etale)
-    algebra primitive elements exist and small integer combinations of the
-    basis hit one quickly.
+    Returns the first candidate from ``shell_vectors`` whose powers
+    1, a, ..., a^(dim-1) are linearly independent.  Each rejected candidate b
+    leaves its span Q[b], a proper subalgebra; a later candidate c in Q[b]
+    has Q[c] <= Q[b] and is skipped untested.  A span inside a newer one is
+    dropped, as the newer one rejects everything it would.  Requires the
+    ambient algebra to be commutative; in a reduced (etale) algebra
+    primitive elements exist and small integer combinations of the basis hit
+    one quickly.
     """
     commutative, _ = is_commutative(order)
     if not commutative:
@@ -87,9 +104,15 @@ def find_primitive_element(order: ZOrder) -> AlgebraElement:
     n = order.dim
     if n == 1:
         return order.identity()
+    rejected: list[tuple[tuple[int, ...], EchelonSpan]] = []  # (b, Q[b])
     for vec in shell_vectors(n, shell_max=max(4, n)):
-        if _generates_algebra(order, vec):
+        if any(vec in span for _, span in rejected):
+            continue
+        span = _generated_subalgebra(order, vec)
+        if span is None:
             return AlgebraElement(vec)
+        rejected = [(b, kept) for b, kept in rejected if b not in span]
+        rejected.append((vec, span))
     raise SearchExhaustedError("SEARCH_EXHAUSTED: no primitive element found within the search budget")
 
 

@@ -23,7 +23,6 @@ from prufer.ivp import (
 )
 from prufer.lattice import IntegerLattice
 from prufer.orders import (
-    AlgebraElement,
     element,
     equation_order,
     evaluate_poly,
@@ -36,8 +35,7 @@ from prufer.quaternions import (
     closure_check,
     four_square_lemma_check,
     four_square_violations,
-    hurwitz_member,
-    quaternion_integral,
+    odd_grid_check,
 )
 
 BUDGET = 10**6
@@ -275,12 +273,8 @@ def test_criterion_5_quaternion_case_study():
         failures.append(f"{len(report.counterexamples)} integral non-members")
     if report.integral_count != report.member_count:
         failures.append("integral and member counts disagree")
-    odds = (1, 3, 5, 7, 9)
-    for a0, a1, a2, a3, e in itertools.product(odds, repeat=5):
-        q = AlgebraElement((a0, a1, a2, a3), 2 * e)
-        if not hurwitz_member(q) or not quaternion_integral(q):
-            failures.append(f"odd grid point {q} misbehaves")
-            break
+    if not odd_grid_check():
+        failures.append("an odd-grid quaternion is not an integral member")
     ok = not failures
     assert _report(5, ok), failures
 

@@ -106,6 +106,16 @@ def test_ring_of_multipliers_z_sqrt5(z_sqrt5):
     assert (Fraction(1, 2), Fraction(1, 2)) in rows or (1, 0) in rows
 
 
+def test_stable_step_returns_the_order_itself(corpus):
+    # At 2, Z[i]'s radical (2, 1 + i) has multiplier ring Z[i]: U = 2O, so
+    # no new table is built.
+    z_i = corpus["z_i"]
+    step = ring_of_multipliers(z_i, p_radical(z_i, 2), 2)
+    assert step.order is z_i
+    assert step.basis == (z_i.basis_element(0), z_i.basis_element(1))
+    assert step.index == 1
+
+
 def test_ring_of_multipliers_needs_p_in_the_ideal(z_sqrt5):
     with pytest.raises(NotApplicableError):
         ring_of_multipliers(z_sqrt5, p_radical(z_sqrt5, 2), 3)  # 3*Z^2 is not inside

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prufer.errors import DimensionMismatchError
-from prufer.linalg import bareiss_det, first_relation, modp_left_kernel, xgcd
+from prufer.lattice import hnf_reduce
+from prufer.linalg import EchelonSpan, bareiss_det, first_relation, modp_left_kernel, xgcd
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -108,3 +109,35 @@ def test_first_relation_properties(vectors):
     assert gcd(*rel) == 1
     assert [sum(c * v[j] for c, v in zip(rel, vectors)) for j in range(len(vectors[0]))] == [0] * len(vectors[0])
     assert bareiss_det(_gram(vectors[:k])) != 0
+
+
+def _rank(vectors, width):
+    return hnf_reduce(vectors, width).rank if vectors else 0
+
+
+@given(
+    st.lists(st.lists(small_ints, min_size=4, max_size=4), max_size=4),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.lists(st.integers(-1, 1), min_size=4, max_size=4),
+)
+def test_echelon_span_agrees_with_lattice_rank(rows, coeffs, offset):
+    # v is an integer combination of the rows, moved off it by ``offset``;
+    # membership in the Q-span is "adding v does not raise the rank".
+    span = EchelonSpan(4)
+    for k, row in enumerate(rows):
+        assert span.add(row) == (_rank(rows[: k + 1], 4) > _rank(rows[:k], 4))
+    assert span.rank == _rank(rows, 4)
+    assert all(row in span for row in rows)
+    v = [sum(c * row[j] for c, row in zip(coeffs, rows)) + e for j, e in enumerate(offset)]
+    assert (v in span) == (_rank(rows + [v], 4) == span.rank)
+
+
+def test_echelon_span_over_a_denominator():
+    # The rows (2, 0, 0) and (0, 2, 1) reduce to (1, 0, 0) and (0, 1, 1/2).
+    # Their Q-span holds (1, 2, 1), which is not in their Z-span; it does not
+    # hold (0, 1, 0).
+    span = EchelonSpan(3)
+    assert span.add([2, 0, 0]) and span.add([0, 2, 1])
+    assert span.den == 2
+    assert not span.add([1, 2, 1])
+    assert [1, 2, 1] in span and [0, 1, 0] not in span

@@ -3,11 +3,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from prufer.errors import NotApplicableError
-from prufer.orders import element, equation_order, evaluate_poly, minimal_polynomial, mul
+import prufer.splitting
+from prufer.errors import NotApplicableError, SearchExhaustedError
+from prufer.linalg import bareiss_det
+from prufer.orders import (
+    AlgebraElement,
+    ZOrder,
+    element,
+    equation_order,
+    evaluate_poly,
+    integer_powers,
+    minimal_polynomial,
+    mul,
+    product_order,
+)
 from prufer.poly import RationalPolynomial
 from prufer.splitting import (
-    _generates_algebra,
+    _generated_subalgebra,
     component_order,
     decompose,
     find_primitive_element,
@@ -71,23 +83,91 @@ def test_find_primitive_element_on_products(equation_product, polys, expected):
     assert a.coords == expected
 
 
+def _reference_primitive(order):
+    """The first shell vector whose Krylov rows 1, a, ..., a^(n-1) have a
+    nonzero determinant: the search without the subalgebra skip."""
+    n = order.dim
+    if n == 1:
+        return order.identity()
+    for vec in shell_vectors(n, shell_max=max(4, n)):
+        if bareiss_det(list(integer_powers(order, vec, n))) != 0:
+            return AlgebraElement(vec)
+    raise SearchExhaustedError("no primitive element")
+
+
+COMMUTATIVE_CORPUS = ("cubic_index2", "z", "z_3i", "z_golden", "z_i", "z_sqrt5", "z_x_mod_x2", "zxz")
+
+
+def _reference_cases():
+    cases = [pytest.param("corpus", name, id=name) for name in COMMUTATIVE_CORPUS]
+    cases += [pytest.param("product", polys, id=f"product-{k}") for k, (polys, _) in enumerate(PRODUCT_PRIMITIVES)]
+    cases += [pytest.param("poly", f"X^{n}-2", id=f"X^{n}-2") for n in range(2, 13)]
+    cases.append(pytest.param("nilpotent_x_gauss", None, id="z_x_mod_x2 x Z[i]"))
+    return cases
+
+
+@pytest.mark.parametrize("kind, spec", _reference_cases())
+def test_search_matches_reference(corpus, equation_product, kind, spec):
+    if kind == "corpus":
+        order = corpus[spec]
+    elif kind == "product":
+        order = equation_product(*spec)
+    elif kind == "poly":
+        order = equation_order(RationalPolynomial.parse(spec))
+    else:
+        order = product_order(corpus["z_x_mod_x2"], corpus["z_i"])
+    assert find_primitive_element(order) == _reference_primitive(order)
+
+
+def test_dimension_12_product_tests_few_candidates(monkeypatch, equation_product):
+    # Z[2^(1/3)] x Z[3^(1/4)] x Z[5^(1/5)]: the primitive element is shell
+    # candidate 6645; the candidates before it lie in few subalgebras.
+    order = equation_product(CBRT2, QRT3, (-5, 0, 0, 0, 0, 1))
+    calls = []
+    original = prufer.splitting.integer_powers
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(prufer.splitting, "integer_powers", counting)
+    a = find_primitive_element(order)
+    assert a.coords == (0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0)
+    assert len(calls) <= 20
+
+
+def test_square_zero_plane_has_no_primitive_element():
+    # Q[x, y]/(x, y)^2 on the basis 1, x, y: every (a - c)^2 = 0 for the
+    # scalar part c of a, so no element has a minimal polynomial of degree 3.
+    e0, e1, e2, zero = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    order = ZOrder(dim=3, table=((e0, e1, e2), (e1, zero, zero), (e2, zero, zero)), one=e0)
+    with pytest.raises(SearchExhaustedError):
+        find_primitive_element(order)
+
+
 AGREEMENT_ORDERS = ("cubic_index2", "z", "z_3i", "z_golden", "z_i", "z_sqrt5", "z_x_mod_x2", "zxz", "product")
 
 
 @given(st.sampled_from(AGREEMENT_ORDERS), st.data())
-def test_determinant_test_matches_minimal_polynomial(corpus, equation_product, name, data):
+def test_krylov_test_matches_minimal_polynomial(corpus, equation_product, name, data):
     order = equation_product(GAUSS, CBRT2) if name == "product" else corpus[name]
     vec = data.draw(st.lists(st.integers(-3, 3), min_size=order.dim, max_size=order.dim))
-    expected = minimal_polynomial(order, element(vec)).degree == order.dim
-    assert _generates_algebra(order, vec) == expected
+    degree = minimal_polynomial(order, element(vec)).degree
+    span = _generated_subalgebra(order, vec)
+    assert (span is None) == (degree == order.dim)
+    if span is not None:
+        # The span is Q[a]: it has dimension deg(mu_a) and holds a and 1.
+        assert span.rank == degree
+        assert vec in span and order.one in span
 
 
-def test_determinant_test_on_nilpotent_algebra(corpus):
+def test_krylov_test_on_nilpotent_algebra(corpus):
     # Z[X]/(X^2): c0 + c1*X generates the algebra exactly when c1 != 0.
     order = corpus["z_x_mod_x2"]
-    assert _generates_algebra(order, (0, 1))
-    assert _generates_algebra(order, (5, -2))
-    assert not _generates_algebra(order, (3, 0))
+    assert _generated_subalgebra(order, (0, 1)) is None
+    assert _generated_subalgebra(order, (5, -2)) is None
+    span = _generated_subalgebra(order, (3, 0))
+    assert span.rank == 1 and (7, 0) in span and (0, 1) not in span
 
 
 def test_decompose_field(z_i):
