@@ -9,6 +9,13 @@ Each enlargement divides the discriminant by the square of the index, so
 termination is immediate, and the fixed point at every such p certifies
 maximality.
 
+Round 2 needs an order that spans a number field.  ``field_polynomial`` is
+the one check of that: it searches for a primitive element, takes its
+minimal polynomial and asks ``poly_factor`` whether it is irreducible.
+``maximal_order`` and the ramification profile run it once; callers that
+already know the answer, such as ``decide_pruefer`` on its components and
+the pointwise test on irreducible factors, go straight to ``_round_two``.
+
 Everything works in the coordinates of the *original* order: each result is
 an ``orders.EmbeddedOrder``, the new order's structure constants together
 with its basis as elements of the input order's ambient algebra (integer
@@ -29,6 +36,7 @@ from .orders import (
     minimal_polynomial,
     trace_gram_matrix,
 )
+from .poly import RationalPolynomial
 from .splitting import find_primitive_element
 from .factor import factor_int, poly_factor
 
@@ -118,11 +126,13 @@ def _unchanged(order: ZOrder) -> EmbeddedOrder:
 # -- the maximality loop ----------------------------------------------------
 
 
-def maximal_order(order: ZOrder) -> EmbeddedOrder:
-    """The integral closure of an order whose ambient algebra is a field.
+def field_polynomial(order: ZOrder) -> RationalPolynomial:
+    """The minimal polynomial of the first primitive element of an order
+    whose ambient algebra is a number field.
 
-    Raises NotApplicableError when the ambient algebra is not a field (test:
-    the minimal polynomial of a primitive element must be irreducible).
+    Raises NotApplicableError when the ambient algebra is not commutative,
+    or is not a field: the minimal polynomial of a primitive element must be
+    irreducible.
     """
     commutative, _ = is_commutative(order)
     if not commutative:
@@ -132,12 +142,21 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
     factors = poly_factor(mu)
     if len(factors) != 1 or factors[0][1] != 1:
         raise NotApplicableError("NOT_A_FIELD: the ambient algebra splits or is not reduced")
+    return mu
+
+
+def maximal_order(order: ZOrder) -> EmbeddedOrder:
+    """The integral closure of an order whose ambient algebra is a field;
+    NotApplicableError from ``field_polynomial`` otherwise."""
+    field_polynomial(order)
     return _round_two(order)
 
 
 def _round_two(order: ZOrder) -> EmbeddedOrder:
     """The round-2 loop of ``maximal_order``, for an order already known to
-    span a number field, such as a component A e_i of ``decompose``."""
+    span a number field: one ``field_polynomial`` has passed on it, or it is
+    a component A e_i of ``decompose`` or the equation order of an
+    irreducible polynomial."""
     # ``running.order`` is the current overorder and ``running`` maps its
     # coordinates into the input order's; each step is composed through it.
     running = _unchanged(order)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import comb, factorial, isqrt
 from typing import Iterable, Sequence
 
-from .closure import discriminant, maximal_order
+from .closure import _round_two, discriminant, field_polynomial
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -42,7 +42,7 @@ from .orders import (
     mul,
 )
 from .poly import RationalPolynomial, poly_xgcd
-from .splitting import SEARCH_CAP, find_primitive_element, shell_vectors
+from .splitting import SEARCH_CAP, shell_vectors
 
 DEFAULT_POINT_BUDGET = 10**6
 
@@ -213,7 +213,7 @@ def pointwise_integrally_closed(order: ZOrder, a: AlgebraElement) -> PointwiseCl
         cofactor = mu // g
         _, s, _ = poly_xgcd(g, cofactor)
         eps = (RationalPolynomial.one_poly - s * g) % mu
-        basis = (AlgebraElement((1,)),) if g.degree == 1 else maximal_order(equation_order(g)).basis
+        basis = (AlgebraElement((1,)),) if g.degree == 1 else _round_two(equation_order(g)).basis
         for x in basis:
             lift = (RationalPolynomial.from_int_coeffs(x.integer_numerators, x.denominator) * eps) % mu
             b = evaluate_poly(order, lift, a)
@@ -288,12 +288,8 @@ def ramification_profile(order: ZOrder, p: int) -> RamificationProfile:
     """
     if p < 2 or not is_probable_prime(p):
         raise MalformedInputError(f"MALFORMED_INPUT: {p} is not prime")
-    a = find_primitive_element(order)
-    mu = minimal_polynomial(order, a)
-    factors = poly_factor(mu)
-    if len(factors) != 1 or factors[0][1] != 1:
-        raise NotApplicableError("NOT_A_FIELD: the order does not span a number field")
-    emb = maximal_order(order)
+    mu = field_polynomial(order)
+    emb = _round_two(order)
     if emb.index != 1:
         raise NotApplicableError("NOT_MAXIMAL: the order is not maximal")
 

@@ -8,12 +8,17 @@ rows are kept primitive by dividing out their content (Bareiss, Math. Comp.
 22, 1968; Cohen, GTM 138, 2.3-2.4).  Callers hand over integer vectors
 directly: an element of an order's ambient algebra already is integer
 coordinates over one denominator (``orders.AlgebraElement``).
+
+``EchelonSpan`` is the one eliminator over Q.  It answers both questions
+asked of a stream of vectors: is this vector in the span of the ones
+before it, and if so, which relation puts it there.  Minimal polynomials,
+the primitive-element search and the reducedness test all feed it.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError
 
@@ -33,63 +38,22 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def first_relation(vectors: Iterable[Sequence[int]]) -> list[int] | None:
-    """The first linear relation among integer vectors v_0, v_1, ...
-
-    Returns c_0..c_k with sum c_i v_i = 0, where v_k is the first vector that
-    depends on the ones before it.  Those are independent, so the relation is
-    unique up to scale; it comes back primitive with c_k > 0.  Returns None
-    when all the vectors are independent.  Vectors are consumed lazily, so a
-    generator stops being drawn at the first dependency.
-
-    Each kept row carries its combination of the v's; a new vector is reduced
-    by the kept rows in ascending pivot order, every step an integer
-    cross-multiplication followed by division by the content.
-    """
-    kept: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, combination)
-    width = None
-    for k, v in enumerate(vectors):
-        row = [int(x) for x in v]
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DimensionMismatchError("vectors of mixed length")
-        combo = [0] * k + [1]
-        for pivot, krow, kcombo in kept:
-            a = row[pivot]
-            if not a:
-                continue
-            b = krow[pivot]
-            g = gcd(a, b)
-            s, t = b // g, a // g
-            row = [s * x - t * y for x, y in zip(row, krow)]
-            combo = [s * x - t * y for x, y in zip(combo, kcombo)] + [s * x for x in combo[len(kcombo) :]]
-            content = gcd(*row, *combo)
-            if content > 1:
-                row = [x // content for x in row]
-                combo = [x // content for x in combo]
-        pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is None:
-            content = gcd(*combo)
-            if combo[k] < 0:
-                content = -content
-            return [x // content for x in combo]
-        kept.append((pivot, row, combo))
-        kept.sort(key=lambda entry: entry[0])
-    return None
-
-
 class EchelonSpan:
-    """The Q-span of integer vectors, grown one vector at a time.
+    """The Q-span of integer vectors v_0, v_1, ..., grown one vector at a time.
 
     It is kept in reduced row echelon form over one common denominator: row r
     is ``rows[r] / den``, equal to 1 at column ``pivots[r]`` and to 0 at every
-    other pivot.  So v lies in the span exactly when
-    den * v = sum_r v[pivots[r]] * rows[r], and that is checked column by
-    free column: a vector outside usually fails at the first one.
+    other pivot.  Each row also carries its combination of the vectors kept
+    so far as extra columns, so the stored row is (u | c) with
+    u = sum_i c_i v_i; only the first ``width`` columns take part in the
+    echelon form.  So v lies in the span exactly when
+    den * v = sum_r v[pivots[r]] * rows[r] on those columns, and that is
+    checked column by free column: a vector outside usually fails at the
+    first one.
     """
 
     def __init__(self, width: int):
+        self.width = width
         self.den = 1
         self.pivots: list[int] = []
         self.rows: list[list[int]] = []
@@ -104,24 +68,36 @@ class EchelonSpan:
         den = self.den
         return all(den * v[j] == sum(c * row[j] for c, row in terms) for j in self._free)
 
-    def add(self, v: Sequence[int]) -> bool:
-        """Put v into the span: False, and no change, when it is already there.
+    def add(self, v: Sequence[int]) -> list[int] | None:
+        """Put v into the span: None when v is independent and the span grows.
 
-        The residual w = den * v - sum_r v[pivots[r]] * rows[r] is zero at
-        every pivot; its first nonzero column q becomes a new pivot, cleared
-        from the other rows by one integer cross-multiplication each.
+        Otherwise the span does not change, and the result is the relation
+        c_0..c_k with c_0 v_0 + ... + c_(k-1) v_(k-1) + c_k v = 0 over the k
+        vectors kept so far; they are independent, so it is unique up to
+        scale, and it comes back primitive with c_k > 0.
+
+        The residual w = den * (v | e_k) - sum_r v[pivots[r]] * rows[r] is
+        zero at every pivot.  If it is zero on all ``width`` columns, its
+        combination columns are the relation.  Otherwise its first nonzero
+        column q becomes a new pivot, cleared from the other rows by one
+        integer cross-multiplication each.
         """
+        if len(v) != self.width:
+            raise DimensionMismatchError(f"vector of length {len(v)} added to a span of width {self.width}")
         den = self.den
-        w = [den * x for x in v]
+        w = [den * x for x in v] + [0] * self.rank
         for p, row in zip(self.pivots, self.rows):
             c = v[p]
             if c:
                 w = [x - c * y for x, y in zip(w, row)]
-        q = next((j for j, x in enumerate(w) if x), None)
+        w.append(den)
+        q = next((j for j in range(self.width) if w[j]), None)
         if q is None:
-            return False
+            relation = w[self.width :]
+            content = gcd(*relation)
+            return [x // content for x in relation]
         a = w[q]
-        rows = [[a * x - row[q] * y for x, y in zip(row, w)] for row in self.rows]
+        rows = [[a * x - row[q] * y for x, y in zip(row + [0], w)] for row in self.rows]
         rows.append([den * x for x in w])
         den *= a
         content = gcd(den, *(x for row in rows for x in row))
@@ -131,7 +107,7 @@ class EchelonSpan:
         self.rows = [[x // content for x in row] for row in rows]
         self.pivots.append(q)
         self._free.remove(q)
-        return True
+        return None
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:

@@ -29,7 +29,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -40,7 +40,7 @@ from .errors import (
     UnitLineError,
 )
 from .lattice import IntegerLattice
-from .linalg import first_relation
+from .linalg import EchelonSpan
 from .poly import RationalPolynomial
 
 
@@ -289,15 +289,6 @@ def power(order: ZOrder, x: AlgebraElement, k: int) -> AlgebraElement:
     return result
 
 
-def integer_powers(order: ZOrder, y: Sequence[int], count: int) -> Iterator[list[int]]:
-    """The integer vectors 1, y, ..., y^(count-1), each computed when drawn."""
-    current = list(order.one)
-    yield current
-    for _ in range(count - 1):
-        current = order._mul_coords(current, y)
-        yield current
-
-
 def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> AlgebraElement:
     """f(x) in the ambient algebra, by Horner on integer vectors.
 
@@ -314,6 +305,23 @@ def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> Al
     return AlgebraElement(tuple(acc), f.denominator * scale)
 
 
+def power_span(order: ZOrder, y: Sequence[int]) -> tuple[EchelonSpan, list[int]]:
+    """(span, relation) for the integer vector y: the Q-span of 1, y, y^2, ...,
+    which is the subalgebra Q[y], and the first relation among those powers,
+    the coefficients of the minimal polynomial of y.
+
+    The powers go into one span, each computed only once the ones before it
+    are independent.  The first dependent power y^k lies in the span of the
+    earlier ones, so every higher power does too; the span has rank at most
+    n, so k <= n.
+    """
+    span = EchelonSpan(order.dim)
+    current = list(order.one)
+    while (relation := span.add(current)) is None:
+        current = order._mul_coords(current, y)
+    return span, relation
+
+
 def minimal_polynomial(order: ZOrder, x: AlgebraElement) -> RationalPolynomial:
     """Monic least-degree polynomial killing x in the ambient algebra.
 
@@ -323,9 +331,7 @@ def minimal_polynomial(order: ZOrder, x: AlgebraElement) -> RationalPolynomial:
     if x.dim != order.dim:
         raise DimensionMismatchError("element dimension does not match the order")
     y, den = x.integer_numerators, x.denominator
-    rel = first_relation(integer_powers(order, y, order.dim + 1))
-    if rel is None:
-        raise PruferError("no linear dependency among element powers; invalid order")
+    _, rel = power_span(order, y)
     k = len(rel) - 1
     return RationalPolynomial.from_int_coeffs([c * den**i for i, c in enumerate(rel)], rel[k] * den**k)
 
@@ -379,8 +385,11 @@ def is_reduced(order: ZOrder) -> Reducedness:
     noncommutative algebra with zero radical may still contain nilpotents
     that this test cannot see; that case is reported as undecided.
     """
-    relation = first_relation(trace_gram_matrix(order))
-    if relation is not None:
+    span = EchelonSpan(order.dim)
+    for row in trace_gram_matrix(order):
+        relation = span.add(row)
+        if relation is None:
+            continue
         # The Gram matrix is symmetric, so a relation among its first k+1
         # rows is a kernel vector of the trace form, padded with zeros.
         witness = AlgebraElement(tuple(relation) + (0,) * (order.dim - len(relation)))

@@ -21,6 +21,10 @@ from .errors import MalformedInputError, ZeroPolynomialError
 
 Scalar = Union[int, Fraction]
 
+# ``parse`` builds a dense coefficient list, so it refuses a degree above this
+# before allocating one: far above any degree the program works with.
+MAX_PARSE_DEGREE = 10**6
+
 
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     if den == 0:
@@ -309,14 +313,17 @@ class RationalPolynomial:
             sign = -1 if m.group(1) == "-" else 1
             try:
                 coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-            except ZeroDivisionError as exc:
-                raise MalformedInputError(f"PARSE_ERROR: bad coefficient in {term!r}") from exc
-            if m.group(3) is None:
-                power = 0
-            elif m.group(4) is not None:
-                power = int(m.group(4))
-            else:
-                power = 1
+                if m.group(3) is None:
+                    power = 0
+                elif m.group(4) is not None:
+                    power = int(m.group(4))
+                else:
+                    power = 1
+            except (ValueError, ZeroDivisionError) as exc:
+                # ValueError: more digits than int() converts.
+                raise MalformedInputError(f"PARSE_ERROR: bad number in {term!r}") from exc
+            if power > MAX_PARSE_DEGREE:
+                raise MalformedInputError(f"PARSE_ERROR: degree {power} exceeds the parser's cap {MAX_PARSE_DEGREE}")
             coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
         out = [Fraction(0)] * (max(coeffs) + 1)
         for k, c in coeffs.items():

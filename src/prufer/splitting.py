@@ -9,21 +9,22 @@ The search walks integer candidates in a fixed shell order and returns the
 first primitive one (Cohen, GTM 138, 2.4 and 6.1).  a is primitive exactly
 when the Krylov rows 1, a, ..., a^(n-1) are linearly independent; otherwise
 the rows before the first dependent power span the subalgebra Q[a], which is
-proper.  Every later candidate c inside a rejected candidate's Q[a] has
-Q[c] <= Q[a], so it is not primitive either and is skipped without computing
-one power of it.  The argument uses only the identity element, so it holds
-in non-reduced algebras too, and the element chosen is the same as testing
-every candidate.  Everything here is deterministic: the factors are sorted
-canonically, so component numbering is reproducible.  A component A e_i
-comes back as an ``orders.EmbeddedOrder``, the same type round 2 uses for
-overorders.
+proper.  ``orders.power_span`` gives that span from the same elimination
+that gives minimal polynomials.  Every later candidate c inside a rejected
+candidate's Q[a] has Q[c] <= Q[a], so it is not primitive either and is
+skipped without computing one power of it.  The argument uses only the
+identity element, so it holds in non-reduced algebras too, and the element
+chosen is the same as testing every candidate.  Everything here is
+deterministic: the factors are sorted canonically, so component numbering
+is reproducible.  A component A e_i comes back as an
+``orders.EmbeddedOrder``, the same type round 2 uses for overorders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import NotApplicableError, PruferError, SearchExhaustedError
 from .factor import poly_factor
@@ -34,11 +35,11 @@ from .orders import (
     ZOrder,
     embedded_order,
     evaluate_poly,
-    integer_powers,
     is_commutative,
     is_reduced,
     minimal_polynomial,
     mul,
+    power_span,
     NOT_REDUCED,
 )
 from .poly import RationalPolynomial, poly_xgcd
@@ -69,23 +70,6 @@ def shell_vectors(dim: int, shell_max: int, cap: int = SEARCH_CAP) -> Iterator[t
                 return
 
 
-def _generated_subalgebra(order: ZOrder, vec: Sequence[int]) -> EchelonSpan | None:
-    """None when the integer vector ``vec`` is a primitive element of the
-    ambient algebra; otherwise the Q-span of the subalgebra Q[vec].
-
-    The powers 1, a, a^2, ... go into one fraction-free elimination, each
-    computed only once the ones before it are independent.  If all n are
-    independent, a is primitive.  Otherwise the first dependent power lies in
-    the span of the earlier ones, so every higher power does too, and that
-    span is Q[a].
-    """
-    span = EchelonSpan(order.dim)
-    for row in integer_powers(order, vec, order.dim):
-        if not span.add(row):
-            return span
-    return None
-
-
 def find_primitive_element(order: ZOrder) -> AlgebraElement:
     """Deterministic search for a in A with deg(minimal polynomial) = dim.
 
@@ -108,8 +92,8 @@ def find_primitive_element(order: ZOrder) -> AlgebraElement:
     for vec in shell_vectors(n, shell_max=max(4, n)):
         if any(vec in span for _, span in rejected):
             continue
-        span = _generated_subalgebra(order, vec)
-        if span is None:
+        span, _ = power_span(order, vec)
+        if span.rank == n:
             return AlgebraElement(vec)
         rejected = [(b, kept) for b, kept in rejected if b not in span]
         rejected.append((vec, span))

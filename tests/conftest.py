@@ -1,8 +1,10 @@
 import pathlib
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import prufer.splitting
 from prufer.orders import equation_order, load_order, product_order
 from prufer.poly import RationalPolynomial
 
@@ -77,3 +79,20 @@ def equation_product():
         return order
 
     return build
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """The dimension of each order ``find_primitive_element`` searches, counted
+    in every prufer module that binds it."""
+    calls = []
+    original = prufer.splitting.find_primitive_element
+
+    def counting(order):
+        calls.append(order.dim)
+        return original(order)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "prufer" and getattr(module, "find_primitive_element", None) is original:
+            monkeypatch.setattr(module, "find_primitive_element", counting)
+    return calls

@@ -88,6 +88,14 @@ def test_analyze_huge_dim_is_malformed(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_member_huge_exponent_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "member", order_path("z_i"), "--poly", "X^99999999999", "--at", "0,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: PARSE_ERROR")
+    assert "Traceback" not in err
+
+
 def test_analyze_indeterminate(capsys, tmp_path):
     p = 1000000000000000003
     q = 1000000000000000009

@@ -1,5 +1,4 @@
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -77,24 +76,13 @@ def test_is_reduced_runs_once_per_decision(monkeypatch, corpus):
         assert len(calls) == 1, name
 
 
-def test_primitive_element_search_runs_once_per_decision(monkeypatch, equation_product):
+def test_primitive_element_search_runs_once_per_decision(search_calls, equation_product):
     # Z[i] x Z[2^(1/3)] x Z[3^(1/4)]: each component A e_i spans a field by
     # construction, so round 2 on it neither searches nor factors again.
     order = equation_product((1, 0, 1), (-2, 0, 0, 1), (-3, 0, 0, 0, 1))
-    calls = []
-    original = prufer.splitting.find_primitive_element
-
-    def counting(order):
-        calls.append(order.dim)
-        return original(order)
-
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "prufer"]
-    for module in modules:
-        if getattr(module, "find_primitive_element", None) is original:
-            monkeypatch.setattr(module, "find_primitive_element", counting)
     cert = decide_pruefer(order)
     assert cert.verdict == "YES"
-    assert calls == [9]
+    assert search_calls == [9]
 
 
 def test_derived_orders_skip_the_associativity_proof(monkeypatch):
@@ -239,6 +227,13 @@ def test_from_dict_rejects_empty_citation():
     doc["citation"] = ""
     with pytest.raises(MalformedCertificateError):
         PrueferCertificate.from_dict(doc)
+
+
+def test_verify_rejects_huge_min_poly_degree(z_i):
+    doc = json.loads(GOLDEN_ZI)
+    doc["witness"]["min_poly"] = "X^99999999999"
+    with pytest.raises(MalformedCertificateError):
+        verify_certificate(z_i, PrueferCertificate.from_dict(doc))
 
 
 def test_verify_rejects_tampered_component_basis(z_i):

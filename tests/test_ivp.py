@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import prufer
 
+from prufer.closure import maximal_order
 from prufer.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -263,6 +264,14 @@ def test_pointwise_nilpotent_witness(corpus):
     assert not res.witness.is_zero
 
 
+def test_pointwise_never_searches(m2z, search_calls):
+    # Each irreducible factor g of mu_a spans a field, so round 2 runs on
+    # Z[X]/(g) without a primitive-element search.
+    res = pointwise_integrally_closed(m2z, element((0, 4, 1, 2)))
+    assert res.witness_kind == "escaping"
+    assert search_calls == []
+
+
 def test_pointwise_identity_is_closed(z_i):
     res = pointwise_integrally_closed(z_i, z_i.identity())
     assert res.closed
@@ -355,9 +364,18 @@ def test_ramification_requires_prime(z_i):
         ramification_profile(z_i, 4)
 
 
+def test_ramification_searches_once(z_i, search_calls):
+    ramification_profile(z_i, 5)
+    assert search_calls == [2]
+
+
 def test_ramification_requires_field(zxz):
-    with pytest.raises(NotApplicableError):
+    # The one field check: the same refusal as the maximal order's.
+    with pytest.raises(NotApplicableError, match="^NOT_A_FIELD") as profile_error:
         ramification_profile(zxz, 2)
+    with pytest.raises(NotApplicableError) as closure_error:
+        maximal_order(zxz)
+    assert str(profile_error.value) == str(closure_error.value)
 
 
 def test_ramification_requires_maximal(z_sqrt5):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from prufer.errors import DimensionMismatchError
 from prufer.lattice import hnf_reduce
-from prufer.linalg import EchelonSpan, bareiss_det, first_relation, modp_left_kernel, xgcd
+from prufer.linalg import EchelonSpan, bareiss_det, modp_left_kernel, xgcd
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -24,22 +24,38 @@ def leibniz_det(m):
     return total
 
 
+def stream_relation(vectors, width):
+    """The first relation ``EchelonSpan.add`` returns on a stream, or None."""
+    span = EchelonSpan(width)
+    return next((rel for rel in map(span.add, vectors) if rel is not None), None)
+
+
 def test_first_relation_independent_rows():
-    assert first_relation([[1, 2], [3, 4]]) is None
-    assert first_relation([]) is None
+    assert stream_relation([[1, 2], [3, 4]], 2) is None
+    assert stream_relation([], 2) is None
 
 
 def test_first_relation_dependent_rows():
-    assert first_relation([[1, 2], [2, 4]]) == [-2, 1]
+    assert stream_relation([[1, 2], [2, 4]], 2) == [-2, 1]
     # A zero vector depends on the empty set before it.
-    assert first_relation([[0, 0], [1, 0]]) == [1]
+    assert stream_relation([[0, 0], [1, 0]], 2) == [1]
     # Primitive, with zero coefficients on vectors the relation does not use.
-    assert first_relation([[2, 4, 6], [0, 1, 0], [3, 6, 9], [5, 5, 5]]) == [-3, 0, 2]
+    assert stream_relation([[2, 4, 6], [0, 1, 0], [3, 6, 9], [5, 5, 5]], 3) == [-3, 0, 2]
+
+
+def test_first_relation_leaves_the_span_unchanged():
+    span = EchelonSpan(3)
+    assert span.add([2, 4, 6]) is None and span.add([0, 1, 0]) is None
+    rows, den = [list(row) for row in span.rows], span.den
+    assert span.add([3, 6, 9]) == [-3, 0, 2]
+    assert (span.rows, span.den, span.rank) == (rows, den, 2)
+    # The next vector is numbered after the kept ones only.
+    assert span.add([1, 3, 3]) == [-1, -2, 2]
 
 
 def test_first_relation_solves_a_system():
     # The columns (2, 0), (0, 3) reach the right side (4, 9) as 2, 3.
-    assert first_relation([[2, 0], [0, 3], [4, 9]]) == [-2, -3, 1]
+    assert stream_relation([[2, 0], [0, 3], [4, 9]], 2) == [-2, -3, 1]
 
 
 def test_first_relation_stops_at_the_first_dependency():
@@ -50,13 +66,17 @@ def test_first_relation_stops_at_the_first_dependency():
             drawn.append(v)
             yield v
 
-    assert first_relation(vectors()) == [-1, -1, 1]
+    assert stream_relation(vectors(), 2) == [-1, -1, 1]
     assert len(drawn) == 3
 
 
 def test_first_relation_rejects_mixed_lengths():
     with pytest.raises(DimensionMismatchError):
-        first_relation([[1, 0], [1, 0, 0]])
+        stream_relation([[1, 0], [1, 0, 0]], 2)
+    span = EchelonSpan(3)
+    with pytest.raises(DimensionMismatchError):
+        span.add([1, 0])
+    assert span.rank == 0
 
 
 def test_determinants_agree():
@@ -99,7 +119,7 @@ vector_lists = st.integers(min_value=1, max_value=4).flatmap(
 
 @given(vector_lists)
 def test_first_relation_properties(vectors):
-    rel = first_relation(vectors)
+    rel = stream_relation(vectors, len(vectors[0]))
     # Vectors are independent exactly when their Gram matrix is nonsingular.
     if rel is None:
         assert bareiss_det(_gram(vectors)) != 0
@@ -123,9 +143,15 @@ def _rank(vectors, width):
 def test_echelon_span_agrees_with_lattice_rank(rows, coeffs, offset):
     # v is an integer combination of the rows, moved off it by ``offset``;
     # membership in the Q-span is "adding v does not raise the rank".
-    span = EchelonSpan(4)
+    span, kept = EchelonSpan(4), []
     for k, row in enumerate(rows):
-        assert span.add(row) == (_rank(rows[: k + 1], 4) > _rank(rows[:k], 4))
+        rel = span.add(row)
+        assert (rel is None) == (_rank(rows[: k + 1], 4) > _rank(rows[:k], 4))
+        if rel is None:
+            kept.append(row)
+        else:
+            # The relation is over the rows kept so far, then this one.
+            assert [sum(c * v[j] for c, v in zip(rel, kept + [row])) for j in range(4)] == [0] * 4
     assert span.rank == _rank(rows, 4)
     assert all(row in span for row in rows)
     v = [sum(c * row[j] for c, row in zip(coeffs, rows)) + e for j, e in enumerate(offset)]
@@ -137,7 +163,7 @@ def test_echelon_span_over_a_denominator():
     # Their Q-span holds (1, 2, 1), which is not in their Z-span; it does not
     # hold (0, 1, 0).
     span = EchelonSpan(3)
-    assert span.add([2, 0, 0]) and span.add([0, 2, 1])
+    assert span.add([2, 0, 0]) is None and span.add([0, 2, 1]) is None
     assert span.den == 2
-    assert not span.add([1, 2, 1])
+    assert span.add([1, 2, 1]) == [-1, -2, 2]
     assert [1, 2, 1] in span and [0, 1, 0] not in span

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import prufer.poly
 from prufer.errors import MalformedInputError, ZeroPolynomialError
 from prufer.poly import (
     RationalPolynomial,
@@ -118,6 +119,25 @@ def test_parse_round_trip(text):
 def test_parse_rejects_noncanonical(text):
     with pytest.raises(MalformedInputError):
         RationalPolynomial.parse(text)
+
+
+# A dense parse of the first would need a list of 10^11 coefficients; the
+# other two have more digits than int() converts.
+@pytest.mark.parametrize(
+    "text",
+    ["X^99999999999", "1 + X^" + "9" * 5000, "9" * 5000 + "*X"],
+    ids=["exponent-10^11", "exponent-5000-digits", "coefficient-5000-digits"],
+)
+def test_parse_refuses_huge_numbers(text):
+    with pytest.raises(MalformedInputError, match="PARSE_ERROR"):
+        RationalPolynomial.parse(text)
+
+
+def test_parse_degree_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(prufer.poly, "MAX_PARSE_DEGREE", 5)
+    assert RationalPolynomial.parse("1 + X^5").degree == 5
+    with pytest.raises(MalformedInputError, match="PARSE_ERROR: degree 6"):
+        RationalPolynomial.parse("1 + X^6")
 
 
 def test_sort_key_orders_by_degree_then_coeffs():

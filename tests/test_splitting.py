@@ -12,14 +12,13 @@ from prufer.orders import (
     element,
     equation_order,
     evaluate_poly,
-    integer_powers,
     minimal_polynomial,
     mul,
+    power_span,
     product_order,
 )
 from prufer.poly import RationalPolynomial
 from prufer.splitting import (
-    _generated_subalgebra,
     component_order,
     decompose,
     find_primitive_element,
@@ -83,6 +82,14 @@ def test_find_primitive_element_on_products(equation_product, polys, expected):
     assert a.coords == expected
 
 
+def _krylov_rows(order, vec, count):
+    """The coordinates of 1, a, ..., a^(count-1), one product at a time."""
+    a, rows = AlgebraElement(tuple(vec)), [order.identity()]
+    while len(rows) < count:
+        rows.append(mul(order, rows[-1], a))
+    return [list(x.integer_numerators) for x in rows]
+
+
 def _reference_primitive(order):
     """The first shell vector whose Krylov rows 1, a, ..., a^(n-1) have a
     nonzero determinant: the search without the subalgebra skip."""
@@ -90,7 +97,7 @@ def _reference_primitive(order):
     if n == 1:
         return order.identity()
     for vec in shell_vectors(n, shell_max=max(4, n)):
-        if bareiss_det(list(integer_powers(order, vec, n))) != 0:
+        if bareiss_det(_krylov_rows(order, vec, n)) != 0:
             return AlgebraElement(vec)
     raise SearchExhaustedError("no primitive element")
 
@@ -124,13 +131,13 @@ def test_dimension_12_product_tests_few_candidates(monkeypatch, equation_product
     # candidate 6645; the candidates before it lie in few subalgebras.
     order = equation_product(CBRT2, QRT3, (-5, 0, 0, 0, 0, 1))
     calls = []
-    original = prufer.splitting.integer_powers
+    original = prufer.splitting.power_span
 
     def counting(*args):
         calls.append(args[1])
         return original(*args)
 
-    monkeypatch.setattr(prufer.splitting, "integer_powers", counting)
+    monkeypatch.setattr(prufer.splitting, "power_span", counting)
     a = find_primitive_element(order)
     assert a.coords == (0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0)
     assert len(calls) <= 20
@@ -151,22 +158,26 @@ AGREEMENT_ORDERS = ("cubic_index2", "z", "z_3i", "z_golden", "z_i", "z_sqrt5", "
 @given(st.sampled_from(AGREEMENT_ORDERS), st.data())
 def test_krylov_test_matches_minimal_polynomial(corpus, equation_product, name, data):
     order = equation_product(GAUSS, CBRT2) if name == "product" else corpus[name]
-    vec = data.draw(st.lists(st.integers(-3, 3), min_size=order.dim, max_size=order.dim))
-    degree = minimal_polynomial(order, element(vec)).degree
-    span = _generated_subalgebra(order, vec)
-    assert (span is None) == (degree == order.dim)
-    if span is not None:
-        # The span is Q[a]: it has dimension deg(mu_a) and holds a and 1.
-        assert span.rank == degree
-        assert vec in span and order.one in span
+    n = order.dim
+    vec = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    span, rel = power_span(order, vec)
+    powers = _krylov_rows(order, vec, n + 1)
+    # a is primitive exactly when the n Krylov rows have a nonzero determinant.
+    assert (span.rank == n) == (bareiss_det(powers[:n]) != 0)
+    # The relation kills the powers, and the span is Q[a]: it has dimension
+    # deg(mu_a) and holds a and 1.
+    assert [sum(c * row[j] for c, row in zip(rel, powers)) for j in range(n)] == [0] * n
+    assert span.rank == len(rel) - 1 == minimal_polynomial(order, element(vec)).degree
+    assert vec in span and order.one in span
 
 
 def test_krylov_test_on_nilpotent_algebra(corpus):
     # Z[X]/(X^2): c0 + c1*X generates the algebra exactly when c1 != 0.
     order = corpus["z_x_mod_x2"]
-    assert _generated_subalgebra(order, (0, 1)) is None
-    assert _generated_subalgebra(order, (5, -2)) is None
-    span = _generated_subalgebra(order, (3, 0))
+    assert power_span(order, (0, 1))[0].rank == 2
+    assert power_span(order, (5, -2))[0].rank == 2
+    span, rel = power_span(order, (3, 0))
+    assert rel == [-3, 1]
     assert span.rank == 1 and (7, 0) in span and (0, 1) not in span
 
 
