@@ -425,7 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except IndeterminateError as exc:
-        print(f"indeterminate: {exc.reason}: {exc.cause}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 4
     except (
         BudgetExceededError,

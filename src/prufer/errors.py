@@ -81,10 +81,12 @@ class NotApplicableError(PruferError):
 class IndeterminateError(PruferError):
     """The decision procedure ran out of resources before reaching a verdict.
 
-    Wraps the causing exception; ``reason`` is a stable machine-readable tag.
+    Wraps the causing exception; ``reason`` is a stable machine-readable tag,
+    and the cause's message already starts with it, so the message names the
+    tag once.
     """
 
     def __init__(self, reason: str, cause: Exception):
-        super().__init__(f"indeterminate: {reason}: {cause}")
+        super().__init__(f"indeterminate: {cause}")
         self.reason = reason
         self.cause = cause

@@ -41,7 +41,7 @@ from .orders import (
     minimal_polynomial,
     mul,
 )
-from .poly import RationalPolynomial, poly_xgcd
+from .poly import MAX_PARSE_DEGREE, RationalPolynomial, poly_xgcd
 from .splitting import SEARCH_CAP, shell_vectors
 
 DEFAULT_POINT_BUDGET = 10**6
@@ -314,9 +314,41 @@ def ramification_profile(order: ZOrder, p: int) -> RamificationProfile:
     return profile
 
 
+def _bounded_factorial(k: int, cap: int) -> int | None:
+    """k!, or None as soon as it exceeds cap."""
+    out = 1
+    for i in range(2, k + 1):
+        out *= i
+        if out > cap:
+            return None
+    return out
+
+
+def _transform_exponents(f: RationalPolynomial, profile: RamificationProfile) -> tuple[int, int, int]:
+    """(d, r, s) for the transform of f, with d = max(deg f, 1).
+
+    Refused as MALFORMED_INPUT when d*r*s, the degree of (f^r - f)^s, would
+    exceed the parser's degree cap.  r = p^(f!) >= 2^(f!), so f! and e! are
+    bounded before r is formed.  A constant counts as degree 1: c^r has as
+    many digits as a degree-r power's coefficients.
+    """
+    d = max(f.degree, 1)
+    room = MAX_PARSE_DEGREE // d
+    s = _bounded_factorial(profile.e_max, room)
+    f_factorial = _bounded_factorial(profile.f_max, room.bit_length())
+    r = None if f_factorial is None else profile.prime**f_factorial
+    if s is None or r is None or r * s > room:
+        raise MalformedInputError(
+            f"MALFORMED_INPUT: the transform of a degree-{d} polynomial at {profile.pairs} "
+            f"would exceed the degree cap {MAX_PARSE_DEGREE}"
+        )
+    return d, r, s
+
+
 def pruefer_transform(f: RationalPolynomial, profile: RamificationProfile) -> RationalPolynomial:
     """h = (f^r - f)^s / p, integer-valued whenever f is."""
-    return (f**profile.r - f) ** profile.s / profile.prime
+    _, r, s = _transform_exponents(f, profile)
+    return (f**r - f) ** s / profile.prime
 
 
 def transform_sequence(
@@ -327,9 +359,17 @@ def transform_sequence(
     """[f_0, ..., f_k] with f_0 = f^s and f_k = f_{k-1} (f_{k-1}^{r-1} - 1)^s / p."""
     if k_max < 1:
         raise MalformedInputError("MALFORMED_INPUT: k_max must be at least 1")
-    r, s, p = profile.r, profile.s, profile.prime
+    degree, r, s = _transform_exponents(f, profile)
+    p = profile.prime
+    degree *= s
     seq = [f**s]
-    for _ in range(k_max):
+    for k in range(1, k_max + 1):
+        degree *= 1 + (r - 1) * s
+        if degree > MAX_PARSE_DEGREE:
+            raise MalformedInputError(
+                f"MALFORMED_INPUT: f_{k} of the transform sequence would have degree {degree}, "
+                f"above the cap {MAX_PARSE_DEGREE}"
+            )
         prev = seq[-1]
         seq.append(prev * (prev ** (r - 1) - 1) ** s / p)
     return seq

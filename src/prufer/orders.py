@@ -6,8 +6,12 @@ basis names.  Construction validates the ring axioms (associativity, the
 identity law, primitivity of the identity vector); everything downstream may
 assume a valid order.  Associativity is proved once, where a table enters the
 program (``ZOrder(...)``, ``load_order``, ``equation_order``,
-``product_order``); an order derived by ``embedded_order`` inherits it from
-its ambient order and runs only the shape, unit-line and identity checks.
+``product_order``), exactly and on packed integers: each cell becomes one
+integer with a slot per coordinate, wide enough that no coordinate of a
+triple product can carry into the next, so each triple costs one big-integer
+multiply-add per nonzero entry of the two cells it reads.  An order derived
+by ``embedded_order`` inherits associativity from its ambient order and runs
+only the shape, unit-line and identity checks.
 
 An element of the ambient Q-algebra B = A (x) Q is a vector of integer
 coordinates over one positive denominator, the way ``RationalPolynomial``
@@ -132,7 +136,8 @@ class ZOrder:
     def _derived(cls, dim: int, table, one) -> "ZOrder":
         """An order whose table is the product of an already validated order
         restricted to a closed lattice, so associative by construction: every
-        check of ``__post_init__`` runs except the O(n^5) associativity proof."""
+        check of ``__post_init__`` runs except the n^3-triple associativity
+        proof."""
         order = object.__new__(cls)
         for name, value in (("dim", dim), ("table", table), ("one", one), ("basis_names", None)):
             object.__setattr__(order, name, value)
@@ -188,13 +193,33 @@ class ZOrder:
                 raise NoIdentityError(f"NO_IDENTITY: identity law fails on basis vector {j}")
 
     def _check_associativity(self):
-        n = self.dim
+        """Prove (b_i b_j) b_k = b_i (b_j b_k) for every triple, exactly.
+
+        Each cell is packed into one integer, P[i][j] = sum_l T[i][j][l] 2^(w l).
+        A coordinate of either side is at most S*M in absolute value (S the
+        largest L1 norm of a cell, M the largest |entry|), so the two sides
+        differ by a vector with coordinates below 2^(w-1); the packing is
+        injective on such vectors, and comparing two integers compares the
+        two sides exactly.  A triple costs one big-integer multiply-add per
+        nonzero entry of T[i][j] and of T[j][k].
+        """
+        n, table = self.dim, self.table
+        bound = max(sum(map(abs, cell)) for row in table for cell in row) * max(
+            abs(c) for row in table for cell in row for c in cell
+        )
+        w = bound.bit_length() + 2
+        packed = [[sum(c << (w * l) for l, c in enumerate(cell)) for cell in row] for row in table]
+        support = [[[(m, c) for m, c in enumerate(cell) if c] for cell in row] for row in table]
         for i in range(n):
+            p_i = packed[i]
             for j in range(n):
-                ij = self.table[i][j]
+                ij, s_j = support[i][j], support[j]
                 for k in range(n):
-                    left = self._mul_coords(ij, [1 if t == k else 0 for t in range(n)])
-                    right = self._mul_coords([1 if t == i else 0 for t in range(n)], self.table[j][k])
+                    left = right = 0
+                    for m, c in ij:
+                        left += c * packed[m][k]
+                    for m, c in s_j[k]:
+                        right += c * p_i[m]
                     if left != right:
                         raise NonAssociativeError(
                             f"NON_ASSOCIATIVE: (b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})"

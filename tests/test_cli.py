@@ -105,7 +105,18 @@ def test_analyze_indeterminate(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(doc))
     assert code == 4
     assert out == ""
-    assert "DISC_FACTORIZATION_FAILED" in err
+    assert err.count("DISC_FACTORIZATION_FAILED") == 1
+
+
+def test_analyze_degree_cap_names_the_tag_once(capsys, tmp_path):
+    order = equation_order(RationalPolynomial((-2, *[0] * 32, 1)))  # X^33 - 2
+    doc = tmp_path / "x33.json"
+    doc.write_text(json.dumps(order_to_dict(order)), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(doc))
+    assert code == 4
+    assert out == ""
+    assert err.count("DEGREE_CAP") == 1
+    assert err.startswith("indeterminate: DEGREE_CAP: degree 33")
 
 
 def test_usage_error_is_exit_2(capsys):
@@ -278,6 +289,24 @@ def test_transform_bad_pair(capsys):
     code, _, err = run(capsys, "transform", "--prime", "2", "--ef", "0,1", "--poly", "X")
     assert code == 1
     assert "MALFORMED_INPUT" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # r = 2^(5!) = 2^120: refused before r is formed.
+        ("--prime", "2", "--ef", "1,5", "--poly", "X"),
+        ("--prime", "2", "--ef", "100000000,1", "--poly", "X"),
+        # f_1 has degree 1009, f_2 would have degree 1009^2 > 10^6.
+        ("--prime", "1009", "--ef", "1,1", "--poly", "X", "--sequence", "2"),
+    ],
+)
+def test_transform_beyond_the_degree_cap(capsys, argv):
+    code, out, err = run(capsys, "transform", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MALFORMED_INPUT")
+    assert "Traceback" not in err
 
 
 def test_hurwitz_lemma_pass(capsys):

@@ -432,6 +432,18 @@ def test_transform_sequence_golden():
     ]
 
 
+def test_transform_degree_cap():
+    # deg(f) * r * s is checked before the power is formed.
+    with pytest.raises(MalformedInputError, match="degree cap 1000000"):
+        pruefer_transform(P(0, 1), RamificationProfile.single(2, 1, 5))
+    with pytest.raises(MalformedInputError, match="degree cap"):
+        pruefer_transform(P(0, 0, 1), RamificationProfile.single(997, 1, 2))
+    # Each sequence step is checked before it is built: f_1 has degree 1009.
+    with pytest.raises(MalformedInputError, match="f_2 of the transform sequence would have degree 1018081"):
+        transform_sequence(P(0, 1), RamificationProfile.single(1009, 1, 1), 2)
+    assert transform_sequence(P(0, 1), RamificationProfile.single(1009, 1, 1), 1)[1].degree == 1009
+
+
 def test_transform_sequence_starts_with_power():
     prof = RamificationProfile.single(2, 2, 1)  # s = 2
     seq = transform_sequence(P(0, 1), prof, 1)

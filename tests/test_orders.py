@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -114,6 +115,114 @@ def test_load_order_rejects_a_non_associative_table(m2z):
     doc["table"][1][2] = [0, 0, 0, 1]  # e12 * e21 -> e22
     with pytest.raises(NonAssociativeError):
         load_order(doc)
+
+
+def _reference_associativity(table):
+    """The triple-product proof: (b_i b_j) b_k and b_i (b_j b_k) as two dense
+    vector products per triple, raising at the first triple that differs."""
+    n = len(table)
+
+    def mul_coords(x, y):
+        out = [0] * n
+        for i, xi in enumerate(x):
+            if xi == 0:
+                continue
+            for j, yj in enumerate(y):
+                if yj == 0:
+                    continue
+                for k, t in enumerate(table[i][j]):
+                    if t:
+                        out[k] += xi * yj * t
+        return out
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = mul_coords(table[i][j], [1 if t == k else 0 for t in range(n)])
+                right = mul_coords([1 if t == i else 0 for t in range(n)], table[j][k])
+                if left != right:
+                    raise NonAssociativeError(f"NON_ASSOCIATIVE: (b{i}*b{j})*b{k} != b{i}*(b{j}*b{k})")
+
+
+def _proof_outcome(prove, table):
+    try:
+        prove(table)
+    except NonAssociativeError as exc:
+        return str(exc)
+    return None
+
+
+def _packed_proof(table):
+    # The proof alone, on a table whose other ring axioms may now fail.
+    order = object.__new__(ZOrder)
+    object.__setattr__(order, "dim", len(table))
+    object.__setattr__(order, "table", table)
+    order._check_associativity()
+
+
+def _perturbed(table, rng):
+    rows = [[list(cell) for cell in row] for row in table]
+    n = len(rows)
+    for _ in range(rng.randint(1, 3)):
+        cell = rows[rng.randrange(n)][rng.randrange(n)]
+        slot = rng.randrange(n)
+        kind = rng.randrange(4)
+        if kind == 0:
+            cell[slot] += rng.choice((1, -1, 2, -2))
+        elif kind == 1:
+            cell[slot] += rng.randint(-(10**6), 10**6)
+        elif kind == 2:
+            cell[slot] = rng.choice((1, -1)) * (10**30 + rng.randint(-5, 5))
+        else:
+            cell[slot] = -cell[slot]
+    return tuple(tuple(tuple(cell) for cell in row) for row in rows)
+
+
+def test_packed_proof_agrees_with_the_triple_products(corpus, equation_product):
+    tables = {name: order.table for name, order in corpus.items()}
+    for n, a in ((2, 1), (3, -2), (4, 7), (5, -3), (3, 10**30 + 1), (4, -(10**30) + 7)):
+        tables[f"X^{n}+{a}"] = equation_order(P(a, *[0] * (n - 1), 1)).table
+    tables["dense quartic"] = equation_order(P(10**6, -999_999, 3, -7, 1)).table
+    tables["Z[i] x Z[2^(1/3)]"] = equation_product((1, 0, 1), (-2, 0, 0, 1)).table
+    rng = random.Random(12)
+    failures = raised = 0
+    for name, table in tables.items():
+        assert _proof_outcome(_packed_proof, table) is None, name
+        assert _proof_outcome(_reference_associativity, table) is None, name
+        for _ in range(100):
+            bad = _perturbed(table, rng)
+            expected = _proof_outcome(_reference_associativity, bad)
+            raised += expected is not None
+            if _proof_outcome(_packed_proof, bad) != expected:
+                failures += 1
+    assert failures == 0
+    # Both outcomes are covered: most perturbations break associativity, and
+    # some (negating a zero entry, changes to the one-dimensional Z) do not.
+    assert 1000 < raised < 100 * len(tables)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {32: 1},
+        # (b1*b31)*b32 - b1*(b31*b32) is then 2 b30 - b31: it packs to 0 in
+        # one-bit slots, so a too narrow slot would miss this triple.
+        {30: 2, 31: -1},
+    ],
+)
+def test_packed_proof_names_the_first_failing_triple(changes):
+    # The last triple (b32*b32)*b32 of X^33 - 2 reads cell (32, 32), and every
+    # change to that cell is already seen at an earlier triple: (b1*b31)*b32
+    # is the first one to fail.
+    table = [[list(cell) for cell in row] for row in equation_order(P(-2, *[0] * 32, 1)).table]
+    for slot, delta in changes.items():
+        table[32][32][slot] += delta
+    table = tuple(tuple(tuple(cell) for cell in row) for row in table)
+    message = "NON_ASSOCIATIVE: (b1*b31)*b32 != b1*(b31*b32)"
+    with pytest.raises(NonAssociativeError) as exc:
+        ZOrder(dim=33, table=table, one=(1,) + (0,) * 32)
+    assert str(exc.value) == message
+    assert _proof_outcome(_reference_associativity, table) == message
 
 
 def test_mul_and_power(z_i):
