@@ -10,11 +10,12 @@ termination is immediate, and the fixed point at every such p certifies
 maximality.
 
 Round 2 needs an order that spans a number field.  ``field_polynomial`` is
-the one check of that: it searches for a primitive element, takes its
-minimal polynomial and asks ``poly_factor`` whether it is irreducible.
-``maximal_order`` and the ramification profile run it once; callers that
-already know the answer, such as ``decide_pruefer`` on its components and
-the pointwise test on irreducible factors, go straight to ``_round_two``.
+the one check of that: it searches for a primitive element a, which comes
+with its minimal polynomial, and asks ``poly_factor`` whether that is
+irreducible.  ``maximal_order`` and the ramification profile, which takes
+[O : Z[a]] from the powers of a, run it once; callers that already know the
+answer, such as ``decide_pruefer`` on its components and the pointwise test
+on irreducible factors, go straight to ``_round_two``.
 
 Everything works in the coordinates of the *original* order: each result is
 an ``orders.EmbeddedOrder``, the new order's structure constants together
@@ -33,7 +34,6 @@ from .orders import (
     ZOrder,
     embedded_order,
     is_commutative,
-    minimal_polynomial,
     trace_gram_matrix,
 )
 from .poly import RationalPolynomial
@@ -126,9 +126,9 @@ def _unchanged(order: ZOrder) -> EmbeddedOrder:
 # -- the maximality loop ----------------------------------------------------
 
 
-def field_polynomial(order: ZOrder) -> RationalPolynomial:
-    """The minimal polynomial of the first primitive element of an order
-    whose ambient algebra is a number field.
+def field_polynomial(order: ZOrder) -> tuple[AlgebraElement, RationalPolynomial]:
+    """(a, mu_a) for the first primitive element a of an order whose ambient
+    algebra is a number field.
 
     Raises NotApplicableError when the ambient algebra is not commutative,
     or is not a field: the minimal polynomial of a primitive element must be
@@ -137,12 +137,11 @@ def field_polynomial(order: ZOrder) -> RationalPolynomial:
     commutative, _ = is_commutative(order)
     if not commutative:
         raise NotApplicableError("NOT_COMMUTATIVE: maximal orders are computed for number fields only")
-    a = find_primitive_element(order)
-    mu = minimal_polynomial(order, a)
+    a, mu = find_primitive_element(order)
     factors = poly_factor(mu)
     if len(factors) != 1 or factors[0][1] != 1:
         raise NotApplicableError("NOT_A_FIELD: the ambient algebra splits or is not reduced")
-    return mu
+    return a, mu
 
 
 def maximal_order(order: ZOrder) -> EmbeddedOrder:

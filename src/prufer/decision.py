@@ -138,7 +138,7 @@ class PrueferCertificate:
     def from_json(cls, text: str) -> "PrueferCertificate":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise MalformedCertificateError(f"MALFORMED_CERTIFICATE: invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 

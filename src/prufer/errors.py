@@ -54,10 +54,11 @@ class SearchExhaustedError(PruferError):
 
 
 class BudgetExceededError(PruferError):
-    """A membership check would evaluate more points than the budget allows.
+    """A membership check would evaluate more points than the budget allows,
+    or a ramification exponent r would have more digits than its cap.
 
-    Carries ``required`` (the number of points to evaluate) and ``budget`` so
-    callers can report both.
+    Carries ``required`` (the number of points to evaluate, or the fewest
+    digits r is known to have) and ``budget`` so callers can report both.
     """
 
     def __init__(self, message: str, required: int, budget: int):

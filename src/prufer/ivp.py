@@ -10,9 +10,10 @@ the cost is always visible, never silently sampled.
 
 Also here: the pointwise test (is A `integrally closed at a`, i.e. is the ring
 A ∩ Q[a] integrally closed), ramification profiles of maximal orders at
-unramified-index primes, the polynomial transforms h = (f^r - f)^s / p that
-generate new integer-valued polynomials from old, and the bounded search for
-square-nilpotent witnesses mod p in noncommutative orders.
+primes not dividing [O : Z[a]], the polynomial transforms
+h = (f^r - f)^s / p that generate new integer-valued polynomials from old,
+and the bounded search for square-nilpotent witnesses mod p in
+noncommutative orders.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from math import comb, factorial, isqrt
 from typing import Iterable, Sequence
 
-from .closure import _round_two, discriminant, field_polynomial
+from .closure import _round_two, field_polynomial
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -33,6 +34,7 @@ from .errors import (
     PruferError,
 )
 from .factor import is_probable_prime, modp_factor, poly_factor
+from .linalg import bareiss_det
 from .orders import (
     AlgebraElement,
     ZOrder,
@@ -41,10 +43,11 @@ from .orders import (
     minimal_polynomial,
     mul,
 )
-from .poly import MAX_PARSE_DEGREE, RationalPolynomial, poly_xgcd
-from .splitting import SEARCH_CAP, shell_vectors
+from .poly import MAX_PARSE_DEGREE, RationalPolynomial
+from .splitting import SEARCH_CAP, crt_idempotents, shell_vectors
 
 DEFAULT_POINT_BUDGET = 10**6
+R_DIGIT_CAP = 4300
 
 
 def int_member_finite(
@@ -188,8 +191,9 @@ def pointwise_integrally_closed(order: ZOrder, a: AlgebraElement) -> PointwiseCl
     the witness is a nonzero nilpotent of A ∩ Q[a].  Otherwise Q[a] splits as
     a product of number fields; A ∩ Q[a] is integrally closed exactly when
     every integral element of every component lies in A, so we map a basis of
-    each component's maximal order into Q[a] via the component idempotent and
-    test coordinate integrality.  The witness of failure is integral over Z
+    each component's maximal order into Q[a], x -> x(a) e_i with e_i the
+    component idempotent of ``splitting.crt_idempotents``, and test
+    coordinate integrality.  The witness of failure is integral over Z
     but outside A.
     """
     if a.dim != order.dim:
@@ -209,14 +213,11 @@ def pointwise_integrally_closed(order: ZOrder, a: AlgebraElement) -> PointwiseCl
         witness = evaluate_poly(order, half, a)
         return PointwiseClosure(False, witness, "nilpotent", m)
 
-    for g, _ in factors:
-        cofactor = mu // g
-        _, s, _ = poly_xgcd(g, cofactor)
-        eps = (RationalPolynomial.one_poly - s * g) % mu
+    for (g, _), e in zip(factors, crt_idempotents(order, a, mu, [g for g, _ in factors])):
         basis = (AlgebraElement((1,)),) if g.degree == 1 else _round_two(equation_order(g)).basis
         for x in basis:
-            lift = (RationalPolynomial.from_int_coeffs(x.integer_numerators, x.denominator) * eps) % mu
-            b = evaluate_poly(order, lift, a)
+            lift = RationalPolynomial.from_int_coeffs(x.integer_numerators, x.denominator)
+            b = mul(order, evaluate_poly(order, lift, a), e)
             if not b.is_integral_vector:
                 return PointwiseClosure(False, b, "escaping", m)
     return PointwiseClosure(True, None, None, m)
@@ -228,7 +229,8 @@ class RamificationProfile:
 
     pairs holds one (e, f) per prime above p, sorted, with multiplicity; the
     derived exponents s = e_max! and r = p^(f_max!) drive the polynomial
-    transforms below.
+    transforms below; r is refused (BUDGET_EXCEEDED) above R_DIGIT_CAP
+    digits, Python's default limit for printing an int.
     """
 
     prime: int
@@ -271,7 +273,16 @@ class RamificationProfile:
 
     @property
     def r(self) -> int:
-        return self.prime ** factorial(self.f_max)
+        # r >= 2^((bits(p) - 1) f!), so f! is bounded before r is formed.
+        p, cap = self.prime, 10**R_DIGIT_CAP
+        exponent = _bounded_factorial(self.f_max, cap.bit_length() // (p.bit_length() - 1))
+        if exponent is None or (r := p**exponent) >= cap:
+            raise BudgetExceededError(
+                f"BUDGET_EXCEEDED: r = {p}^({self.f_max}!) would have more than {R_DIGIT_CAP} digits, the cap on r",
+                required=R_DIGIT_CAP + 1,
+                budget=R_DIGIT_CAP,
+            )
+        return r
 
     @property
     def degree(self) -> int:
@@ -284,23 +295,18 @@ def ramification_profile(order: ZOrder, p: int) -> RamificationProfile:
     Uses the factorization of the primitive element's minimal polynomial mod
     p, which is valid only when p does not divide the index of the equation
     order Z[a] in the maximal order (INDEX_DIVISIBLE otherwise; full ideal
-    factorization at such primes is out of scope).
+    factorization at such primes is out of scope).  Z[a] <= O, so the index
+    is |det| of the rows 1, a, ..., a^(n-1) in O's coordinates.
     """
     if p < 2 or not is_probable_prime(p):
         raise MalformedInputError(f"MALFORMED_INPUT: {p} is not prime")
-    mu = field_polynomial(order)
-    emb = _round_two(order)
-    if emb.index != 1:
+    a, mu = field_polynomial(order)
+    if _round_two(order).index != 1:
         raise NotApplicableError("NOT_MAXIMAL: the order is not maximal")
-
-    disc_eq = discriminant(equation_order(mu))
-    disc_here = discriminant(order)
-    if disc_here == 0 or disc_eq % disc_here:
-        raise PruferError("internal: equation-order discriminant is not a multiple of disc(O)")
-    ratio = disc_eq // disc_here
-    index = isqrt(ratio)
-    if index * index != ratio:
-        raise PruferError("internal: discriminant ratio is not a perfect square")
+    rows = [list(order.one)]
+    while len(rows) < order.dim:
+        rows.append(order._mul_coords(rows[-1], a.integer_numerators))
+    index = abs(bareiss_det(rows))
     if index % p == 0:
         raise IndexDivisibleError(
             f"INDEX_DIVISIBLE: {p} divides the equation-order index {index}; "

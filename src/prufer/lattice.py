@@ -20,12 +20,12 @@ from .errors import DimensionMismatchError
 from .linalg import xgcd
 
 
-def _hnf_in_place(rows: list[list[int]], width: int, extra: int = 0) -> int:
+def _hnf_in_place(rows: list[list[int]], width: int) -> int:
     """Reduce ``rows`` to Hermite normal form, returning the rank.
 
-    Only the first ``width`` columns drive pivot selection; ``extra`` trailing
-    columns (used to carry a transform matrix) just come along for the ride.
-    Rows beyond the returned rank are zero in their first ``width`` columns.
+    Only the first ``width`` columns drive pivot selection; columns after
+    them, such as a transform matrix, are carried along.  Rows beyond the
+    returned rank are zero in their first ``width`` columns.
     """
     m = len(rows)
     r = 0
@@ -133,7 +133,7 @@ def hnf_with_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
         return [], [], []
     n = len(rows[0])
     work = [list(map(int, row)) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(rows)]
-    r = _hnf_in_place(work, n, extra=m)
+    r = _hnf_in_place(work, n)
     h = [row[:n] for row in work[:r]]
     u = [row[n:] for row in work]
     k = [row[n:] for row in work[r:]]

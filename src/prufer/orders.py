@@ -248,7 +248,7 @@ def load_order(source: OrderSource) -> ZOrder:
                 doc = json.load(fh)
         except OSError as exc:
             raise MalformedInputError(f"MALFORMED_INPUT: cannot read {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise MalformedInputError(f"MALFORMED_INPUT: invalid JSON in {source}: {exc}") from exc
     elif isinstance(source, dict):
         doc = source

@@ -240,16 +240,6 @@ class RationalPolynomial:
         lead = self._num[-1]
         return RationalPolynomial._raw([c * (1 if lead > 0 else -1) for c in self._num], abs(lead))
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._num):
-            acc = acc * x + c
-        return acc / self._den
-
-    def __call__(self, x: Scalar) -> Fraction:
-        return self.evaluate(x)
-
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
         """self(inner(X)) by Horner on polynomial coefficients."""
         acc = RationalPolynomial._raw((), 1)

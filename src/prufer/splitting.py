@@ -9,22 +9,24 @@ The search walks integer candidates in a fixed shell order and returns the
 first primitive one (Cohen, GTM 138, 2.4 and 6.1).  a is primitive exactly
 when the Krylov rows 1, a, ..., a^(n-1) are linearly independent; otherwise
 the rows before the first dependent power span the subalgebra Q[a], which is
-proper.  ``orders.power_span`` gives that span from the same elimination
-that gives minimal polynomials.  Every later candidate c inside a rejected
-candidate's Q[a] has Q[c] <= Q[a], so it is not primitive either and is
-skipped without computing one power of it.  The argument uses only the
-identity element, so it holds in non-reduced algebras too, and the element
-chosen is the same as testing every candidate.  Everything here is
-deterministic: the factors are sorted canonically, so component numbering
-is reproducible.  A component A e_i comes back as an
-``orders.EmbeddedOrder``, the same type round 2 uses for overorders.
+proper.  ``orders.power_span`` gives that span and the first relation among
+the powers, which for the accepted a is mu_a, so the search returns it too.
+Every later candidate c inside a rejected candidate's Q[a] has Q[c] <= Q[a],
+so it is not primitive either and is skipped without computing one power of
+it.  The argument uses only the identity element, so it holds in non-reduced
+algebras too, and the element chosen is the same as testing every candidate.
+``crt_idempotents`` is the one CRT split of Q[a]; ``ivp``'s pointwise test
+uses it too.  Everything is deterministic: the factors are sorted
+canonically, so component numbering is reproducible.  A component A e_i
+comes back as an ``orders.EmbeddedOrder``, the same type round 2 uses for
+overorders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import NotApplicableError, PruferError, SearchExhaustedError
 from .factor import poly_factor
@@ -37,7 +39,6 @@ from .orders import (
     evaluate_poly,
     is_commutative,
     is_reduced,
-    minimal_polynomial,
     mul,
     power_span,
     NOT_REDUCED,
@@ -70,31 +71,31 @@ def shell_vectors(dim: int, shell_max: int, cap: int = SEARCH_CAP) -> Iterator[t
                 return
 
 
-def find_primitive_element(order: ZOrder) -> AlgebraElement:
+def find_primitive_element(order: ZOrder) -> tuple[AlgebraElement, RationalPolynomial]:
     """Deterministic search for a in A with deg(minimal polynomial) = dim.
 
-    Returns the first candidate from ``shell_vectors`` whose powers
-    1, a, ..., a^(dim-1) are linearly independent.  Each rejected candidate b
-    leaves its span Q[b], a proper subalgebra; a later candidate c in Q[b]
-    has Q[c] <= Q[b] and is skipped untested.  A span inside a newer one is
-    dropped, as the newer one rejects everything it would.  Requires the
-    ambient algebra to be commutative; in a reduced (etale) algebra
-    primitive elements exist and small integer combinations of the basis hit
-    one quickly.
+    Returns (a, mu_a) for the first candidate a from ``shell_vectors`` whose
+    powers 1, a, ..., a^(dim-1) are independent, mu_a from the relation that
+    closes a's power span.  Each rejected candidate b leaves its span Q[b], a
+    proper subalgebra; a later candidate c in Q[b] has Q[c] <= Q[b] and is
+    skipped untested.  A span inside a newer one is dropped, as the newer one
+    rejects everything it would.  Requires the ambient algebra to be
+    commutative; in a reduced (etale) algebra primitive elements exist and
+    small integer combinations of the basis hit one quickly.
     """
     commutative, _ = is_commutative(order)
     if not commutative:
         raise NotApplicableError("NOT_COMMUTATIVE: primitive element search needs a commutative algebra")
     n = order.dim
     if n == 1:
-        return order.identity()
+        return order.identity(), RationalPolynomial((-1, 1))
     rejected: list[tuple[tuple[int, ...], EchelonSpan]] = []  # (b, Q[b])
     for vec in shell_vectors(n, shell_max=max(4, n)):
         if any(vec in span for _, span in rejected):
             continue
-        span, _ = power_span(order, vec)
+        span, relation = power_span(order, vec)
         if span.rank == n:
-            return AlgebraElement(vec)
+            return AlgebraElement(vec), RationalPolynomial.from_int_coeffs(relation, relation[-1])
         rejected = [(b, kept) for b, kept in rejected if b not in span]
         rejected.append((vec, span))
     raise SearchExhaustedError("SEARCH_EXHAUSTED: no primitive element found within the search budget")
@@ -135,26 +136,13 @@ def decompose(order: ZOrder) -> Decomposition:
 def _split_reduced(order: ZOrder) -> Decomposition:
     """The work of ``decompose`` on an order already known to be commutative
     and reduced; ``decide_pruefer`` calls it after its own reducedness test."""
-    a = find_primitive_element(order)
-    mu = minimal_polynomial(order, a)
+    a, mu = find_primitive_element(order)
     factor_pairs = poly_factor(mu)
     if any(mult != 1 for _, mult in factor_pairs):
         raise PruferError("minimal polynomial of a primitive element is not squarefree in a reduced algebra")
     factors = tuple(g for g, _ in factor_pairs)
-    idempotents = []
-    for g in factors:
-        cofactor = mu // g
-        gcd_poly, s, _ = poly_xgcd(g, cofactor)
-        if gcd_poly.degree != 0:
-            raise PruferError("minimal polynomial factors are not coprime")
-        # s*g + t*cofactor = 1, so (1 - s*g) = t*cofactor is 1 mod g and
-        # 0 mod every other factor; evaluate it at a.
-        nu = RationalPolynomial.one_poly - s * g
-        idempotents.append(evaluate_poly(order, nu, a))
-    total = order.zero()
-    for e in idempotents:
-        total = total + e
-    if total != order.identity():
+    idempotents = crt_idempotents(order, a, mu, factors)
+    if sum(idempotents, order.zero()) != order.identity():
         raise PruferError("idempotents do not sum to the identity")
     for i, ei in enumerate(idempotents):
         for j, ej in enumerate(idempotents):
@@ -164,8 +152,23 @@ def _split_reduced(order: ZOrder) -> Decomposition:
         primitive=a,
         min_poly=mu,
         factors=factors,
-        idempotents=tuple(idempotents),
+        idempotents=idempotents,
     )
+
+
+def crt_idempotents(
+    order: ZOrder, a: AlgebraElement, mu: RationalPolynomial, factors: Sequence[RationalPolynomial]
+) -> tuple[AlgebraElement, ...]:
+    """The idempotents e_i = (1 - s_i g_i)(a) of Q[a] for the irreducible
+    factors g_i of a squarefree mu = mu_a: s_i g_i + t_i (mu/g_i) = 1, so
+    1 - s_i g_i is 1 mod g_i and 0 mod every other factor (CRT)."""
+    idempotents = []
+    for g in factors:
+        gcd_poly, s, _ = poly_xgcd(g, mu // g)
+        if gcd_poly.degree != 0:
+            raise PruferError("minimal polynomial factors are not coprime")
+        idempotents.append(evaluate_poly(order, RationalPolynomial.one_poly - s * g, a))
+    return tuple(idempotents)
 
 
 def idempotents_in_order(

@@ -82,17 +82,29 @@ def equation_product():
 
 
 @pytest.fixture
-def search_calls(monkeypatch):
+def calls_to(monkeypatch):
+    """``calls_to(home, name, record)`` wraps ``home.name`` in every prufer
+    module that binds it and returns the list of ``record(*args)``, one entry
+    per call; ``record`` defaults to the argument tuple."""
+
+    def install(home, name, record=lambda *args: args):
+        calls = []
+        original = getattr(home, name)
+
+        def counting(*args, **kwargs):
+            calls.append(record(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "prufer" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def search_calls(calls_to):
     """The dimension of each order ``find_primitive_element`` searches, counted
     in every prufer module that binds it."""
-    calls = []
-    original = prufer.splitting.find_primitive_element
-
-    def counting(order):
-        calls.append(order.dim)
-        return original(order)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "prufer" and getattr(module, "find_primitive_element", None) is original:
-            monkeypatch.setattr(module, "find_primitive_element", counting)
-    return calls
+    return calls_to(prufer.splitting, "find_primitive_element", lambda order: order.dim)

@@ -88,6 +88,19 @@ def test_analyze_huge_dim_is_malformed(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_analyze_integer_beyond_the_digit_limit_is_malformed(capsys, tmp_path):
+    # json.load raises a plain ValueError, not JSONDecodeError, on an integer
+    # longer than Python's 4300-digit limit.
+    doc = tmp_path / "long_entry.json"
+    text = json.dumps({"dim": 1, "one": [1], "table": [[["ENTRY"]]]})
+    doc.write_text(text.replace('"ENTRY"', "9" * 5001), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(doc))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MALFORMED_INPUT: invalid JSON")
+    assert "Traceback" not in err
+
+
 def test_member_huge_exponent_is_a_parse_error(capsys):
     code, out, err = run(capsys, "member", order_path("z_i"), "--poly", "X^99999999999", "--at", "0,1")
     assert code == 1
@@ -242,6 +255,18 @@ def test_ramify_golden(capsys, name, prime, expected):
     code, out, _ = run(capsys, "ramify", order_path(name), "--prime", str(prime), "--json")
     assert code == 0
     assert out == expected
+
+
+def test_ramify_refuses_an_r_too_long_to_print(capsys, tmp_path):
+    # X^8 - 3 is maximal and 5 is inert in it: r = 5^(8!) has 28183 digits.
+    order = equation_order(RationalPolynomial((-3, *[0] * 7, 1)))
+    doc = tmp_path / "x8_minus_3.json"
+    doc.write_text(json.dumps(order_to_dict(order)), encoding="utf-8")
+    code, out, err = run(capsys, "ramify", str(doc), "--prime", "5", "--json")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: BUDGET_EXCEEDED: r = 5^(8!) would have more than 4300 digits")
+    assert "Traceback" not in err
 
 
 def test_ramify_rejects_composite(capsys):

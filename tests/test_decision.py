@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import prufer.decision
+import prufer.orders
 import prufer.splitting
 from prufer.decision import PrueferCertificate, decide_pruefer, verify_certificate
 from prufer.errors import IndeterminateError, MalformedCertificateError
@@ -143,6 +144,15 @@ def test_dimension_12_product_is_pruefer(equation_product):
     assert verify_certificate(order, cert)
 
 
+def test_yes_decision_never_recomputes_the_minimal_polynomial(calls_to, equation_product):
+    # The search returns mu_a from the relation that accepted a, so a YES
+    # eliminates the powers of a once and never calls minimal_polynomial.
+    order = equation_product((-2, 0, 0, 1), (-3, 0, 0, 0, 1), (-5, 0, 0, 0, 0, 1))
+    calls = calls_to(prufer.orders, "minimal_polynomial")
+    assert decide_pruefer(order).verdict == "YES"
+    assert calls == []
+
+
 def test_product_with_gaussians_is_pruefer(corpus):
     order = product_order(corpus["z"], corpus["z_i"])
     cert = decide_pruefer(order)
@@ -199,6 +209,19 @@ def test_certificate_json_round_trip(corpus):
 def test_certificate_dict_key_order(m2z):
     cert = decide_pruefer(m2z)
     assert list(cert.to_dict()) == ["verdict", "reason", "witness", "citation"]
+
+
+def test_from_json_integer_beyond_the_digit_limit_is_malformed():
+    text = json.dumps(
+        {
+            "verdict": "NO",
+            "reason": "NOT_REDUCED",
+            "witness": {"element": ["0", "1"], "power": "POWER"},
+            "citation": "nilpotents-obstruct-integral-closure",
+        }
+    ).replace('"POWER"', "9" * 5001)
+    with pytest.raises(MalformedCertificateError, match="^MALFORMED_CERTIFICATE: invalid JSON"):
+        PrueferCertificate.from_json(text)
 
 
 def test_from_dict_rejects_missing_key():

@@ -17,6 +17,7 @@ from prufer.errors import (
     MalformedInputError,
     NotApplicableError,
 )
+from prufer.factor import poly_factor
 from prufer.ivp import (
     RamificationProfile,
     int_member_finite,
@@ -29,7 +30,8 @@ from prufer.ivp import (
     transform_sequence,
 )
 from prufer.orders import element, equation_order, evaluate_poly, load_order, minimal_polynomial, power
-from prufer.poly import RationalPolynomial
+from prufer.poly import RationalPolynomial, poly_xgcd
+from prufer.splitting import crt_idempotents, shell_vectors
 
 
 def P(*coeffs):
@@ -294,6 +296,55 @@ def test_pointwise_matrix_pairs(m2z, k):
     assert minimal_polynomial(m2z, anti.witness) == P(0, -1, 1)
 
 
+def _polynomial_idempotent(g, mu):
+    """eps = (1 - s g) mod mu with s g + t (mu/g) = 1: the idempotent of the
+    factor g kept as a polynomial, as the pointwise test once did."""
+    _, s, _ = poly_xgcd(g, mu // g)
+    return (RationalPolynomial.one_poly - s * g) % mu
+
+
+def _reference_escaping_witness(order, a):
+    """The first (x eps mod mu)(a), x on a basis of the maximal order of
+    Q[X]/(g) for each factor g of a squarefree mu_a, that lies outside A."""
+    mu = minimal_polynomial(order, a)
+    for g, _ in poly_factor(mu):
+        eps = _polynomial_idempotent(g, mu)
+        basis = [element([1])] if g.degree == 1 else maximal_order(equation_order(g)).basis
+        for x in basis:
+            lift = (RationalPolynomial.from_int_coeffs(x.integer_numerators, x.denominator) * eps) % mu
+            b = evaluate_poly(order, lift, a)
+            if not b.is_integral_vector:
+                return b
+    return None
+
+
+M2Z_POINTS = [(0, 4, 1, 2), (0, 2, 2, 2)] + [(k, 0, 0, -k) for k in (1, 2, 3)] + [(0, k, k, 0) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "name", ["cubic_index2", "z", "z_3i", "z_golden", "z_i", "z_sqrt5", "z_x_mod_x2", "zxz", "m2z"]
+)
+def test_pointwise_witness_matches_the_polynomial_idempotent(corpus, name):
+    # mu(a) = 0, so x(a) e_i with e_i = (1 - s g)(a) from the one CRT split
+    # is exactly the old (x eps mod mu)(a).
+    order = corpus[name]
+    points = list(itertools.islice(shell_vectors(order.dim, 2), 16)) + (M2Z_POINTS if name == "m2z" else [])
+    kinds = []
+    for vec in points:
+        a = element(vec)
+        res = pointwise_integrally_closed(order, a)
+        kinds.append(res.witness_kind)
+        if res.witness_kind == "nilpotent":
+            continue
+        mu = minimal_polynomial(order, a)
+        factors = [g for g, _ in poly_factor(mu)]
+        for g, e in zip(factors, crt_idempotents(order, a, mu, factors)):
+            assert e == evaluate_poly(order, _polynomial_idempotent(g, mu), a)
+        assert res.witness == _reference_escaping_witness(order, a), vec
+    if name in ("z_3i", "z_sqrt5", "m2z"):
+        assert "escaping" in kinds
+
+
 # -- ramification profiles ----------------------------------------------------
 
 
@@ -321,6 +372,17 @@ def test_profile_mixed_invariants():
     assert prof.s == 2  # max ramification index is 2, s = 2!
     assert prof.r == 9  # max residue degree is 2, r = 3^(2!)
     assert prof.degree == 4
+
+
+def test_profile_r_is_refused_above_the_digit_cap():
+    # 7^(7!) has 4260 digits and still prints; 11^(7!) has 5249 and is
+    # refused after it is formed.  3^(13!) would have about 3·10^9 digits:
+    # 13! alone refuses it, before any power is taken.
+    assert RamificationProfile.single(7, 1, 7).r == 7**5040
+    with pytest.raises(BudgetExceededError, match="^BUDGET_EXCEEDED: r = 11\\^\\(7!\\)"):
+        RamificationProfile.single(11, 1, 7).r
+    with pytest.raises(BudgetExceededError, match="more than 4300 digits"):
+        RamificationProfile.single(3, 1, 13).r
 
 
 def test_profile_validation():
@@ -367,6 +429,13 @@ def test_ramification_requires_prime(z_i):
 def test_ramification_searches_once(z_i, search_calls):
     ramification_profile(z_i, 5)
     assert search_calls == [2]
+
+
+def test_ramification_builds_no_equation_order(z_i, calls_to):
+    # [O : Z[a]] comes from the power basis of a in O, not from disc(Z[mu]).
+    calls = calls_to(prufer.orders, "equation_order")
+    assert ramification_profile(z_i, 5).pairs == ((1, 1), (1, 1))
+    assert calls == []
 
 
 def test_ramification_requires_field(zxz):

@@ -43,10 +43,10 @@ def test_shell_vectors_deterministic():
 
 
 def test_find_primitive_element(z_i, zxz):
-    a = find_primitive_element(z_i)
-    assert minimal_polynomial(z_i, a).degree == 2
-    b = find_primitive_element(zxz)
-    assert minimal_polynomial(zxz, b).degree == 2
+    a, mu_a = find_primitive_element(z_i)
+    assert minimal_polynomial(z_i, a) == mu_a == P(1, 0, 1)
+    b, mu_b = find_primitive_element(zxz)
+    assert minimal_polynomial(zxz, b) == mu_b and mu_b.degree == 2
 
 
 def test_decompose_refuses_non_reduced(corpus):
@@ -78,7 +78,7 @@ PRODUCT_PRIMITIVES = [
 
 @pytest.mark.parametrize("polys, expected", PRODUCT_PRIMITIVES)
 def test_find_primitive_element_on_products(equation_product, polys, expected):
-    a = find_primitive_element(equation_product(*polys))
+    a, _ = find_primitive_element(equation_product(*polys))
     assert a.coords == expected
 
 
@@ -123,7 +123,10 @@ def test_search_matches_reference(corpus, equation_product, kind, spec):
         order = equation_order(RationalPolynomial.parse(spec))
     else:
         order = product_order(corpus["z_x_mod_x2"], corpus["z_i"])
-    assert find_primitive_element(order) == _reference_primitive(order)
+    a, mu = find_primitive_element(order)
+    assert a == _reference_primitive(order)
+    # The search returns the minimal polynomial it eliminated on the way.
+    assert mu == minimal_polynomial(order, a)
 
 
 def test_dimension_12_product_tests_few_candidates(monkeypatch, equation_product):
@@ -138,7 +141,7 @@ def test_dimension_12_product_tests_few_candidates(monkeypatch, equation_product
         return original(*args)
 
     monkeypatch.setattr(prufer.splitting, "power_span", counting)
-    a = find_primitive_element(order)
+    a, _ = find_primitive_element(order)
     assert a.coords == (0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0)
     assert len(calls) <= 20
 
