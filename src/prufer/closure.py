@@ -7,15 +7,16 @@ linear algebra over F_p: I/pO is the kernel of Frobenius on O/pO, and the
 multiplier ring is (1/p) times the lift of the kernel of O/pO -> End(I/pI).
 Each enlargement divides the discriminant by the square of the index, so
 termination is immediate, and the fixed point at every such p certifies
-maximality.
+maximality.  As in Cohen, a prime p not dividing [O : Z[b]] is settled first
+by Dedekind's criterion on mu_b (``factor.dedekind_p_maximal``).
 
 Round 2 needs an order that spans a number field.  ``field_polynomial`` is
 the one check of that: it searches for a primitive element a, which comes
 with its minimal polynomial, and asks ``poly_factor`` whether that is
-irreducible.  ``maximal_order`` and the ramification profile, which takes
-[O : Z[a]] from the powers of a, run it once; callers that already know the
-answer, such as ``decide_pruefer`` on its components and the pointwise test
-on irreducible factors, go straight to ``_round_two``.
+irreducible.  ``maximal_order`` and the ramification profile run it once;
+callers that already know the answer, such as ``decide_pruefer`` on its
+components and the pointwise test on irreducible factors, go straight to
+``_round_two``.
 
 Everything works in the coordinates of the *original* order: each result is
 an ``orders.EmbeddedOrder``, the new order's structure constants together
@@ -38,7 +39,7 @@ from .orders import (
 )
 from .poly import RationalPolynomial
 from .splitting import find_primitive_element
-from .factor import factor_int, poly_factor
+from .factor import dedekind_p_maximal, factor_int, poly_factor
 
 
 def discriminant(order: ZOrder) -> int:
@@ -144,25 +145,35 @@ def field_polynomial(order: ZOrder) -> tuple[AlgebraElement, RationalPolynomial]
     return a, mu
 
 
+def power_index(order: ZOrder, a: AlgebraElement) -> int:
+    """[O : Z[a]] = |det(1, a, ..., a^(n-1))| in O's coordinates; 0 when a is
+    not in O or does not generate the ambient algebra."""
+    rows = [list(order.one)]
+    while len(rows) < order.dim:
+        rows.append(order._mul_coords(rows[-1], a.integer_numerators))
+    return abs(bareiss_det(rows)) if a.is_integral_vector else 0
+
+
 def maximal_order(order: ZOrder) -> EmbeddedOrder:
     """The integral closure of an order whose ambient algebra is a field;
     NotApplicableError from ``field_polynomial`` otherwise."""
-    field_polynomial(order)
-    return _round_two(order)
+    a, mu = field_polynomial(order)
+    return _round_two(order, mu, power_index(order, a))
 
 
-def _round_two(order: ZOrder) -> EmbeddedOrder:
+def _round_two(order: ZOrder, mu: RationalPolynomial, index: int) -> EmbeddedOrder:
     """The round-2 loop of ``maximal_order``, for an order already known to
     span a number field: one ``field_polynomial`` has passed on it, or it is
     a component A e_i of ``decompose`` or the equation order of an
-    irreducible polynomial."""
+    irreducible polynomial.  mu = mu_b for some b in O of degree dim, and
+    ``index`` is a multiple of [O : Z[b]], 0 when unknown."""
     # ``running.order`` is the current overorder and ``running`` maps its
     # coordinates into the input order's; each step is composed through it.
     running = _unchanged(order)
     total_index = 1
     disc = discriminant(order)
     for p, v in sorted(factor_int(disc).items()):
-        if v < 2:
+        if v < 2 or (index % p and dedekind_p_maximal(mu, p)):
             continue
         while True:
             rad = p_radical(running.order, p)

@@ -5,9 +5,11 @@ finite product of rings of integers of number fields.  ``decide_pruefer``
 walks the obstruction ladder (noncommutativity, nilpotents, idempotents
 escaping the lattice, a component below its maximal order) and emits a
 ``PrueferCertificate`` whose witness ``verify_certificate`` re-checks
-without rerunning the decision.  The check of a YES still shares
-``discriminant``, ``factor_int``, ``poly_factor``, ``p_radical`` and
-``ring_of_multipliers`` with the solver.
+without rerunning the decision.  Both use Dedekind's criterion at primes p
+not dividing [A : Z[a]], a the primitive element, where the check of a YES
+shares only ``dedekind_p_maximal`` with the solver; elsewhere it shares
+``p_radical`` and ``ring_of_multipliers``, and always ``discriminant``,
+``factor_int`` and ``poly_factor``.
 
 Certificates serialize to JSON with a fixed field order (verdict, reason,
 witness, citation) so output files are byte-stable.
@@ -18,13 +20,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .closure import (
     _first_non_integral,
     _round_two,
     discriminant,
     p_radical,
+    power_index,
     ring_of_multipliers,
 )
 from .errors import (
@@ -38,7 +40,7 @@ from .errors import (
     PruferError,
     SearchExhaustedError,
 )
-from .factor import factor_int, poly_factor
+from .factor import dedekind_p_maximal, factor_int, poly_factor
 from .lattice import hnf_reduce
 from .orders import (
     NOT_REDUCED,
@@ -228,11 +230,12 @@ def _decide(order: ZOrder) -> PrueferCertificate:
         )
 
     components = []
-    for i in range(dec.count):
+    index = power_index(order, dec.primitive)
+    for i, g in enumerate(dec.factors):
         comp = component_order(order, dec, i)
-        # A e_i spans Q[X]/(g_i) with g_i irreducible, a field by construction,
-        # so round 2 runs without a second search and factorisation.
-        bad = _first_non_integral(_round_two(comp.order))
+        # A e_i spans the field Q[X]/(g_i), so round 2 runs without a second
+        # search; g_i = mu of a e_i, and [A e_i : Z[a e_i]] divides [A : Z[a]].
+        bad = _first_non_integral(_round_two(comp.order, g, index))
         if bad is not None:
             pulled = comp.to_ambient(bad)
             mu = minimal_polynomial(order, pulled)
@@ -367,11 +370,13 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
         return False
 
     # Each component must close under multiplication, be a ring with identity
-    # the claimed idempotent, and be round-2 stable at every prime whose
-    # square divides its discriminant.
+    # the claimed idempotent, and be p-maximal at each p with p^2 | disc.  If
+    # [A : Z[a]] != 0, then mu = mu_a, and at p prime to it A_(p) = Z_(p)[a]:
+    # A, and with it each A e_i, is p-maximal exactly when mu passes Dedekind.
+    index = power_index(order, primitive)
     try:
         for ei, rows in zip(idems, bases):
-            if not _component_is_maximal(order, ei, rows):
+            if not _component_is_maximal(embedded_order(order, rows, ei).order, mu, index):
                 return False
     except DiscFactorizationError:
         raise
@@ -380,12 +385,16 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
     return True
 
 
-def _component_is_maximal(order: ZOrder, ei: AlgebraElement, rows: Sequence[AlgebraElement]) -> bool:
-    component = embedded_order(order, rows, ei).order
+def _component_is_maximal(component: ZOrder, mu: RationalPolynomial, index: int) -> bool:
     disc = discriminant(component)
     if disc == 0:
         return False
     for p, v in sorted(factor_int(abs(disc)).items()):
-        if v >= 2 and ring_of_multipliers(component, p_radical(component, p), p).index != 1:
+        if v < 2:
+            continue
+        if index % p:
+            if not dedekind_p_maximal(mu, p):
+                return False
+        elif ring_of_multipliers(component, p_radical(component, p), p).index != 1:
             return False
     return True

@@ -18,6 +18,7 @@ small orders, so the cap is generous.
 The module is also the package's one home for primes and integer
 factorization: ``is_probable_prime`` and ``factor_int`` (trial division,
 then Pollard-Brent under a work budget), which factors discriminants.
+``dedekind_p_maximal`` is Dedekind's criterion, by gcds over F_p.
 """
 
 from __future__ import annotations
@@ -301,7 +302,7 @@ def _pollard_brent(n: int, budget: int) -> int | None:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -310,7 +311,7 @@ def _pollard_brent(n: int, budget: int) -> int | None:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
                 count += 1
                 if count >= budget:
                     break
@@ -451,43 +452,49 @@ def poly_factor(f: RationalPolynomial) -> list[tuple[RationalPolynomial, int]]:
     return out
 
 
+def _gp_radical(f: list[int], p: int) -> list[int]:
+    """The product of the distinct irreducible factors of a monic f over F_p:
+    f / gcd(f, f') takes those of multiplicity prime to p, and once they are
+    divided out the rest is r(X^p) = r(X)^p."""
+    df = _gp_deriv(f, p)
+    if not df:
+        return f if len(f) == 1 else _gp_radical(f[::p], p)
+    s = _gp_divmod(f, _gp_gcd(f, df, p), p)[0]
+    while len(g := _gp_gcd(f, s, p)) > 1:
+        f = _gp_divmod(f, g, p)[0]
+    return _zp_mul(s, _gp_radical(f, p), p)
+
+
 def modp_factor(coeffs: Sequence[int], p: int) -> list[tuple[tuple[int, ...], int]]:
     """Factor a monic integer polynomial mod p into monic irreducibles with
     multiplicities, sorted by (degree, coefficient tuple).
 
-    Handles inseparable parts (f' = 0 means f = g(X)^p over F_p) so it is
-    safe at ramified primes.
+    Berlekamp splits the radical, which is squarefree even where f is
+    inseparable, so it is safe at ramified primes; each multiplicity is
+    counted by division.
     """
     f = _gp_monic([c % p for c in coeffs], p)
     if not f:
         raise ZeroPolynomialError("mod-p factorization of the zero polynomial")
-    result: dict[tuple[int, ...], int] = {}
+    out = []
+    for fac in _berlekamp(_gp_radical(f, p), p) if len(f) > 1 else []:
+        e, (quot, rem) = 0, _gp_divmod(f, fac, p)
+        while not rem:
+            e += 1
+            quot, rem = _gp_divmod(quot, fac, p)
+        out.append((tuple(fac), e))
+    return out
 
-    def accumulate(poly: list[int], mult: int):
-        if len(poly) - 1 < 1:
-            return
-        df = _gp_deriv(poly, p)
-        if not df:
-            # poly(X) = g(X^p) = g(X)^p over F_p.
-            g = [poly[p * i] for i in range((len(poly) - 1) // p + 1)]
-            accumulate(_trim(g), mult * p)
-            return
-        remaining = list(poly)
-        sq = _gp_divmod(remaining, _gp_gcd(remaining, df, p), p)[0]
-        for fac in _berlekamp(_gp_monic(sq, p), p):
-            e = 0
-            while True:
-                quot, rem = _gp_divmod(remaining, fac, p)
-                if rem:
-                    break
-                remaining = quot
-                e += 1
-            if e:
-                result_key = tuple(fac)
-                result[result_key] = result.get(result_key, 0) + e * mult
-        if len(remaining) - 1 >= 1:
-            accumulate(remaining, mult)
 
-    accumulate(f, 1)
-    out = sorted(result.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return [(fac, mult) for fac, mult in out]
+def dedekind_p_maximal(mu: RationalPolynomial, p: int) -> bool:
+    """Dedekind's criterion (Cohen, GTM 138, Thm 6.1.4): is Z[X]/(mu) p-maximal,
+    for mu monic with integer coefficients and p prime?  With g the product of
+    the distinct irreducible factors of mu mod p and h = mu / g, lifted to
+    Z[X], exactly when gcd(F, h) = 1 mod p for F = (g h - mu) / p; every
+    factor of h divides g.  Nothing is split, so the cost does not grow with p.
+    """
+    f = list(mu.integer_numerators)
+    g = _gp_radical(_trim([c % p for c in f]), p)
+    h = _gp_divmod(f, g, p)[0]
+    big_f = [c // p for c in _zp_sub(_zp_mul(g, h, p * p), f, p * p)]
+    return len(_gp_gcd(big_f, h, p)) == 1

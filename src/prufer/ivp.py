@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb, factorial, isqrt
 from typing import Iterable, Sequence
 
-from .closure import _round_two, field_polynomial
+from .closure import _round_two, field_polynomial, power_index
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -34,7 +34,6 @@ from .errors import (
     PruferError,
 )
 from .factor import is_probable_prime, modp_factor, poly_factor
-from .linalg import bareiss_det
 from .orders import (
     AlgebraElement,
     ZOrder,
@@ -214,7 +213,7 @@ def pointwise_integrally_closed(order: ZOrder, a: AlgebraElement) -> PointwiseCl
         return PointwiseClosure(False, witness, "nilpotent", m)
 
     for (g, _), e in zip(factors, crt_idempotents(order, a, mu, [g for g, _ in factors])):
-        basis = (AlgebraElement((1,)),) if g.degree == 1 else _round_two(equation_order(g)).basis
+        basis = (AlgebraElement((1,)),) if g.degree == 1 else _round_two(equation_order(g), g, 1).basis
         for x in basis:
             lift = RationalPolynomial.from_int_coeffs(x.integer_numerators, x.denominator)
             b = mul(order, evaluate_poly(order, lift, a), e)
@@ -295,18 +294,15 @@ def ramification_profile(order: ZOrder, p: int) -> RamificationProfile:
     Uses the factorization of the primitive element's minimal polynomial mod
     p, which is valid only when p does not divide the index of the equation
     order Z[a] in the maximal order (INDEX_DIVISIBLE otherwise; full ideal
-    factorization at such primes is out of scope).  Z[a] <= O, so the index
-    is |det| of the rows 1, a, ..., a^(n-1) in O's coordinates.
+    factorization at such primes is out of scope).  The index is
+    ``closure.power_index``, worked out before round 2, which it shortens.
     """
     if p < 2 or not is_probable_prime(p):
         raise MalformedInputError(f"MALFORMED_INPUT: {p} is not prime")
     a, mu = field_polynomial(order)
-    if _round_two(order).index != 1:
+    index = power_index(order, a)
+    if _round_two(order, mu, index).index != 1:
         raise NotApplicableError("NOT_MAXIMAL: the order is not maximal")
-    rows = [list(order.one)]
-    while len(rows) < order.dim:
-        rows.append(order._mul_coords(rows[-1], a.integer_numerators))
-    index = abs(bareiss_det(rows))
     if index % p == 0:
         raise IndexDivisibleError(
             f"INDEX_DIVISIBLE: {p} divides the equation-order index {index}; "

@@ -121,30 +121,17 @@ def hnf_reduce(rows: Sequence[Sequence[int]], ambient_dim: int | None = None) ->
     return IntegerLattice.from_rows(rows, ambient_dim)
 
 
-def hnf_with_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (H, U, K): U is unimodular with U*A = [H; 0], K the kernel rows.
+def integer_left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """HNF basis of {c in Z^m : c * M = 0} for an integer matrix M.
 
-    H is the HNF of the input (no zero rows), U tracks the row operations, and
-    K consists of the U-rows matching zero H-rows, i.e. an integer basis of
-    {c : c*A = 0}.  K is saturated because U is unimodular.
+    The HNF of (M | I) carries a unimodular U with U M = [H; 0]; the rows of
+    U against the zero rows of H span the kernel, saturated as U is unimodular.
     """
     m = len(rows)
     if m == 0:
-        return [], [], []
+        return []
     n = len(rows[0])
     work = [list(map(int, row)) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(rows)]
-    r = _hnf_in_place(work, n)
-    h = [row[:n] for row in work[:r]]
-    u = [row[n:] for row in work]
-    k = [row[n:] for row in work[r:]]
-    return h, u, k
-
-
-def integer_left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """HNF basis of {c in Z^m : c * M = 0} for an integer matrix M."""
-    m = len(rows)
-    if m == 0:
-        return []
-    _, _, kernel = hnf_with_transform(rows)
+    kernel = [row[n:] for row in work[_hnf_in_place(work, n):]]
     rank = _hnf_in_place(kernel, m)
     return kernel[:rank]

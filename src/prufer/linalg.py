@@ -43,13 +43,11 @@ class EchelonSpan:
 
     It is kept in reduced row echelon form over one common denominator: row r
     is ``rows[r] / den``, equal to 1 at column ``pivots[r]`` and to 0 at every
-    other pivot.  Each row also carries its combination of the vectors kept
-    so far as extra columns, so the stored row is (u | c) with
-    u = sum_i c_i v_i; only the first ``width`` columns take part in the
-    echelon form.  So v lies in the span exactly when
-    den * v = sum_r v[pivots[r]] * rows[r] on those columns, and that is
-    checked column by free column: a vector outside usually fails at the
-    first one.
+    other pivot.  So v lies in the span exactly when
+    den * v = sum_r v[pivots[r]] * rows[r], and that is checked column by
+    free column: a vector outside usually fails at the first one.  The
+    vectors kept so far are stored as given; a relation among them is solved
+    for only when a dependent vector arrives.
     """
 
     def __init__(self, width: int):
@@ -57,6 +55,7 @@ class EchelonSpan:
         self.den = 1
         self.pivots: list[int] = []
         self.rows: list[list[int]] = []
+        self._kept: list[list[int]] = []
         self._free = list(range(width))
 
     @property
@@ -76,28 +75,24 @@ class EchelonSpan:
         vectors kept so far; they are independent, so it is unique up to
         scale, and it comes back primitive with c_k > 0.
 
-        The residual w = den * (v | e_k) - sum_r v[pivots[r]] * rows[r] is
-        zero at every pivot.  If it is zero on all ``width`` columns, its
-        combination columns are the relation.  Otherwise its first nonzero
-        column q becomes a new pivot, cleared from the other rows by one
-        integer cross-multiplication each.
+        The residual w = den * v - sum_r v[pivots[r]] * rows[r] is zero at
+        every pivot.  If it is zero everywhere, v is dependent.  Otherwise its
+        first nonzero column q becomes a new pivot, cleared from the other
+        rows by one integer cross-multiplication each.
         """
         if len(v) != self.width:
             raise DimensionMismatchError(f"vector of length {len(v)} added to a span of width {self.width}")
         den = self.den
-        w = [den * x for x in v] + [0] * self.rank
+        w = [den * x for x in v]
         for p, row in zip(self.pivots, self.rows):
             c = v[p]
             if c:
                 w = [x - c * y for x, y in zip(w, row)]
-        w.append(den)
         q = next((j for j in range(self.width) if w[j]), None)
         if q is None:
-            relation = w[self.width :]
-            content = gcd(*relation)
-            return [x // content for x in relation]
+            return self._relation(v)
         a = w[q]
-        rows = [[a * x - row[q] * y for x, y in zip(row + [0], w)] for row in self.rows]
+        rows = [[a * x - row[q] * y for x, y in zip(row, w)] for row in self.rows]
         rows.append([den * x for x in w])
         den *= a
         content = gcd(den, *(x for row in rows for x in row))
@@ -107,7 +102,43 @@ class EchelonSpan:
         self.rows = [[x // content for x in row] for row in rows]
         self.pivots.append(q)
         self._free.remove(q)
+        self._kept.append(list(v))
         return None
+
+    def _relation(self, v: Sequence[int]) -> list[int]:
+        """The relation of ``add`` for a v in the span: on the pivot columns
+        the kept vectors form an invertible k x k matrix A, and Bareiss
+        elimination of (A | v) there, then back-substitution from
+        c_k = +-det A, gives the integer kernel vector, each division exact."""
+        k = len(self._kept)
+        m = [[u[p] for u in self._kept] + [v[p]] for p in self.pivots]
+        _bareiss(m)
+        relation = [0] * k + [m[-1][-2] if k else 1]
+        for i in reversed(range(k)):
+            relation[i] = -sum(m[i][j] * relation[j] for j in range(i + 1, k + 1)) // m[i][i]
+        content = gcd(*relation) if relation[k] > 0 else -gcd(*relation)
+        return [x // content for x in relation]
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination (Bareiss) of the leading n x n block
+    of the n integer rows m, in place, further columns carried along: m ends
+    upper triangular with m[n-1][n-1] = +-det.  Returns the sign of the row
+    swaps, 0 once a column has no pivot."""
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top = m[k]
+        for i in range(k + 1, n):
+            b = m[i][k]
+            m[i][k:] = [(top[k] * x - b * y) // prev for x, y in zip(m[i][k:], top[k:])]
+        prev = top[k]
+    return sign
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
@@ -118,21 +149,7 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError("determinant needs a square matrix")
     m = [[int(x) for x in row] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _bareiss(m) * m[n - 1][n - 1]
 
 
 def modp_left_kernel(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:

@@ -90,11 +90,6 @@ class AlgebraElement:
         """Integer coordinates, i.e. membership in the order's lattice Z^n."""
         return self.denominator == 1
 
-    def scaled(self, k) -> "AlgebraElement":
-        k = Fraction(k)
-        nums = tuple(c * k.numerator for c in self.integer_numerators)
-        return AlgebraElement(nums, self.denominator * k.denominator)
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.dim != other.dim:
             raise DimensionMismatchError("adding elements of different dimensions")
@@ -551,17 +546,21 @@ def embedded_order(order: ZOrder, rows: Sequence[AlgebraElement], one: AlgebraEl
     ints, den = _over_common_denominator(rows)
     lat = IntegerLattice.from_rows(ints)
     # Basis row r is y_r / den, so (y_r / den)(y_s / den) is in the span
-    # exactly when y_r y_s / den is an integer combination of the y's.
-    table = []
-    for yr in lat.basis:
-        row = []
-        for ys in lat.basis:
-            product = order._mul_coords(yr, ys)
-            coords = None if any(c % den for c in product) else lat.coordinates([c // den for c in product])
-            if coords is None:
-                raise PruferError("embedded order basis is not closed under multiplication")
-            row.append(coords)
-        table.append(tuple(row))
+    # exactly when y_r y_s / den is an integer combination of the y's.  The
+    # span Z^n itself has the unit basis, and its table is order's.
+    if den == 1 and lat.rank == order.dim and lat.determinant() == 1:
+        table = order.table
+    else:
+        table = []
+        for yr in lat.basis:
+            row = []
+            for ys in lat.basis:
+                product = order._mul_coords(yr, ys)
+                coords = None if any(c % den for c in product) else lat.coordinates([c // den for c in product])
+                if coords is None:
+                    raise PruferError("embedded order basis is not closed under multiplication")
+                row.append(coords)
+            table.append(tuple(row))
     # one = u/e is in the span L/den exactly when e divides den and u*den/e is in L.
     one_coords = None
     if den % one.denominator == 0:

@@ -240,13 +240,6 @@ class RationalPolynomial:
         lead = self._num[-1]
         return RationalPolynomial._raw([c * (1 if lead > 0 else -1) for c in self._num], abs(lead))
 
-    def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        """self(inner(X)) by Horner on polynomial coefficients."""
-        acc = RationalPolynomial._raw((), 1)
-        for c in reversed(self._num):
-            acc = acc * inner + RationalPolynomial([Fraction(c, self._den)])
-        return acc
-
     def content_and_primitive(self) -> tuple[Fraction, tuple[int, ...]]:
         """Write self = c * P with P primitive integer-coefficient, lc(P) > 0."""
         if self.is_zero:

@@ -82,7 +82,21 @@ def equation_product():
 
 
 @pytest.fixture
-def calls_to(monkeypatch):
+def patch_everywhere(monkeypatch):
+    """``patch_everywhere(home, name, fn)`` sets ``name`` to ``fn`` in every
+    prufer module that binds ``home.name``, until the test ends."""
+
+    def install(home, name, fn):
+        original = getattr(home, name)
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "prufer" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, fn)
+
+    return install
+
+
+@pytest.fixture
+def calls_to(patch_everywhere):
     """``calls_to(home, name, record)`` wraps ``home.name`` in every prufer
     module that binds it and returns the list of ``record(*args)``, one entry
     per call; ``record`` defaults to the argument tuple."""
@@ -95,9 +109,7 @@ def calls_to(monkeypatch):
             calls.append(record(*args, **kwargs))
             return original(*args, **kwargs)
 
-        for key, module in list(sys.modules.items()):
-            if key.split(".")[0] == "prufer" and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+        patch_everywhere(home, name, counting)
         return calls
 
     return install

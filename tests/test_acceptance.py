@@ -379,8 +379,11 @@ def _check_minimal_polynomial_divisibility(rng, corpus, failures):
         f = P(*(rng.randint(-4, 4) for _ in range(rng.randint(2, 4))))
         mu_b = minimal_polynomial(order, b)
         mu_c = minimal_polynomial(order, evaluate_poly(order, f, b))
-        _, remainder = divmod(mu_c.compose(f), mu_b)
-        if not remainder.is_zero:
+        # mu_b | mu_c(f) exactly when mu_c(f(X)) = 0 in Z[X]/(mu_b).
+        eq = equation_order(mu_b)
+        x_mod_mu = (P(0, 1) % mu_b).integer_numerators
+        x = element(x_mod_mu + (0,) * (mu_b.degree - len(x_mod_mu)))
+        if not evaluate_poly(eq, mu_c, evaluate_poly(eq, f, x)).is_zero:
             failures.append(f"divisibility fails for b={b.coords}, f={f}")
 
 

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import prufer.closure
 from prufer.closure import (
     discriminant,
     factor_int,
@@ -11,6 +13,7 @@ from prufer.closure import (
     ring_of_multipliers,
 )
 from prufer.decision import decide_pruefer, verify_certificate
+from prufer.factor import dedekind_p_maximal, poly_factor
 from prufer.errors import BudgetExceededError, DiscFactorizationError, NotApplicableError, PruferError
 from prufer.lattice import IntegerLattice, hnf_reduce, integer_left_kernel
 from prufer.orders import (
@@ -265,3 +268,77 @@ def test_dedekind_essential_index_two(corpus):
     assert maximal_order(cubic).index == 1
     closed, witness = is_integrally_closed_order(cubic)
     assert closed and witness is None
+
+
+def _dedekind_cases(seed, trials):
+    """Monic irreducible integer polynomials of degree <= 6, most of them
+    with a ramified shape: X^d + p*(...) + p^k*c, or (X - c)^d moved by
+    multiples of p."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        d = rng.randint(1, 6)
+        p = rng.choice([2, 3, 5, 7])
+        shape = rng.random()
+        if shape < 0.3:
+            coeffs = [rng.randint(-30, 30) for _ in range(d)]
+        elif shape < 0.7:
+            coeffs = [p ** rng.randint(1, 3) * rng.choice([1, -1, 2, 3])] + [p * rng.randint(-2, 2) for _ in range(d - 1)]
+        else:
+            base = (P(-rng.randint(-2, 2), 1) ** d).integer_numerators
+            coeffs = [c + p ** rng.randint(1, 3) * rng.randint(-1, 1) for c in base[:-1]]
+        mu = RationalPolynomial.from_int_coeffs(coeffs + [1])
+        if [m for _, m in poly_factor(mu)] == [1]:
+            yield mu
+
+
+def test_dedekind_criterion_matches_one_round_two_step():
+    # Z[X]/(mu) is p-maximal exactly when the multiplier ring of its
+    # p-radical is the order itself.
+    pairs = non_maximal = 0
+    for mu in _dedekind_cases(seed=14, trials=250):
+        order = equation_order(mu)
+        for p, v in sorted(factor_int(discriminant(order)).items()):
+            if v < 2:
+                continue
+            stable = ring_of_multipliers(order, p_radical(order, p), p).index == 1
+            assert dedekind_p_maximal(mu, p) == stable, (str(mu), p)
+            pairs += 1
+            non_maximal += not stable
+    assert pairs >= 150 and non_maximal >= 60
+
+
+def test_dedekind_criterion_at_a_large_prime():
+    # The minimal polynomial of 2^(1/10) (1 + 2 x + x^3 + 2 x^4 + ...) at a
+    # prime p with p^2 | disc.  Splitting mu mod p into irreducibles by
+    # Berlekamp walks the p residues; the criterion needs only gcds.
+    mu = P(298862, 144680, -126280, -95300, 2320, 14440, 1710, -720, -120, 0, 1)
+    order, p = equation_order(mu), 5140373041
+    assert factor_int(discriminant(order))[p] == 2
+    assert dedekind_p_maximal(mu, p) == (ring_of_multipliers(order, p_radical(order, p), p).index == 1)
+
+
+def test_x12_minus_2_needs_no_round_two_step(calls_to):
+    # Z[2^(1/12)] is maximal; its discriminant 2^34 3^12 has only 2 and 3
+    # in the square part, and Dedekind's criterion settles both, for the
+    # decision and for the verifier.
+    steps = calls_to(prufer.closure, "ring_of_multipliers")
+    radicals = calls_to(prufer.closure, "p_radical")
+    order = equation_order(P(-2, *[0] * 11, 1))
+    cert = decide_pruefer(order)
+    assert cert.verdict == "YES" and verify_certificate(order, cert)
+    assert steps == [] and radicals == []
+
+
+def test_x6_plus_108_still_takes_round_two_steps(calls_to):
+    # Z[X]/(X^6 + 108) fails the criterion at 2 and 3, so round 2 enlarges.
+    steps = calls_to(prufer.closure, "ring_of_multipliers")
+    radicals = calls_to(prufer.closure, "p_radical")
+    order = equation_order(P(108, 0, 0, 0, 0, 0, 1))
+    cert = decide_pruefer(order)
+    assert cert.to_json() == (
+        '{"verdict": "NO", "reason": "COMPONENT_NOT_MAXIMAL", "witness": {"element": '
+        '["1/2", "0", "0", "1/12", "0", "0"], "min_poly": "1 - X + X^2", "component": 0}, '
+        '"citation": "component-not-integrally-closed"}'
+    )
+    assert verify_certificate(order, cert)
+    assert len(steps) > 0 and len(radicals) == len(steps)

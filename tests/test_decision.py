@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import prufer.closure
 import prufer.decision
 import prufer.orders
 import prufer.splitting
 from prufer.decision import PrueferCertificate, decide_pruefer, verify_certificate
 from prufer.errors import IndeterminateError, MalformedCertificateError
-from prufer.orders import ZOrder, element, equation_order, load_order, product_order
+from prufer.lattice import hnf_reduce
+from prufer.orders import ZOrder, element, embedded_order, equation_order, load_order, product_order
 from prufer.poly import RationalPolynomial
 
 
@@ -151,6 +153,29 @@ def test_yes_decision_never_recomputes_the_minimal_polynomial(calls_to, equation
     calls = calls_to(prufer.orders, "minimal_polynomial")
     assert decide_pruefer(order).verdict == "YES"
     assert calls == []
+
+
+def _never_grows(order, ideal, p):
+    return embedded_order(order, [order.basis_element(i) for i in range(order.dim)], order.identity())
+
+
+def _p_times_order(order, p):
+    return hnf_reduce([[p if j == i else 0 for j in range(order.dim)] for i in range(order.dim)])
+
+
+@pytest.mark.parametrize(
+    "name, fault", [("ring_of_multipliers", _never_grows), ("p_radical", _p_times_order)], ids=["multipliers", "radical"]
+)
+def test_verify_does_not_trust_a_faulty_round_two_step(patch_everywhere, corpus, name, fault):
+    # A ring_of_multipliers that returns its input order, or a p_radical that
+    # returns pO, makes round 2 call Z[3i] maximal, and the decision says YES.
+    # The verifier checks 3, which does not divide [Z[3i] : Z[3i]] = 1, by
+    # Dedekind's criterion on X^2 + 9, and refuses the certificate.
+    patch_everywhere(prufer.closure, name, fault)
+    order = corpus["z_3i"]
+    cert = decide_pruefer(order)
+    assert cert.verdict == "YES"
+    assert verify_certificate(order, cert) is False
 
 
 def test_product_with_gaussians_is_pruefer(corpus):

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from prufer.errors import FactorDegreeError, ZeroPolynomialError
-from prufer.factor import is_probable_prime, modp_factor, poly_factor
+from prufer.factor import _pollard_brent, is_probable_prime, modp_factor, poly_factor
 from prufer.poly import RationalPolynomial
 
 
@@ -126,3 +128,65 @@ def test_factors_are_sorted_and_irreducible(f):
     for g, _ in fs:
         # irreducible means factoring again returns the factor itself
         assert poly_factor(g) == [(g, 1)]
+
+
+def _pollard_brent_with_abs(n, budget):
+    """The Pollard-Brent loop as it was first written, on |x - y|."""
+    count = 0
+    for c in range(1, 20):
+        y, m = 2, 128
+        g, r, q = 1, 1, 1
+        x = ys = y
+        while g == 1 and count < budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+            count += r
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+                count += 1
+                if count >= budget:
+                    break
+        if 1 < g < n:
+            return g
+        if count >= budget:
+            return None
+    return None
+
+
+def _random_prime(rng, lo, hi):
+    n = rng.randrange(lo, hi) | 1
+    while not is_probable_prime(n):
+        n += 2
+    return n
+
+
+def test_pollard_brent_without_abs_matches_the_abs_loop():
+    # q changes only by sign mod n, so every gcd, and so every factor found
+    # and every budget refusal, is the same.
+    rng = random.Random(14)
+    cases = []
+    for _ in range(40):
+        bits = rng.randint(8, 28)
+        n = 1
+        for _ in range(rng.randint(2, 3)):
+            n *= _random_prime(rng, 2 ** (bits - 1), 2**bits)
+        cases.append((n, rng.choice([20, 200, 100000])))
+    # The shape of the benchmark's refusal: Z[sqrt(pq)] with p, q near 10^18.
+    semiprime = _random_prime(rng, 10**18, 2 * 10**18) * _random_prime(rng, 10**18, 2 * 10**18)
+    cases.append((semiprime, 3000))
+    results = [_pollard_brent(n, budget) for n, budget in cases]
+    assert results == [_pollard_brent_with_abs(n, budget) for n, budget in cases]
+    assert None in results and any(results)

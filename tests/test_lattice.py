@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from prufer.lattice import (
     IntegerLattice,
     hnf_reduce,
-    hnf_with_transform,
     integer_left_kernel,
 )
 
@@ -72,18 +71,11 @@ def test_integer_left_kernel():
     assert K == [[2, -1]]
 
 
-def test_hnf_with_transform_identity():
+def test_integer_left_kernel_of_three_rows():
     rows = [[2, 4], [1, 3], [3, 7]]
-    H, U, K = hnf_with_transform(rows)
-    assert H == [[1, 1], [0, 2]]
-    # U * rows == [H; 0] checked by direct multiplication
-    prod = [[sum(u * a for u, a in zip(urow, col)) for col in zip(*rows)] for urow in U]
-    assert prod[: len(H)] == H
-    for r in prod[len(H):]:
-        assert all(c == 0 for c in r)
-    for k in K:
-        kr = [sum(c * a for c, a in zip(k, col)) for col in zip(*rows)]
-        assert all(c == 0 for c in kr)
+    assert hnf_reduce(rows).basis == ((1, 1), (0, 2))
+    # Rank 2, so the kernel is the line through (1, 1, -1): row 3 = row 1 + row 2.
+    assert integer_left_kernel(rows) == [[1, 1, -1]]
 
 
 @given(gen_rows)

@@ -372,7 +372,7 @@ def test_element_helpers():
     assert x.dim == 2
     assert x.denominator == 2
     assert not x.is_integral_vector
-    assert x.scaled(2).coords == (1, 6)
+    assert (x + x).coords == (1, 6)
     assert (x - x).is_zero
 
 
@@ -388,7 +388,11 @@ def test_min_poly_divides_composition(z_golden, coords, fcoeffs):
     mu_b = minimal_polynomial(z_golden, b)
     fb = evaluate_poly(z_golden, f, b)
     mu_fb = minimal_polynomial(z_golden, fb)
-    assert (mu_fb.compose(f) % mu_b).is_zero
+    # mu_b | mu_fb(f) exactly when mu_fb(f(X)) = 0 in Z[X]/(mu_b).
+    eq = equation_order(mu_b)
+    x_mod_mu = (RationalPolynomial.x_power(1) % mu_b).integer_numerators
+    x = element(x_mod_mu + (0,) * (mu_b.degree - len(x_mod_mu)))
+    assert evaluate_poly(eq, mu_fb, evaluate_poly(eq, f, x)).is_zero
 
 
 @given(small_elems, small_elems)

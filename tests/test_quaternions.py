@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prufer.errors import MalformedInputError
-from prufer.orders import AlgebraElement, ZOrder, element, mul
+from prufer.orders import AlgebraElement, ZOrder, element, evaluate_poly, mul
 from prufer.quaternions import (
     HURWITZ_UNIT,
     closure_check,
@@ -61,7 +61,7 @@ def test_linear_arithmetic():
     assert (q + r).coords == (1, 3, 3, 3)
     assert (q - r).coords == (1, 1, 3, 5)
     assert (-q).coords == (-1, -2, -3, -4)
-    assert q.scaled(Fraction(1, 2)).coords == (Fraction(1, 2), 1, Fraction(3, 2), 2)
+    assert AlgebraElement(q.integer_numerators, 2).coords == (Fraction(1, 2), 1, Fraction(3, 2), 2)
 
 
 def test_conjugate_norm_trace():
@@ -84,13 +84,7 @@ def test_char_poly_of_unit():
 
 def test_char_poly_kills_element():
     q = AlgebraElement((3, 5, 7, 9), 2)
-    f = reduced_char_poly(q)
-    acc = ZERO
-    power = ONE
-    for c in f.coefficients:
-        acc = acc + power.scaled(c)
-        power = mul(H, power, q)
-    assert acc == ZERO
+    assert evaluate_poly(H, reduced_char_poly(q), q) == ZERO
 
 
 @pytest.mark.parametrize(
@@ -223,7 +217,10 @@ def test_members_are_integral(q):
 @given(hurwitz_members())
 def test_char_poly_cayley_hamilton(q):
     f = reduced_char_poly(q)
-    assert mul(H, q, q) + q.scaled(f.coefficient(1)) + ONE.scaled(f.coefficient(0)) == ZERO
+    # q^2 + f_1 q + f_0, with f_1 q and f_0 as integer vectors over f's denominator.
+    nums, den = f.integer_numerators, f.denominator
+    linear = AlgebraElement(tuple(nums[1] * c for c in q.integer_numerators), den * q.denominator)
+    assert mul(H, q, q) + linear + AlgebraElement((nums[0], 0, 0, 0), den) == ZERO
 
 
 # -- against a Fraction reference -------------------------------------------
