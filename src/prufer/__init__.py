@@ -31,6 +31,7 @@ from .errors import (
     NotApplicableError,
     PruferError,
     SearchExhaustedError,
+    UnansweredError,
     UnitLineError,
     ZeroPolynomialError,
 )
@@ -49,10 +50,9 @@ from .orders import (
     order_to_dict,
     product_order,
 )
-from .splitting import Decomposition, component_order, decompose, find_primitive_element, idempotents_in_order
+from .splitting import Decomposition, component_order, decompose, find_primitive_element
 from .closure import (
     discriminant,
-    is_integrally_closed_order,
     maximal_order,
     p_radical,
     ring_of_multipliers,
@@ -95,6 +95,7 @@ __all__ = [
     "BudgetExceededError",
     "IndexDivisibleError",
     "DiscFactorizationError",
+    "UnansweredError",
     "IndeterminateError",
     "NotApplicableError",
     "IntegerLattice",
@@ -113,14 +114,12 @@ __all__ = [
     "Decomposition",
     "find_primitive_element",
     "decompose",
-    "idempotents_in_order",
     "component_order",
     "EmbeddedOrder",
     "discriminant",
     "p_radical",
     "ring_of_multipliers",
     "maximal_order",
-    "is_integrally_closed_order",
     "PointwiseClosure",
     "RamificationProfile",
     "int_member_finite",

@@ -5,10 +5,12 @@ Subcommands cover the decision pipeline (`analyze`), element-level tools
 `ramify`, `transform`), the quaternion case study (`hurwitz`) and a built-in
 demonstration table (`examples`).
 
-Exit codes: 0 success / YES, 3 mathematical NO, 4 resource exhaustion or an
-unsupported-prime restriction, 2 usage errors (from argparse), 1 malformed
-input or tool failure.  `--json` prints one deterministic JSON object per
-invocation, byte-identical across runs for fixed inputs.
+Exit codes: 0 success / YES, 3 mathematical NO, 4 no answer (an
+``errors.UnansweredError``, such as resource exhaustion or an
+unsupported-prime restriction, or decide's IndeterminateError), 2 usage
+errors (from argparse), 1 malformed input or tool failure.  `--json` prints
+one deterministic JSON object per invocation, byte-identical across runs for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -20,17 +22,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .decision import VERDICT_YES, decide_pruefer, verify_certificate
-from .errors import (
-    BudgetExceededError,
-    DiscFactorizationError,
-    FactorDegreeError,
-    IndeterminateError,
-    IndexDivisibleError,
-    MalformedInputError,
-    NotApplicableError,
-    PruferError,
-    SearchExhaustedError,
-)
+from .errors import IndeterminateError, MalformedInputError, NotApplicableError, PruferError, UnansweredError
 from .ivp import (
     RamificationProfile,
     int_member_finite,
@@ -424,17 +416,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IndeterminateError as exc:
-        print(exc, file=sys.stderr)
-        return 4
-    except (
-        BudgetExceededError,
-        DiscFactorizationError,
-        FactorDegreeError,
-        SearchExhaustedError,
-        IndexDivisibleError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IndeterminateError, UnansweredError) as exc:
+        # decide_pruefer's IndeterminateError starts with "indeterminate:".
+        print(exc if isinstance(exc, IndeterminateError) else f"error: {exc}", file=sys.stderr)
         return 4
     except (MalformedInputError, NotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ coordinates over one denominator), built by ``orders.embedded_order``.
 
 from __future__ import annotations
 
-from .errors import NotApplicableError, PruferError
+from .errors import NotApplicableError
 from .lattice import IntegerLattice, hnf_reduce
 from .linalg import bareiss_det, modp_left_kernel
 from .orders import (
@@ -187,20 +187,8 @@ def _round_two(order: ZOrder, mu: RationalPolynomial, index: int) -> EmbeddedOrd
     return embedded_order(order, running.basis, order.identity())
 
 
-def is_integrally_closed_order(order: ZOrder) -> tuple[bool, AlgebraElement | None]:
-    """(True, None) if the order equals its integral closure; otherwise
-    (False, w) with w the first Hermite-basis vector of the closure whose
-    coordinates are not integral."""
-    bad = _first_non_integral(maximal_order(order))
-    return bad is None, bad
-
-
 def _first_non_integral(closure: EmbeddedOrder) -> AlgebraElement | None:
-    """None when the closure equals its order (index 1); otherwise its first
-    Hermite-basis vector whose coordinates are not integral."""
-    if closure.index == 1:
-        return None
-    for x in closure.basis:
-        if not x.is_integral_vector:
-            return x
-    raise PruferError("closure has index > 1 but an integral basis; impossible")
+    """The first Hermite-basis vector of an overorder whose coordinates are
+    not integral, or None: the overorder equals its order exactly when every
+    basis vector is integral."""
+    return next((x for x in closure.basis if not x.is_integral_vector), None)

@@ -9,7 +9,10 @@ without rerunning the decision.  Both use Dedekind's criterion at primes p
 not dividing [A : Z[a]], a the primitive element, where the check of a YES
 shares only ``dedekind_p_maximal`` with the solver; elsewhere it shares
 ``p_radical`` and ``ring_of_multipliers``, and always ``discriminant``,
-``factor_int`` and ``poly_factor``.
+``factor_int`` and ``poly_factor``.  Neither guesses: when an
+``errors.UnansweredError`` stops the work, ``decide_pruefer`` raises
+IndeterminateError with the error's tag as reason, and ``verify_certificate``
+lets the error through instead of returning False.
 
 Certificates serialize to JSON with a fixed field order (verdict, reason,
 witness, citation) so output files are byte-stable.
@@ -30,15 +33,11 @@ from .closure import (
     ring_of_multipliers,
 )
 from .errors import (
-    BudgetExceededError,
-    DiscFactorizationError,
-    FactorDegreeError,
     IndeterminateError,
     MalformedCertificateError,
     MalformedInputError,
-    NotApplicableError,
     PruferError,
-    SearchExhaustedError,
+    UnansweredError,
 )
 from .factor import dedekind_p_maximal, factor_int, poly_factor
 from .lattice import hnf_reduce
@@ -57,7 +56,7 @@ from .orders import (
     power,
 )
 from .poly import RationalPolynomial
-from .splitting import _split_reduced, component_order, idempotents_in_order
+from .splitting import _split_reduced, component_order
 
 VERDICT_YES = "YES"
 VERDICT_NO = "NO"
@@ -178,28 +177,17 @@ def _field(witness: dict, key: str):
     return witness[key]
 
 
-_INDETERMINATE_TAGS = (
-    (DiscFactorizationError, "DISC_FACTORIZATION_FAILED"),
-    (BudgetExceededError, "BUDGET_EXCEEDED"),
-    (FactorDegreeError, "DEGREE_CAP"),
-    (SearchExhaustedError, "SEARCH_EXHAUSTED"),
-)
-_INDETERMINATE_TYPES = tuple(klass for klass, _ in _INDETERMINATE_TAGS)
-
-
 def decide_pruefer(order: ZOrder) -> PrueferCertificate:
     """Decide whether Int_Q(A) is Prüfer, with a re-checkable certificate.
 
-    Obstructions are tested cheapest first; resource exhaustion raises
-    IndeterminateError instead of guessing a verdict.
+    Obstructions are tested cheapest first; an ``UnansweredError`` (a
+    resource limit) becomes an IndeterminateError with its tag as reason
+    instead of a guessed verdict.
     """
     try:
         return _decide(order)
-    except _INDETERMINATE_TYPES as exc:
-        for klass, tag in _INDETERMINATE_TAGS:
-            if isinstance(exc, klass):
-                raise IndeterminateError(tag, exc) from exc
-        raise  # unreachable
+    except UnansweredError as exc:
+        raise IndeterminateError(exc.tag, exc) from exc
 
 
 def _decide(order: ZOrder) -> PrueferCertificate:
@@ -221,8 +209,8 @@ def _decide(order: ZOrder) -> PrueferCertificate:
         raise PruferError("internal: semisimple-undecided on a commutative order")
 
     dec = _split_reduced(order)
-    inside, escaping = idempotents_in_order(order, dec)
-    if not inside:
+    escaping = next((e for e in dec.idempotents if not e.is_integral_vector), None)
+    if escaping is not None:
         mu = minimal_polynomial(order, escaping)
         witness = {"element": _coords_json(escaping), "min_poly": str(mu)}
         return PrueferCertificate(
@@ -274,7 +262,8 @@ def verify_certificate(order: ZOrder, cert: PrueferCertificate) -> bool:
     """Re-check a certificate against the order with independent primitives.
 
     Structural defects in the certificate raise MalformedCertificateError;
-    a well-formed certificate whose claims do not hold returns False.
+    a well-formed certificate whose claims do not hold returns False, and an
+    UnansweredError (no answer within a limit) propagates.
     """
     witness = cert.witness
     if cert.verdict == VERDICT_NO:
@@ -378,9 +367,9 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
         for ei, rows in zip(idems, bases):
             if not _component_is_maximal(embedded_order(order, rows, ei).order, mu, index):
                 return False
-    except DiscFactorizationError:
+    except UnansweredError:
         raise
-    except (NotApplicableError, MalformedInputError, PruferError):
+    except PruferError:
         return False
     return True
 

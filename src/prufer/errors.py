@@ -1,9 +1,13 @@
 """Exception types shared across the package.
 
 Each class corresponds to one named failure mode of the public operations;
-the CLI maps them onto exit codes (malformed input -> 1, resource exhaustion
--> 4).  Keeping them in one module avoids import cycles between the math
-modules.
+the CLI maps them onto exit codes (malformed input -> 1, no answer -> 4).
+The no-answer policy lives here only: a subclass of ``UnansweredError``
+means a resource limit or an unproven assumption stood in the way, its
+``tag`` is a stable machine-readable name, and the base class writes that
+tag at the front of the message.  ``decide_pruefer`` reports the tag as an
+``IndeterminateError``'s ``reason``.  Keeping the classes in one module
+avoids import cycles between the math modules.
 """
 
 
@@ -17,10 +21,6 @@ class DimensionMismatchError(PruferError):
 
 class ZeroPolynomialError(PruferError):
     """An operation that needs a nonzero polynomial got the zero polynomial."""
-
-
-class FactorDegreeError(PruferError):
-    """Factorization was asked for a polynomial above the degree cap."""
 
 
 class MalformedInputError(PruferError):
@@ -43,7 +43,29 @@ class MalformedCertificateError(PruferError):
     """A certificate document is missing fields or fails to parse."""
 
 
-class SearchExhaustedError(PruferError):
+class NotApplicableError(PruferError):
+    """An operation's mathematical precondition does not hold for this input."""
+
+
+class UnansweredError(PruferError):
+    """No answer: a resource limit or an unproven assumption is in the way.
+
+    Subclasses declare ``tag``; the message starts with it.
+    """
+
+    tag = ""
+
+    def __init__(self, message: str):
+        super().__init__(f"{self.tag}: {message}")
+
+
+class FactorDegreeError(UnansweredError):
+    """Factorization was asked for a polynomial above the degree cap."""
+
+    tag = "DEGREE_CAP"
+
+
+class SearchExhaustedError(UnansweredError):
     """A bounded deterministic search ran out of candidates.
 
     Raised by the primitive-element search; for the algebras accepted by
@@ -52,8 +74,10 @@ class SearchExhaustedError(PruferError):
     violation rather than a mathematical obstruction.
     """
 
+    tag = "SEARCH_EXHAUSTED"
 
-class BudgetExceededError(PruferError):
+
+class BudgetExceededError(UnansweredError):
     """A membership check would evaluate more points than the budget allows,
     or a ramification exponent r would have more digits than its cap.
 
@@ -61,33 +85,34 @@ class BudgetExceededError(PruferError):
     digits r is known to have) and ``budget`` so callers can report both.
     """
 
+    tag = "BUDGET_EXCEEDED"
+
     def __init__(self, message: str, required: int, budget: int):
         super().__init__(message)
         self.required = required
         self.budget = budget
 
 
-class IndexDivisibleError(PruferError):
+class IndexDivisibleError(UnansweredError):
     """Ramification data was requested at a prime dividing the power-basis index."""
 
+    tag = "INDEX_DIVISIBLE"
 
-class DiscFactorizationError(PruferError):
+
+class DiscFactorizationError(UnansweredError):
     """A discriminant could not be fully factored within the budget."""
 
-
-class NotApplicableError(PruferError):
-    """An operation's mathematical precondition does not hold for this input."""
+    tag = "DISC_FACTORIZATION_FAILED"
 
 
 class IndeterminateError(PruferError):
     """The decision procedure ran out of resources before reaching a verdict.
 
-    Wraps the causing exception; ``reason`` is a stable machine-readable tag,
-    and the cause's message already starts with it, so the message names the
-    tag once.
+    ``reason`` is the ``tag`` of the ``UnansweredError`` that stopped it,
+    which is also the exception's ``__cause__``; the cause's message already
+    starts with the tag, so the message names it once.
     """
 
-    def __init__(self, reason: str, cause: Exception):
+    def __init__(self, reason: str, cause: UnansweredError):
         super().__init__(f"indeterminate: {cause}")
         self.reason = reason
-        self.cause = cause

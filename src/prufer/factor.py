@@ -350,9 +350,7 @@ def factor_int(n: int, budget: int = 500000) -> dict[int, int]:
             continue
         d = _pollard_brent(m, budget)
         if d is None:
-            raise DiscFactorizationError(
-                f"DISC_FACTORIZATION_FAILED: composite cofactor {m} resisted the budget"
-            )
+            raise DiscFactorizationError(f"composite cofactor {m} resisted the budget")
         stack.append(d)
         stack.append(m // d)
     return out
@@ -440,9 +438,7 @@ def poly_factor(f: RationalPolynomial) -> list[tuple[RationalPolynomial, int]]:
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     if f.degree > FACTOR_DEGREE_CAP:
-        raise FactorDegreeError(
-            f"DEGREE_CAP: degree {f.degree} exceeds the factorization cap {FACTOR_DEGREE_CAP}"
-        )
+        raise FactorDegreeError(f"degree {f.degree} exceeds the factorization cap {FACTOR_DEGREE_CAP}")
     out: list[tuple[RationalPolynomial, int]] = []
     for part, mult in squarefree_decomposition(f):
         _, prim = part.content_and_primitive()

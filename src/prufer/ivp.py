@@ -155,7 +155,7 @@ def int_member_order(order: ZOrder, f: RationalPolynomial, budget: int | None = 
         return True
     if required > limit:
         raise BudgetExceededError(
-            f"BUDGET_EXCEEDED: {required} point evaluations needed, budget is {limit}",
+            f"{required} point evaluations needed, budget is {limit}",
             required=required,
             budget=limit,
         )
@@ -222,6 +222,11 @@ def pointwise_integrally_closed(order: ZOrder, a: AlgebraElement) -> PointwiseCl
     return PointwiseClosure(True, None, None, m)
 
 
+def _require_prime(p: int) -> None:
+    if p < 2 or not is_probable_prime(p):
+        raise MalformedInputError(f"MALFORMED_INPUT: {p} is not prime")
+
+
 @dataclass(frozen=True)
 class RamificationProfile:
     """Splitting data of a rational prime p in a number field.
@@ -236,8 +241,7 @@ class RamificationProfile:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.prime < 2:
-            raise MalformedInputError(f"MALFORMED_INPUT: bad prime {self.prime}")
+        _require_prime(self.prime)
         if not self.pairs:
             raise MalformedInputError("MALFORMED_INPUT: profile needs at least one (e, f) pair")
         normalized = tuple(sorted((int(e), int(f)) for e, f in self.pairs))
@@ -277,7 +281,7 @@ class RamificationProfile:
         exponent = _bounded_factorial(self.f_max, cap.bit_length() // (p.bit_length() - 1))
         if exponent is None or (r := p**exponent) >= cap:
             raise BudgetExceededError(
-                f"BUDGET_EXCEEDED: r = {p}^({self.f_max}!) would have more than {R_DIGIT_CAP} digits, the cap on r",
+                f"r = {p}^({self.f_max}!) would have more than {R_DIGIT_CAP} digits, the cap on r",
                 required=R_DIGIT_CAP + 1,
                 budget=R_DIGIT_CAP,
             )
@@ -297,16 +301,14 @@ def ramification_profile(order: ZOrder, p: int) -> RamificationProfile:
     factorization at such primes is out of scope).  The index is
     ``closure.power_index``, worked out before round 2, which it shortens.
     """
-    if p < 2 or not is_probable_prime(p):
-        raise MalformedInputError(f"MALFORMED_INPUT: {p} is not prime")
+    _require_prime(p)
     a, mu = field_polynomial(order)
     index = power_index(order, a)
     if _round_two(order, mu, index).index != 1:
         raise NotApplicableError("NOT_MAXIMAL: the order is not maximal")
     if index % p == 0:
         raise IndexDivisibleError(
-            f"INDEX_DIVISIBLE: {p} divides the equation-order index {index}; "
-            "profile unavailable at this prime"
+            f"{p} divides the equation-order index {index}; profile unavailable at this prime"
         )
 
     pairs = tuple((e, len(g) - 1) for g, e in modp_factor(mu.integer_numerators, p))
@@ -362,9 +364,8 @@ def transform_sequence(
     if k_max < 1:
         raise MalformedInputError("MALFORMED_INPUT: k_max must be at least 1")
     degree, r, s = _transform_exponents(f, profile)
-    p = profile.prime
+    # deg f_k = d s (1 + (r - 1) s)^k: every degree is checked before f_1 is built.
     degree *= s
-    seq = [f**s]
     for k in range(1, k_max + 1):
         degree *= 1 + (r - 1) * s
         if degree > MAX_PARSE_DEGREE:
@@ -372,8 +373,10 @@ def transform_sequence(
                 f"MALFORMED_INPUT: f_{k} of the transform sequence would have degree {degree}, "
                 f"above the cap {MAX_PARSE_DEGREE}"
             )
+    seq = [f**s]
+    for _ in range(k_max):
         prev = seq[-1]
-        seq.append(prev * (prev ** (r - 1) - 1) ** s / p)
+        seq.append(prev * (prev ** (r - 1) - 1) ** s / profile.prime)
     return seq
 
 
@@ -386,8 +389,7 @@ def nilpotent_witness(order: ZOrder, p: int, cap: int = SEARCH_CAP) -> AlgebraEl
     widened once to [-2p, 2p]; None means not found within the budget, which
     is not a proof of absence.
     """
-    if p < 2 or not is_probable_prime(p):
-        raise MalformedInputError(f"MALFORMED_INPUT: {p} is not prime")
+    _require_prime(p)
     psq = p * p
     for vec in shell_vectors(order.dim, 2 * p, cap):
         if all(c % p == 0 for c in vec):

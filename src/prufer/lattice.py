@@ -64,18 +64,6 @@ class IntegerLattice:
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], ambient_dim: int | None = None) -> "IntegerLattice":
-        rows = [list(map(int, row)) for row in rows]
-        if ambient_dim is None:
-            if not rows:
-                raise DimensionMismatchError("ambient dimension needed for an empty generating set")
-            ambient_dim = len(rows[0])
-        if any(len(row) != ambient_dim for row in rows):
-            raise DimensionMismatchError("rows of mixed length")
-        r = _hnf_in_place(rows, ambient_dim)
-        return cls(ambient_dim, tuple(tuple(row) for row in rows[:r]))
-
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -118,7 +106,15 @@ class IntegerLattice:
 
 def hnf_reduce(rows: Sequence[Sequence[int]], ambient_dim: int | None = None) -> IntegerLattice:
     """Hermite normal form of the lattice generated by ``rows``."""
-    return IntegerLattice.from_rows(rows, ambient_dim)
+    rows = [list(map(int, row)) for row in rows]
+    if ambient_dim is None:
+        if not rows:
+            raise DimensionMismatchError("ambient dimension needed for an empty generating set")
+        ambient_dim = len(rows[0])
+    if any(len(row) != ambient_dim for row in rows):
+        raise DimensionMismatchError("rows of mixed length")
+    r = _hnf_in_place(rows, ambient_dim)
+    return IntegerLattice(ambient_dim, tuple(tuple(row) for row in rows[:r]))
 
 
 def integer_left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -43,7 +43,7 @@ from .errors import (
     PruferError,
     UnitLineError,
 )
-from .lattice import IntegerLattice
+from .lattice import hnf_reduce
 from .linalg import EchelonSpan
 from .poly import RationalPolynomial
 
@@ -515,7 +515,7 @@ class EmbeddedOrder:
         index is den^n / [Z^n : L].
         """
         rows, den = self._rows
-        lat = IntegerLattice.from_rows(rows)
+        lat = hnf_reduce(rows)
         if lat.rank != lat.ambient_dim:
             raise PruferError("the index needs an embedded order of full rank")
         volume = den**lat.rank
@@ -544,7 +544,7 @@ def embedded_order(order: ZOrder, rows: Sequence[AlgebraElement], one: AlgebraEl
     and identity-law checks but not the associativity proof.
     """
     ints, den = _over_common_denominator(rows)
-    lat = IntegerLattice.from_rows(ints)
+    lat = hnf_reduce(ints)
     # Basis row r is y_r / den, so (y_r / den)(y_s / den) is in the span
     # exactly when y_r y_s / den is an integer combination of the y's.  The
     # span Z^n itself has the unit basis, and its table is order's.

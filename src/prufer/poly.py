@@ -118,11 +118,6 @@ class RationalPolynomial:
     def has_integer_coefficients(self) -> bool:
         return self._den == 1
 
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self._num):
-            return Fraction(self._num[k], self._den)
-        return Fraction(0)
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "RationalPolynomial":

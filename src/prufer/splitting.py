@@ -98,7 +98,7 @@ def find_primitive_element(order: ZOrder) -> tuple[AlgebraElement, RationalPolyn
             return AlgebraElement(vec), RationalPolynomial.from_int_coeffs(relation, relation[-1])
         rejected = [(b, kept) for b, kept in rejected if b not in span]
         rejected.append((vec, span))
-    raise SearchExhaustedError("SEARCH_EXHAUSTED: no primitive element found within the search budget")
+    raise SearchExhaustedError("no primitive element found within the search budget")
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,6 @@ class Decomposition:
     min_poly: RationalPolynomial
     factors: tuple[RationalPolynomial, ...]
     idempotents: tuple[AlgebraElement, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.factors)
 
 
 def decompose(order: ZOrder) -> Decomposition:
@@ -169,19 +165,6 @@ def crt_idempotents(
             raise PruferError("minimal polynomial factors are not coprime")
         idempotents.append(evaluate_poly(order, RationalPolynomial.one_poly - s * g, a))
     return tuple(idempotents)
-
-
-def idempotents_in_order(
-    order: ZOrder, dec: Decomposition
-) -> tuple[bool, AlgebraElement | None]:
-    """Do all component idempotents have integer coordinates (lie in A)?
-
-    Returns (True, None) or (False, first escaping idempotent).
-    """
-    for e in dec.idempotents:
-        if not e.is_integral_vector:
-            return False, e
-    return True, None
 
 
 def component_order(order: ZOrder, dec: Decomposition, index: int) -> EmbeddedOrder:

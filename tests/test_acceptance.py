@@ -21,7 +21,7 @@ from prufer.ivp import (
     ramification_profile,
     transform_sequence,
 )
-from prufer.lattice import IntegerLattice
+from prufer.lattice import hnf_reduce
 from prufer.orders import (
     element,
     equation_order,
@@ -314,8 +314,8 @@ def _check_hnf_idempotence(rng, failures):
     for _ in range(25):
         height = rng.randint(1, 4)
         rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(height)]
-        first = IntegerLattice.from_rows(rows, ambient_dim=3)
-        second = IntegerLattice.from_rows(first.basis, ambient_dim=3)
+        first = hnf_reduce(rows, ambient_dim=3)
+        second = hnf_reduce(first.basis, ambient_dim=3)
         if first.basis != second.basis:
             failures.append(f"hnf not idempotent on {rows}")
 

@@ -310,6 +310,12 @@ def test_transform_sequence(capsys):
     )
 
 
+def test_transform_composite_prime(capsys):
+    code, out, err = run(capsys, "transform", "--prime", "4", "--ef", "1,1", "--poly", "X")
+    assert (code, out) == (1, "")
+    assert err == "error: MALFORMED_INPUT: 4 is not prime\n"
+
+
 def test_transform_bad_pair(capsys):
     code, _, err = run(capsys, "transform", "--prime", "2", "--ef", "0,1", "--poly", "X")
     assert code == 1
@@ -324,6 +330,8 @@ def test_transform_bad_pair(capsys):
         ("--prime", "2", "--ef", "100000000,1", "--poly", "X"),
         # f_1 has degree 1009, f_2 would have degree 1009^2 > 10^6.
         ("--prime", "1009", "--ef", "1,1", "--poly", "X", "--sequence", "2"),
+        # deg f_k = 2^k: f_20 is refused before f_1 is built.
+        ("--prime", "2", "--ef", "1,1", "--poly", "X", "--sequence", "100"),
     ],
 )
 def test_transform_beyond_the_degree_cap(capsys, argv):

@@ -5,9 +5,9 @@ import pytest
 
 import prufer.closure
 from prufer.closure import (
+    _first_non_integral,
     discriminant,
     factor_int,
-    is_integrally_closed_order,
     maximal_order,
     p_radical,
     ring_of_multipliers,
@@ -15,7 +15,7 @@ from prufer.closure import (
 from prufer.decision import decide_pruefer, verify_certificate
 from prufer.factor import dedekind_p_maximal, poly_factor
 from prufer.errors import BudgetExceededError, DiscFactorizationError, NotApplicableError, PruferError
-from prufer.lattice import IntegerLattice, hnf_reduce, integer_left_kernel
+from prufer.lattice import hnf_reduce, integer_left_kernel
 from prufer.orders import (
     AlgebraElement,
     element,
@@ -143,7 +143,7 @@ def _reference_multipliers(order, ideal):
             row[j * n : (j + 1) * n] = [-d * c for c in w[k]]
             matrix.append(row)
     kernel = integer_left_kernel(matrix)
-    lattice = IntegerLattice.from_rows([vec[:n] for vec in kernel], n)
+    lattice = hnf_reduce([vec[:n] for vec in kernel], n)
     return tuple(AlgebraElement(row, d) for row in lattice.basis)
 
 
@@ -252,10 +252,8 @@ def test_component_tables_multiply_their_rows(equation_product):
 
 
 def test_is_integrally_closed_order(z_sqrt5, z_i):
-    closed, witness = is_integrally_closed_order(z_i)
-    assert closed and witness is None
-    closed, witness = is_integrally_closed_order(z_sqrt5)
-    assert not closed
+    assert _first_non_integral(maximal_order(z_i)) is None
+    witness = _first_non_integral(maximal_order(z_sqrt5))
     assert witness.coords == (Fraction(1, 2), Fraction(1, 2))
     assert _is_integral(z_sqrt5, witness)
     assert not witness.is_integral_vector
@@ -266,8 +264,7 @@ def test_dedekind_essential_index_two(corpus):
     cubic = corpus["cubic_index2"]
     assert discriminant(cubic) == -503
     assert maximal_order(cubic).index == 1
-    closed, witness = is_integrally_closed_order(cubic)
-    assert closed and witness is None
+    assert _first_non_integral(maximal_order(cubic)) is None
 
 
 def _dedekind_cases(seed, trials):

@@ -9,7 +9,15 @@ import prufer.decision
 import prufer.orders
 import prufer.splitting
 from prufer.decision import PrueferCertificate, decide_pruefer, verify_certificate
-from prufer.errors import IndeterminateError, MalformedCertificateError
+from prufer.errors import (
+    BudgetExceededError,
+    DiscFactorizationError,
+    FactorDegreeError,
+    IndeterminateError,
+    IndexDivisibleError,
+    MalformedCertificateError,
+    SearchExhaustedError,
+)
 from prufer.lattice import hnf_reduce
 from prufer.orders import ZOrder, element, embedded_order, equation_order, load_order, product_order
 from prufer.poly import RationalPolynomial
@@ -365,6 +373,43 @@ def test_indeterminate_degree_cap():
     with pytest.raises(IndeterminateError) as exc:
         decide_pruefer(order)
     assert exc.value.reason == "DEGREE_CAP"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        FactorDegreeError("degree 40 exceeds the factorization cap 32"),
+        SearchExhaustedError("no primitive element found within the search budget"),
+        BudgetExceededError("4 point evaluations needed, budget is 2", required=4, budget=2),
+        IndexDivisibleError("2 divides the equation-order index 2"),
+        DiscFactorizationError("composite cofactor 91 resisted the budget"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_unanswered_error_tag_is_the_reason(monkeypatch, z_i, error):
+    assert str(error).startswith(f"{error.tag}: ")
+
+    def unanswered(order):
+        raise error
+
+    monkeypatch.setattr(prufer.decision, "_split_reduced", unanswered)
+    with pytest.raises(IndeterminateError) as exc:
+        decide_pruefer(z_i)
+    assert exc.value.reason == error.tag
+    assert exc.value.__cause__ is error
+    assert str(exc.value) == f"indeterminate: {error}"
+
+
+def test_verify_does_not_answer_past_a_budget(monkeypatch, z_golden):
+    # No answer is not a False: the check of a YES lets the error through.
+    cert = decide_pruefer(z_golden)
+
+    def over_budget(n, *args, **kwargs):
+        raise BudgetExceededError("factoring stopped", required=2, budget=1)
+
+    monkeypatch.setattr(prufer.decision, "factor_int", over_budget)
+    with pytest.raises(BudgetExceededError):
+        verify_certificate(z_golden, cert)
 
 
 def test_certificate_validates_on_construction():

@@ -426,6 +426,19 @@ def test_ramification_requires_prime(z_i):
         ramification_profile(z_i, 4)
 
 
+@pytest.mark.parametrize("p", [1, 4, 91])
+def test_profile_requires_prime(z_i, p):
+    # At p = 4, (X^4 - X)/4 is 7/2 at X = 2: a composite "prime" gives a
+    # transform that is not integer-valued.
+    for refuse in (
+        lambda: RamificationProfile.single(p, 1, 1),
+        lambda: ramification_profile(z_i, p),
+        lambda: nilpotent_witness(z_i, p),
+    ):
+        with pytest.raises(MalformedInputError, match=f"^MALFORMED_INPUT: {p} is not prime$"):
+            refuse()
+
+
 def test_ramification_searches_once(z_i, search_calls):
     ramification_profile(z_i, 5)
     assert search_calls == [2]
@@ -530,6 +543,17 @@ def test_transform_sequence_rejects_bad_depth():
     prof = RamificationProfile.single(2, 1, 1)
     with pytest.raises(MalformedInputError):
         transform_sequence(P(0, 1), prof, 0)
+
+
+def test_transform_sequence_refused_before_f_1(monkeypatch):
+    # deg f_k = 2^k at p = 2: f_20 is over the cap, and no power is formed.
+    def no_power(self, k):
+        raise AssertionError("a power was formed before the refusal")
+
+    monkeypatch.setattr(RationalPolynomial, "__pow__", no_power)
+    message = "^MALFORMED_INPUT: f_20 of the transform sequence would have degree 1048576, above the cap 1000000$"
+    with pytest.raises(MalformedInputError, match=message):
+        transform_sequence(P(0, 1), RamificationProfile.single(2, 1, 1), 100)
 
 
 # -- nilpotent witnesses ------------------------------------------------------

@@ -67,8 +67,8 @@ def test_linear_arithmetic():
 def test_conjugate_norm_trace():
     q = AlgebraElement((3, 5, 7, 9), 2)
     f = reduced_char_poly(q)
-    assert f.coefficient(0) == 41  # the norm
-    assert -f.coefficient(1) == 3  # the trace
+    assert f.coefficients[0] == 41  # the norm
+    assert -f.coefficients[1] == 3  # the trace
     conjugate = AlgebraElement((3, -5, -7, -9), 2)
     assert mul(H, q, conjugate) == AlgebraElement((41, 0, 0, 0))
 

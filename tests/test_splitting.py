@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import prufer.splitting
+from prufer.decision import decide_pruefer
 from prufer.errors import NotApplicableError, SearchExhaustedError
 from prufer.linalg import bareiss_det
 from prufer.orders import (
@@ -22,7 +23,6 @@ from prufer.splitting import (
     component_order,
     decompose,
     find_primitive_element,
-    idempotents_in_order,
     shell_vectors,
 )
 
@@ -186,14 +186,14 @@ def test_krylov_test_on_nilpotent_algebra(corpus):
 
 def test_decompose_field(z_i):
     dec = decompose(z_i)
-    assert dec.count == 1
+    assert len(dec.factors) == 1
     assert dec.min_poly == P(1, 0, 1)
     assert dec.idempotents == (z_i.identity(),)
 
 
 def test_decompose_split_algebra(zxz):
     dec = decompose(zxz)
-    assert dec.count == 2
+    assert len(dec.factors) == 2
     assert all(f.degree == 1 for f in dec.factors)
     assert set(e.coords for e in dec.idempotents) == {(1, 0), (0, 1)}
 
@@ -213,17 +213,18 @@ def test_decompose_idempotent_identities(zxz):
 
 
 def test_idempotents_in_order(zxz):
-    inside, witness = idempotents_in_order(zxz, decompose(zxz))
-    assert inside and witness is None
+    # Z x Z holds its idempotents, so no IDEMPOTENT_ESCAPES: the answer is YES.
+    assert all(e.is_integral_vector for e in decompose(zxz).idempotents)
+    assert decide_pruefer(zxz).reason == "ALL_COMPONENTS_MAXIMAL"
 
 
 def test_idempotent_escapes():
     # Z[X]/((X-1)(X-3)): the idempotents live at (X-3)/(1-3) and (X-1)/2
     eo = equation_order(P(3, -4, 1))
-    dec = decompose(eo)
-    inside, witness = idempotents_in_order(eo, dec)
-    assert not inside
-    assert witness is not None
+    cert = decide_pruefer(eo)
+    assert cert.reason == "IDEMPOTENT_ESCAPES"
+    witness = element([Fraction(c) for c in cert.witness["element"]])
+    assert witness in decompose(eo).idempotents
     assert not witness.is_integral_vector
     sq = mul(eo, witness, witness)
     assert sq.coords == witness.coords
@@ -239,7 +240,7 @@ def test_component_order_projects(zxz):
 
 def test_component_order_of_quadratic_field(z_sqrt5):
     dec = decompose(z_sqrt5)
-    assert dec.count == 1
+    assert len(dec.factors) == 1
     comp = component_order(z_sqrt5, dec, 0)
     assert comp.order.dim == 2
     # the component of a field algebra is the whole thing, re-expressed
@@ -260,7 +261,7 @@ def split_polynomials(draw):
 def test_idempotent_identities_randomized(f):
     eo = equation_order(f)
     dec = decompose(eo)
-    assert dec.count == f.degree
+    assert len(dec.factors) == f.degree
     es = dec.idempotents
     total = es[0]
     for e in es[1:]:
