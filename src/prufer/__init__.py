@@ -62,7 +62,6 @@ from .ivp import (
     RamificationProfile,
     int_member_finite,
     int_member_order,
-    nilpotent_witness,
     pointwise_integrally_closed,
     pruefer_transform,
     ramification_profile,
@@ -128,7 +127,6 @@ __all__ = [
     "ramification_profile",
     "pruefer_transform",
     "transform_sequence",
-    "nilpotent_witness",
     "PrueferCertificate",
     "decide_pruefer",
     "verify_certificate",

@@ -4,7 +4,8 @@ Pipeline for a squarefree primitive integer polynomial F:
 
 1. scale to a monic integer polynomial G(X) = l^(n-1) * F(X/l), l = lc(F);
 2. pick a small odd prime p where G stays squarefree mod p;
-3. Berlekamp over F_p with exhaustive gcd splitting (deterministic);
+3. distinct-degree splitting over F_p, then Cantor-Zassenhaus equal-degree
+   splitting with a generator seeded by p (deterministic);
 4. quadratic Hensel lifting of the factor tree until the modulus clears
    twice the Landau-Mignotte coefficient bound;
 5. subset recombination, each monic candidate tested by exact division;
@@ -18,17 +19,20 @@ small orders, so the cap is generous.
 The module is also the package's one home for primes and integer
 factorization: ``is_probable_prime`` and ``factor_int`` (trial division,
 then Pollard-Brent under a work budget), which factors discriminants.
-``dedekind_p_maximal`` is Dedekind's criterion, by gcds over F_p.
+``dedekind_p_maximal`` is Dedekind's criterion, by gcds over F_p, and
+``modp_degrees`` gives the (e, f) pairs of a monic polynomial mod p, the
+ramification data of ``ivp.ramification_profile``; neither splits a factor,
+so their cost does not grow with p.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import random
+from itertools import combinations, zip_longest
 from math import comb, gcd, isqrt
 from typing import Sequence
 
 from .errors import DiscFactorizationError, FactorDegreeError, PruferError, ZeroPolynomialError
-from .linalg import modp_left_kernel
 from .poly import RationalPolynomial, squarefree_decomposition
 
 FACTOR_DEGREE_CAP = 32
@@ -44,15 +48,7 @@ def _trim(a: list[int]) -> list[int]:
 
 
 def _zp_add(a: list[int], b: list[int], m: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    for i in range(len(b), n):
-        out[i] %= m
-    return _trim(out)
+    return _trim([(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _zp_sub(a: list[int], b: list[int], m: int) -> list[int]:
@@ -82,13 +78,13 @@ def _zp_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], lis
     if len(a) - 1 < db:
         return [], _trim(a)
     quot = [0] * (len(a) - db)
+    # Coefficients below the leading one are reduced once, at the end.
     for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] % m
-        quot[k] = c
+        c = quot[k] = a[k + db] % m
         if c:
-            for j in range(db + 1):
-                a[k + j] = (a[k + j] - c * b[j]) % m
-    return _trim(quot), _trim(a[:db])
+            for j in range(db):
+                a[k + j] -= c * b[j]
+    return _trim(quot), _trim([c % m for c in a[:db]])
 
 
 def _gp_monic(a: list[int], p: int) -> list[int]:
@@ -133,17 +129,17 @@ def _gp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], 
 
 
 def _gp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    return _gp_divmod(_zp_mul(a, b, p), f, p)[1]
+    return _zp_divmod_monic(_zp_mul(a, b, p), f, p)[1]
 
 
 def _gp_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _gp_divmod(a, f, p)[1]
-    while e:
-        if e & 1:
+    """a^e mod f over F_p, for f monic and e >= 1, square and multiply from
+    the top bit down."""
+    result = base = _zp_divmod_monic(a, f, p)[1]
+    for bit in bin(e)[3:]:
+        result = _gp_mulmod(result, result, f, p)
+        if bit == "1":
             result = _gp_mulmod(result, base, f, p)
-        base = _gp_mulmod(base, base, f, p)
-        e >>= 1
     return result
 
 
@@ -151,50 +147,48 @@ def _gp_deriv(a: list[int], p: int) -> list[int]:
     return _trim([(i * c) % p for i, c in enumerate(a)][1:])
 
 
-def _berlekamp(f: list[int], p: int) -> list[list[int]]:
-    """Monic irreducible factors of a monic squarefree f over F_p."""
-    n = len(f) - 1
-    if n <= 1:
-        return [f]
-    xp = _gp_powmod([0, 1], p, f, p)
-    rows = []
-    cur = [1]
-    for _ in range(n):
-        rows.append(list(cur) + [0] * (n - len(cur)))
-        cur = _gp_mulmod(cur, xp, f, p)
-    frobenius = [[(rows[i][j] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    kernel = modp_left_kernel(frobenius, p)
-    r = len(kernel)
-    if r == 1:
-        return [f]
-    factors = [f]
-    for v in kernel:
-        if len(factors) == r:
-            break
-        vpoly = _trim(list(v))
-        if len(vpoly) <= 1:
-            continue
-        for s in range(p):
-            if len(factors) == r:
-                break
-            vs = list(vpoly)
-            vs[0] = (vs[0] - s) % p
-            vs = _trim(vs)
-            refined = []
-            for u in factors:
-                if len(u) - 1 <= 1:
-                    refined.append(u)
-                    continue
-                g = _gp_gcd(u, vs, p)
-                if 0 < len(g) - 1 < len(u) - 1:
-                    refined.append(g)
-                    refined.append(_gp_divmod(u, g, p)[0])
-                else:
-                    refined.append(u)
-            factors = refined
-    if len(factors) != r:
-        raise PruferError("Berlekamp splitting did not reach the factor count")
-    return sorted((_gp_monic(u, p) for u in factors), key=lambda u: (len(u), tuple(u)))
+def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """The pairs (d, g_d) for a monic squarefree f over F_p, where
+    g_d = gcd(f, X^(p^d) - X) is the product of the degree-d irreducible
+    factors of f; only pairs with g_d != 1 are listed.  Each step raises
+    X^(p^(d-1)) to the p-th power mod f, so the cost is polynomial in log p.
+    """
+    out = []
+    h = [0, 1]
+    d = 0
+    # Once deg f < 2(d + 1), what is left of f has no factor of degree <= d,
+    # so it is irreducible (or 1).
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _gp_powmod(h, p, f, p)
+        g = _gp_gcd(f, _zp_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _gp_divmod(f, g, p)[0]
+            h = _gp_divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+# Each draw splits with probability at least 1/2, so running out of draws
+# means something is wrong, not that the split was unlucky.
+_EQUAL_DEGREE_DRAWS = 64
+
+
+def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors of g, a monic product of distinct degree-d
+    irreducibles over F_p with p odd, by Cantor-Zassenhaus (Math. Comp. 1981):
+    gcd(g, a^((p^d - 1)/2) - 1) for random a with deg a < deg g."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    for _ in range(_EQUAL_DEGREE_DRAWS):
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        u = _gp_gcd(g, _zp_sub(_gp_powmod(a, (p**d - 1) // 2, g, p), [1], p), p)
+        if 0 < len(u) - 1 < n:
+            return _equal_degree(u, d, p, rng) + _equal_degree(_gp_divmod(g, u, p)[0], d, p, rng)
+    raise PruferError(f"equal-degree splitting mod {p} found no split in {_EQUAL_DEGREE_DRAWS} draws")
 
 
 # -- Hensel lifting ---------------------------------------------------------
@@ -365,18 +359,15 @@ def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:
     n = len(g_coeffs) - 1
     if n <= 1:
         return [list(g_coeffs)]
-    chosen = None
-    for p in _small_primes():
-        gp = _trim([c % p for c in g_coeffs])
-        if len(gp) - 1 != n:
-            continue
-        if len(_gp_gcd(gp, _gp_deriv(gp, p), p)) - 1 == 0:
-            chosen = p
-            break
-    if chosen is None:
+    # G is monic, so it keeps its degree mod every p.
+    p = next((p for p in _small_primes() if _gp_gcd(g_coeffs, _gp_deriv(g_coeffs, p), p) == [1]), None)
+    if p is None:
         raise PruferError("no squarefree reduction prime found")
-    p = chosen
-    modular = _berlekamp(_gp_monic([c % p for c in g_coeffs], p), p)
+    rng = random.Random(p)
+    modular = sorted(
+        (u for d, g in _distinct_degree(_gp_monic(g_coeffs, p), p) for u in _equal_degree(g, d, p, rng)),
+        key=lambda u: (len(u), tuple(u)),
+    )
     if len(modular) == 1:
         return [list(g_coeffs)]
     norm2 = isqrt(sum(c * c for c in g_coeffs)) + 1
@@ -461,25 +452,29 @@ def _gp_radical(f: list[int], p: int) -> list[int]:
     return _zp_mul(s, _gp_radical(f, p), p)
 
 
-def modp_factor(coeffs: Sequence[int], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Factor a monic integer polynomial mod p into monic irreducibles with
-    multiplicities, sorted by (degree, coefficient tuple).
+def modp_degrees(coeffs: Sequence[int], p: int) -> list[tuple[int, int]]:
+    """The sorted pairs (e, f), one for each monic irreducible factor of a
+    monic integer polynomial mod p, of multiplicity e and degree f.
 
-    Berlekamp splits the radical, which is squarefree even where f is
-    inseparable, so it is safe at ramified primes; each multiplicity is
-    counted by division.
+    Nothing is split past distinct degrees.  At multiplicity e, the radical
+    r of what remains holds the factors of multiplicity >= e; dividing r out
+    leaves the higher multiplicities, and r / gcd(r, rest) is the product of
+    the factors of multiplicity exactly e.  The radical is squarefree even
+    where the polynomial is inseparable, so this is safe at every p, and the
+    cost is polynomial in log p.
     """
-    f = _gp_monic([c % p for c in coeffs], p)
-    if not f:
+    rest = _gp_monic(list(coeffs), p)
+    if not rest:
         raise ZeroPolynomialError("mod-p factorization of the zero polynomial")
     out = []
-    for fac in _berlekamp(_gp_radical(f, p), p) if len(f) > 1 else []:
-        e, (quot, rem) = 0, _gp_divmod(f, fac, p)
-        while not rem:
-            e += 1
-            quot, rem = _gp_divmod(quot, fac, p)
-        out.append((tuple(fac), e))
-    return out
+    e = 0
+    while len(rest) > 1:
+        e += 1
+        r = _gp_radical(rest, p)
+        rest = _gp_divmod(rest, r, p)[0]
+        exact = _gp_divmod(r, _gp_gcd(r, rest, p), p)[0]
+        out.extend((e, d) for d, g in _distinct_degree(exact, p) for _ in range((len(g) - 1) // d))
+    return sorted(out)
 
 
 def dedekind_p_maximal(mu: RationalPolynomial, p: int) -> bool:

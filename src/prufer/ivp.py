@@ -10,10 +10,8 @@ the cost is always visible, never silently sampled.
 
 Also here: the pointwise test (is A `integrally closed at a`, i.e. is the ring
 A ∩ Q[a] integrally closed), ramification profiles of maximal orders at
-primes not dividing [O : Z[a]], the polynomial transforms
-h = (f^r - f)^s / p that generate new integer-valued polynomials from old,
-and the bounded search for square-nilpotent witnesses mod p in
-noncommutative orders.
+primes not dividing [O : Z[a]], and the polynomial transforms
+h = (f^r - f)^s / p that generate new integer-valued polynomials from old.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .errors import (
     NotApplicableError,
     PruferError,
 )
-from .factor import is_probable_prime, modp_factor, poly_factor
+from .factor import is_probable_prime, modp_degrees, poly_factor
 from .orders import (
     AlgebraElement,
     ZOrder,
@@ -43,7 +41,7 @@ from .orders import (
     mul,
 )
 from .poly import MAX_PARSE_DEGREE, RationalPolynomial
-from .splitting import SEARCH_CAP, crt_idempotents, shell_vectors
+from .splitting import crt_idempotents
 
 DEFAULT_POINT_BUDGET = 10**6
 R_DIGIT_CAP = 4300
@@ -295,8 +293,10 @@ class RamificationProfile:
 def ramification_profile(order: ZOrder, p: int) -> RamificationProfile:
     """Factor p in a maximal order of a number field.
 
-    Uses the factorization of the primitive element's minimal polynomial mod
-    p, which is valid only when p does not divide the index of the equation
+    The (e, f) pairs are those of the primitive element's minimal polynomial
+    mod p, read by ``factor.modp_degrees`` from multiplicities and distinct
+    degrees without splitting a factor, so the cost is polynomial in log p.
+    They are valid only when p does not divide the index of the equation
     order Z[a] in the maximal order (INDEX_DIVISIBLE otherwise; full ideal
     factorization at such primes is out of scope).  The index is
     ``closure.power_index``, worked out before round 2, which it shortens.
@@ -311,8 +311,7 @@ def ramification_profile(order: ZOrder, p: int) -> RamificationProfile:
             f"{p} divides the equation-order index {index}; profile unavailable at this prime"
         )
 
-    pairs = tuple((e, len(g) - 1) for g, e in modp_factor(mu.integer_numerators, p))
-    profile = RamificationProfile(prime=p, pairs=pairs)
+    profile = RamificationProfile(prime=p, pairs=tuple(modp_degrees(mu.integer_numerators, p)))
     if profile.degree != mu.degree:
         raise PruferError("internal: sum of e*f does not match the field degree")
     return profile
@@ -378,23 +377,3 @@ def transform_sequence(
         prev = seq[-1]
         seq.append(prev * (prev ** (r - 1) - 1) ** s / profile.prime)
     return seq
-
-
-def nilpotent_witness(order: ZOrder, p: int, cap: int = SEARCH_CAP) -> AlgebraElement | None:
-    """Search for a with a^2 in p^2 A but a not in pA.
-
-    Any hit shows X^2/p^2 is integer-valued on {a} while a/p is not in A,
-    which obstructs the whole ring from being a Prüfer domain.  The search is
-    a deterministic sweep of max-norm shells with coordinates in [-p, p],
-    widened once to [-2p, 2p]; None means not found within the budget, which
-    is not a proof of absence.
-    """
-    _require_prime(p)
-    psq = p * p
-    for vec in shell_vectors(order.dim, 2 * p, cap):
-        if all(c % p == 0 for c in vec):
-            continue
-        x = AlgebraElement(vec)
-        if all(c % psq == 0 for c in mul(order, x, x).integer_numerators):
-            return x
-    return None

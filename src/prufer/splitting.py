@@ -48,13 +48,13 @@ from .poly import RationalPolynomial, poly_xgcd
 SEARCH_CAP = 200000
 
 
-def shell_vectors(dim: int, shell_max: int, cap: int = SEARCH_CAP) -> Iterator[tuple[int, ...]]:
+def shell_vectors(dim: int, shell_max: int) -> Iterator[tuple[int, ...]]:
     """Integer vectors ordered by max-norm shell, then little-endian within a
     shell with per-coordinate value order 0, 1, -1, 2, -2, ...
 
     The first coordinate varies fastest, so sparse vectors supported on early
-    coordinates come before their mirror images.  Yields at most ``cap``
-    vectors (the zero vector is skipped).
+    coordinates come before their mirror images.  Yields at most
+    ``SEARCH_CAP`` vectors (the zero vector is skipped).
     """
     seen = 0
     for m in range(1, shell_max + 1):
@@ -67,7 +67,7 @@ def shell_vectors(dim: int, shell_max: int, cap: int = SEARCH_CAP) -> Iterator[t
                 continue
             yield vec
             seen += 1
-            if seen >= cap:
+            if seen >= SEARCH_CAP:
                 return
 
 

@@ -25,6 +25,18 @@ def order_path(name):
     return str(ORDERS / f"{name}.json")
 
 
+def order_file(tmp_path, order):
+    """Write ``order`` to a JSON order file under tmp_path; return its path."""
+    doc = tmp_path / "order.json"
+    doc.write_text(json.dumps(order_to_dict(order)), encoding="utf-8")
+    return str(doc)
+
+
+def radical_order(n, a):
+    """The equation order Z[X]/(X^n + a)."""
+    return equation_order(RationalPolynomial((a, *[0] * (n - 1), 1)))
+
+
 def test_analyze_yes_golden_json(capsys):
     code, out, err = run(capsys, "analyze", order_path("z_i"), "--json")
     assert code == 0
@@ -112,24 +124,56 @@ def test_member_huge_exponent_is_a_parse_error(capsys):
 def test_analyze_indeterminate(capsys, tmp_path):
     p = 1000000000000000003
     q = 1000000000000000009
-    order = equation_order(RationalPolynomial((-p * q, 0, 1)))
-    doc = tmp_path / "semiprime.json"
-    doc.write_text(json.dumps(order_to_dict(order)), encoding="utf-8")
-    code, out, err = run(capsys, "analyze", str(doc))
+    doc = order_file(tmp_path, equation_order(RationalPolynomial((-p * q, 0, 1))))
+    code, out, err = run(capsys, "analyze", doc)
     assert code == 4
     assert out == ""
     assert err.count("DISC_FACTORIZATION_FAILED") == 1
 
 
 def test_analyze_degree_cap_names_the_tag_once(capsys, tmp_path):
-    order = equation_order(RationalPolynomial((-2, *[0] * 32, 1)))  # X^33 - 2
-    doc = tmp_path / "x33.json"
-    doc.write_text(json.dumps(order_to_dict(order)), encoding="utf-8")
-    code, out, err = run(capsys, "analyze", str(doc))
+    doc = order_file(tmp_path, radical_order(33, -2))  # X^33 - 2
+    code, out, err = run(capsys, "analyze", doc)
     assert code == 4
     assert out == ""
     assert err.count("DEGREE_CAP") == 1
     assert err.startswith("indeterminate: DEGREE_CAP: degree 33")
+
+
+def test_analyze_non_associative_table(capsys, tmp_path):
+    doc = json.loads(pathlib.Path(order_path("m2z")).read_text(encoding="utf-8"))
+    doc["table"][1][2] = [0, 0, 0, 1]  # e12 * e21 -> e22
+    bad = tmp_path / "non_associative.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 1
+    assert out == ""
+    assert "NON_ASSOCIATIVE" in err
+    assert "Traceback" not in err
+
+
+def test_maximal_order_x6_plus_108_enlarges(capsys, tmp_path):
+    # X^6 + 108 fails Dedekind's criterion, so round 2 enlarges Z[X]/(X^6 + 108).
+    doc = order_file(tmp_path, radical_order(6, 108))
+    code, out, _ = run(capsys, "maximal-order", doc, "--json")
+    assert code == 0
+    assert json.loads(out)["index"] > 1
+
+
+def test_analyze_x12_minus_2_is_yes(capsys, tmp_path):
+    # Z[2^(1/12)] is maximal; Dedekind's criterion settles 2 and 3.
+    code, out, err = run(capsys, "analyze", order_file(tmp_path, radical_order(12, -2)))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "verdict: YES"
+    assert out.endswith("verified: true\n")
+
+
+def test_analyze_dimension_12_product(capsys, tmp_path, equation_product):
+    # Z[2^(1/3)] x Z[3^(1/4)] x Z[5^(1/5)]: the primitive element is shell candidate 6645.
+    order = equation_product((-2, 0, 0, 1), (-3, 0, 0, 0, 1), (-5, 0, 0, 0, 0, 1))
+    code, out, _ = run(capsys, "analyze", "--json", order_file(tmp_path, order))
+    assert code == 0
+    assert json.loads(out)["witness"]["primitive"] == ["0", "1", "0", "0", "1", "0", "0", "0", "1", "0", "0", "0"]
 
 
 def test_usage_error_is_exit_2(capsys):
@@ -259,13 +303,28 @@ def test_ramify_golden(capsys, name, prime, expected):
 
 def test_ramify_refuses_an_r_too_long_to_print(capsys, tmp_path):
     # X^8 - 3 is maximal and 5 is inert in it: r = 5^(8!) has 28183 digits.
-    order = equation_order(RationalPolynomial((-3, *[0] * 7, 1)))
-    doc = tmp_path / "x8_minus_3.json"
-    doc.write_text(json.dumps(order_to_dict(order)), encoding="utf-8")
-    code, out, err = run(capsys, "ramify", str(doc), "--prime", "5", "--json")
+    doc = order_file(tmp_path, radical_order(8, -3))
+    code, out, err = run(capsys, "ramify", doc, "--prime", "5", "--json")
     assert code == 4
     assert out == ""
     assert err.startswith("error: BUDGET_EXCEEDED: r = 5^(8!) would have more than 4300 digits")
+    assert "Traceback" not in err
+
+
+def test_ramify_at_a_large_prime_refuses_r(capsys, tmp_path):
+    # X^12 - 2 is (sextic)(sextic) mod 1000003: the (e, f) pairs come from
+    # distinct degrees, in time polynomial in log p, and r = p^(6!) is refused.
+    doc = order_file(tmp_path, radical_order(12, -2))
+    code, out, err = run(capsys, "ramify", doc, "--prime", "1000003")
+    assert (code, out) == (4, "")
+    assert err == "error: BUDGET_EXCEEDED: r = 1000003^(6!) would have more than 4300 digits, the cap on r\n"
+
+
+def test_ramify_index_divisible_names_the_tag_once(capsys):
+    # Every power basis of cubic_index2 has even index.
+    code, out, err = run(capsys, "ramify", order_path("cubic_index2"), "--prime", "2")
+    assert (code, out) == (4, "")
+    assert err.count("INDEX_DIVISIBLE") == 1
     assert "Traceback" not in err
 
 

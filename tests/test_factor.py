@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prufer.errors import FactorDegreeError, ZeroPolynomialError
-from prufer.factor import _pollard_brent, is_probable_prime, modp_factor, poly_factor
+from prufer.factor import _pollard_brent, is_probable_prime, modp_degrees, poly_factor
 from prufer.poly import RationalPolynomial
 
 
@@ -83,21 +83,44 @@ def test_is_probable_prime():
 
 def test_modp_factor_square():
     # X^2 + 1 = (X + 1)^2 mod 2
-    assert modp_factor((1, 0, 1), 2) == [((1, 1), 2)]
+    assert modp_degrees((1, 0, 1), 2) == [(2, 1)]
 
 
 def test_modp_factor_split():
     # X^2 + 1 = (X + 2)(X + 3) mod 5
-    assert modp_factor((1, 0, 1), 5) == [((2, 1), 1), ((3, 1), 1)]
+    assert modp_degrees((1, 0, 1), 5) == [(1, 1), (1, 1)]
 
 
 def test_modp_factor_inert():
     # X^2 + 1 irreducible mod 3
-    assert modp_factor((1, 0, 1), 3) == [((1, 0, 1), 1)]
+    assert modp_degrees((1, 0, 1), 3) == [(1, 2)]
 
 
 def test_modp_factor_inseparable():
-    assert modp_factor((0, 0, 1), 2) == [((0, 1), 2)]
+    assert modp_degrees((0, 0, 1), 2) == [(2, 1)]
+
+
+X12_MINUS_2 = (-2,) + (0,) * 11 + (1,)
+
+
+@pytest.mark.parametrize(
+    "p, pairs",
+    [
+        (1000003, [(1, 6), (1, 6)]),
+        (5140373041, [(1, 3)] * 4),
+        (10**18 + 9, [(1, 3)] * 4),
+    ],
+)
+def test_modp_degrees_large_primes(p, pairs):
+    # Splitting over F_p by walking its elements would take time linear in p.
+    assert modp_degrees(X12_MINUS_2, p) == pairs
+
+
+def test_modp_degrees_mixed_multiplicities():
+    # (X + 1)^3 (X^2 + X + 1)^2 X (X^2 + 1) mod 3, where X^2 + 1 is inert
+    # and X^2 + X + 1 = (X - 1)^2.
+    f = P(1, 1) ** 3 * P(1, 1, 1) ** 2 * P(0, 1) * P(1, 0, 1)
+    assert modp_degrees(f.integer_numerators, 3) == [(1, 1), (1, 2), (3, 1), (4, 1)]
 
 
 @st.composite

@@ -23,7 +23,6 @@ from prufer.ivp import (
     int_member_finite,
     int_member_order,
     membership_plan,
-    nilpotent_witness,
     pointwise_integrally_closed,
     pruefer_transform,
     ramification_profile,
@@ -433,7 +432,6 @@ def test_profile_requires_prime(z_i, p):
     for refuse in (
         lambda: RamificationProfile.single(p, 1, 1),
         lambda: ramification_profile(z_i, p),
-        lambda: nilpotent_witness(z_i, p),
     ):
         with pytest.raises(MalformedInputError, match=f"^MALFORMED_INPUT: {p} is not prime$"):
             refuse()
@@ -554,28 +552,6 @@ def test_transform_sequence_refused_before_f_1(monkeypatch):
     message = "^MALFORMED_INPUT: f_20 of the transform sequence would have degree 1048576, above the cap 1000000$"
     with pytest.raises(MalformedInputError, match=message):
         transform_sequence(P(0, 1), RamificationProfile.single(2, 1, 1), 100)
-
-
-# -- nilpotent witnesses ------------------------------------------------------
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_nilpotent_witness_matrix(m2z, p):
-    w = nilpotent_witness(m2z, p)
-    assert w.coords == (0, 1, 0, 0)  # the strictly upper triangular unit
-    sq = power(m2z, w, 2)
-    assert all(c % p**2 == 0 for c in sq.coords)
-    assert any(c % p for c in w.coords)
-
-
-def test_nilpotent_witness_none_for_field(z_i):
-    assert nilpotent_witness(z_i, 2) is None
-
-
-def test_nilpotent_witness_in_nilpotent_algebra(corpus):
-    w = nilpotent_witness(corpus["z_x_mod_x2"], 2)
-    assert w is not None
-    assert power(corpus["z_x_mod_x2"], w, 2).is_zero
 
 
 # -- randomized agreement -----------------------------------------------------
