@@ -105,11 +105,12 @@ def _gp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
 
 
 def _gp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _trim([c % p for c in a])
-    b = _trim([c % p for c in b])
+    """Monic gcd over F_p; each Euclid step divides by a monic divisor and
+    keeps only the remainder."""
+    a, b = _gp_monic(a, p), _gp_monic(b, p)
     while b:
-        a, b = b, _gp_divmod(a, b, p)[1]
-    return _gp_monic(a, p)
+        a, b = b, _gp_monic(_zp_divmod_monic(a, b, p)[1], p)
+    return a
 
 
 def _gp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:

@@ -5,8 +5,12 @@ Int_Q(A) = {f : f(A) <= A} reduces to a finite exact check.  With f = g/d and
 N = deg g, each prime power p^k || d is checked on a residue system of
 A/p^kA or on the C(N + dim, dim) points of the Newton simplex, whichever is
 smaller (Cahen-Chabert, Integer-Valued Polynomials, ch. I and XI).  The
-number of evaluated points, at most d^dim, is capped by an explicit budget so
-the cost is always visible, never silently sampled.
+number of checked points, at most d^dim, is capped by an explicit budget so
+the cost is always visible, never silently sampled.  At a prime modulus p a
+point x costs its minimal polynomial over F_p, at most dim products however
+large N is, and g vanishes on A/pA exactly when every such polynomial
+divides g mod p (the null ideal of A/pA; Frisch, J. Algebra 2013).  A prime
+power p^k with k >= 2, and the simplex, cost about 3 sqrt(N) products a point.
 
 Also here: the pointwise test (is A `integrally closed at a`, i.e. is the ring
 A ∩ Q[a] integrally closed), ramification profiles of maximal orders at
@@ -31,7 +35,7 @@ from .errors import (
     NotApplicableError,
     PruferError,
 )
-from .factor import is_probable_prime, modp_degrees, poly_factor
+from .factor import _zp_divmod_monic, is_probable_prime, modp_degrees, poly_factor
 from .orders import (
     AlgebraElement,
     ZOrder,
@@ -101,7 +105,9 @@ def _vanishes_mod(order: ZOrder, nums: Sequence[int], q: int, points: Iterable[S
 
     Horner in y = x^s over blocks of s ~ sqrt(deg g) coefficients, each block
     summed against 1, x, ..., x^(s-1): about 3 sqrt(deg g) matrix-vector
-    products mod q per point instead of deg g.
+    products mod q per point instead of deg g.  This is the check for a prime
+    power q = p^k with k >= 2 and for the simplex cofactor; a prime q takes
+    _vanishes_mod_prime, whose cost per point does not grow with deg g.
     """
     n = order.dim
     mul = operator.mul
@@ -132,6 +138,55 @@ def _vanishes_mod(order: ZOrder, nums: Sequence[int], q: int, points: Iterable[S
     return True
 
 
+def _vanishes_mod_prime(order: ZOrder, nums: Sequence[int], p: int, points: Iterable[Sequence[int]]) -> bool:
+    """Is g(x) = 0 in A/pA at every point x, for g with coefficients nums and p prime?
+
+    A/pA is an F_p-algebra with 1, so g(x) = 0 exactly when the minimal
+    polynomial of x over F_p divides g mod p (F_p[x] = F_p[X]/(mu_x)).  mu_x
+    is the first relation among 1, x, x^2, ... mod p, found by eliminating
+    each power as it is formed: at most dim products per point, whatever
+    deg g.  Each distinct mu_x is divided into g mod p once.
+    """
+    n = order.dim
+    entries = [
+        (i, j, k, t % p)
+        for i, row in enumerate(order.table)
+        for j, cell in enumerate(row)
+        for k, t in enumerate(cell)
+        if t % p
+    ]
+    one = [c % p for c in order.one]
+    divides: dict[tuple[int, ...], bool] = {}
+    for x in points:
+        # Echelon rows (pivot, vector, polynomial): the vector is the
+        # polynomial evaluated at x, scaled to 1 at the pivot.
+        rows: list[tuple[int, list[int], list[int]]] = []
+        power, degree = one, 0
+        while True:
+            vector, poly = list(power), [0] * degree + [1]
+            for pivot, row, row_poly in rows:
+                c = vector[pivot]
+                if c:
+                    vector = [(a - c * b) % p for a, b in zip(vector, row)]
+                    for i, b in enumerate(row_poly):
+                        poly[i] = (poly[i] - c * b) % p
+            pivot = next((i for i, c in enumerate(vector) if c), None)
+            if pivot is None:
+                break
+            inverse = pow(vector[pivot], -1, p)
+            rows.append((pivot, [c * inverse % p for c in vector], [c * inverse % p for c in poly]))
+            product = [0] * n
+            for i, j, k, t in entries:
+                product[k] += power[i] * x[j] * t
+            power, degree = [c % p for c in product], degree + 1
+        mu = tuple(poly)
+        if (ok := divides.get(mu)) is None:
+            ok = divides[mu] = not _zp_divmod_monic(nums, list(mu), p)[1]
+        if not ok:
+            return False
+    return True
+
+
 def int_member_order(order: ZOrder, f: RationalPolynomial, budget: int | None = None) -> bool:
     """Is f in Int_Q(A)?  Exact finite check on at most d^dim points.
 
@@ -143,7 +198,12 @@ def int_member_order(order: ZOrder, f: RationalPolynomial, budget: int | None = 
     polynomials of degree <= N, read off the simplex by a unimodular
     triangular system (Cahen-Chabert, Integer-Valued Polynomials, ch. I and
     XI).  By CRT each prime power of d takes the smaller set (membership_plan).
-    The budget counts the evaluated points and is checked before any work.
+    The budget counts the checked points and is checked before any work.
+    A prime modulus checks each residue by its minimal polynomial over F_p
+    (_vanishes_mod_prime): at most dim products a point, and one division
+    into g mod p per distinct minimal polynomial.  Prime powers p^k, k >= 2,
+    and the simplex evaluate g by Horner (_vanishes_mod): about
+    3 sqrt(N) products a point.
     """
     limit = DEFAULT_POINT_BUDGET if budget is None else budget
     if limit < 1:
@@ -158,8 +218,10 @@ def int_member_order(order: ZOrder, f: RationalPolynomial, budget: int | None = 
             budget=limit,
         )
     n, nums = order.dim, f.integer_numerators
-    if any(not _vanishes_mod(order, nums, q, itertools.product(range(q), repeat=n)) for q in moduli):
-        return False
+    for q in moduli:
+        check = _vanishes_mod_prime if is_probable_prime(q) else _vanishes_mod
+        if not check(order, nums, q, itertools.product(range(q), repeat=n)):
+            return False
     # The gaps of each n-subset of range(N + n) run once over the simplex.
     cuts = itertools.combinations(range(f.degree + n), n)
     simplex = (tuple(b - a - 1 for a, b in zip((-1,) + cut, cut)) for cut in cuts)

@@ -20,6 +20,8 @@ from prufer.errors import (
 from prufer.factor import poly_factor
 from prufer.ivp import (
     RamificationProfile,
+    _vanishes_mod,
+    _vanishes_mod_prime,
     int_member_finite,
     int_member_order,
     membership_plan,
@@ -235,6 +237,62 @@ def test_member_order_composite_agrees_with_direct_evaluation(corpus, name, data
     verdict = int_member_order(order, RationalPolynomial([Fraction(c, d) for c in g]))
     assert verdict is member
     assert verdict is _vanishes_everywhere(order, g, d)
+
+
+@pytest.mark.parametrize("name", sorted(MIN_POLY_DEGREE))
+@settings(max_examples=20)
+@given(st.data())
+def test_prime_modulus_check_agrees_with_evaluation(corpus, name, data):
+    order = corpus[name]
+    p = data.draw(st.sampled_from([p for p in (2, 3, 5, 7) if p**order.dim <= 2500]))
+    if data.draw(st.booleans()):
+        g = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12))
+    else:
+        # prod_(i <= m) (X^(p^i) - X) * h vanishes on A/pA once m reaches
+        # the degree of the minimal polynomials; a nudged coefficient and a
+        # factor X move it off and on the null ideal.
+        m = data.draw(st.integers(1, MIN_POLY_DEGREE[name]))
+        h = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3))
+        g = _int_poly_mul(_universal(p, m), h)
+        if data.draw(st.booleans()):
+            g[data.draw(st.integers(0, len(g) - 1))] += data.draw(st.integers(1, p - 1))
+        if data.draw(st.booleans()):
+            g = [0] + g
+    residues = lambda: itertools.product(range(p), repeat=order.dim)
+    verdict = _vanishes_mod_prime(order, g, p, residues())
+    assert verdict is _vanishes_mod(order, g, p, residues())
+    assert verdict is _vanishes_everywhere(order, g, p)
+
+
+# The null ideal of M_2(F_3) is ((X^9 - X)(X^3 - X)) (Brawley-Carlitz-Levine
+# 1975); A/3A is M_2(F_3) for A = M_2(Z) and for the Hurwitz order.
+X3_X, X9_X = _universal(3, 1), [0, -1] + [0] * 7 + [1]
+NULL_IDEAL_CASES = [
+    (_universal(3, 2), True),
+    (_int_poly_mul(X9_X, X9_X), True),
+    (_int_poly_mul(X9_X, [-1, 0, 1]), False),
+    (_int_poly_mul(X3_X, X3_X), False),
+]
+
+
+@pytest.mark.parametrize("name", ["m2z", "hurwitz"])
+@pytest.mark.parametrize("g, member", NULL_IDEAL_CASES)
+def test_null_ideal_of_2x2_matrices_mod_3(corpus, name, g, member):
+    order = corpus[name]
+    f = RationalPolynomial([Fraction(c, 3) for c in g])
+    assert membership_plan(order, f) == ([3], 1, 81)
+    assert int_member_order(order, f) is member
+
+
+def test_prime_moduli_take_minimal_polynomials(m2z, calls_to):
+    prime = calls_to(prufer.ivp, "_vanishes_mod_prime", lambda order, nums, q, points: q)
+    horner = calls_to(prufer.ivp, "_vanishes_mod", lambda order, nums, q, points: q)
+    # d = 20: the prime power 4 goes through Horner, the prime 5 through minimal polynomials.
+    g = _int_poly_mul(_universal(20, 2), [0, 1])
+    f = RationalPolynomial([Fraction(c, 20) for c in g])
+    assert membership_plan(m2z, f)[:2] == ([4, 5], 1)
+    assert int_member_order(m2z, f)
+    assert (prime, horner) == ([5], [4])
 
 
 # -- pointwise closure --------------------------------------------------------

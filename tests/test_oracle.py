@@ -1,4 +1,4 @@
-"""Cross-checks of the factoriser against sympy, an independent implementation.
+"""Cross-checks of the factorisers against sympy, an independent implementation.
 
 sympy is a test-only dependency; without it the module is skipped.
 """
@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from prufer.factor import _distinct_degree, _equal_degree, _gp_monic, modp_degrees, poly_factor
+from prufer.factor import _distinct_degree, _equal_degree, _gp_monic, factor_int, modp_degrees, poly_factor
 from prufer.poly import RationalPolynomial
 
 sympy = pytest.importorskip("sympy")
@@ -51,3 +51,17 @@ def test_poly_factor_matches_sympy(factors):
     _, expected = sympy.Poly(list(reversed(f.integer_numerators)), X).factor_list()
     expected = sorted((tuple(int(c) for c in reversed(g.all_coeffs())), m) for g, m in expected)
     assert sorted((g.integer_numerators, m) for g, m in poly_factor(f)) == expected
+
+
+# Primes on both sides of the trial-division bound 10^5, so Pollard-Brent
+# meets prime cofactors, their squares and cubes, and products of two.
+prime = st.integers(2, 10**9).map(lambda k: int(sympy.prevprime(k + 1)))
+prime_power = st.tuples(prime, st.integers(1, 3))
+
+
+@given(st.lists(prime_power, min_size=0, max_size=4), st.sampled_from([1, -1]))
+def test_factor_int_matches_sympy(powers, sign):
+    n = sign
+    for p, e in powers:
+        n *= p**e
+    assert factor_int(n) == sympy.factorint(abs(n))
