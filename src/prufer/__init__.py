@@ -47,7 +47,6 @@ from .orders import (
     is_reduced,
     load_order,
     minimal_polynomial,
-    order_to_dict,
     product_order,
 )
 from .splitting import Decomposition, component_order, decompose, find_primitive_element
@@ -105,7 +104,6 @@ __all__ = [
     "AlgebraElement",
     "equation_order",
     "load_order",
-    "order_to_dict",
     "product_order",
     "minimal_polynomial",
     "is_commutative",

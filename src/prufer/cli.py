@@ -62,10 +62,6 @@ def _parse_coords(text: str) -> AlgebraElement:
     return element(values)
 
 
-def _parse_poly(text: str) -> RationalPolynomial:
-    return RationalPolynomial.parse(text)
-
-
 def _coords_out(x: AlgebraElement) -> list[str]:
     return [str(c) for c in x.coords]
 
@@ -114,7 +110,7 @@ def _cmd_minpoly(args) -> int:
 
 def _cmd_member(args) -> int:
     order = load_order(args.order)
-    f = _parse_poly(args.poly)
+    f = RationalPolynomial.parse(args.poly)
     if args.all:
         ok = int_member_order(order, f, budget=args.budget)
         payload = {
@@ -194,7 +190,7 @@ def _cmd_ramify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    f = _parse_poly(args.poly)
+    f = RationalPolynomial.parse(args.poly)
     try:
         e_text, f_text = args.ef.split(",")
         pair = (int(e_text), int(f_text))
@@ -286,7 +282,7 @@ def _matrix_order() -> ZOrder:
 
 def _examples_rows() -> list[tuple[str, bool]]:
     m2z = _matrix_order()
-    half_x = _parse_poly("1/2*X")
+    half_x = RationalPolynomial.parse("1/2*X")
     rows: list[tuple[str, bool]] = []
 
     good = AlgebraElement((0, 2, 2, 2))
@@ -333,8 +329,8 @@ def _examples_rows() -> list[tuple[str, bool]]:
     rows.append(
         (
             "transform of X at 2 and 3",
-            pruefer_transform(x, z_at_2) == _parse_poly("-1/2*X + 1/2*X^2")
-            and pruefer_transform(x, z_at_3) == _parse_poly("-1/3*X + 1/3*X^3"),
+            pruefer_transform(x, z_at_2) == RationalPolynomial.parse("-1/2*X + 1/2*X^2")
+            and pruefer_transform(x, z_at_3) == RationalPolynomial.parse("-1/3*X + 1/3*X^3"),
         )
     )
     rows.append(("odd-grid quaternions stay members", odd_grid_check()))

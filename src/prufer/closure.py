@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .errors import NotApplicableError
 from .lattice import IntegerLattice, hnf_reduce
-from .linalg import bareiss_det, modp_left_kernel
+from .linalg import bareiss_det, modp_span_add
 from .orders import (
     AlgebraElement,
     EmbeddedOrder,
@@ -51,10 +51,19 @@ def discriminant(order: ZOrder) -> int:
 
 
 def _modp_kernel_lattice(rows: list[list[int]], p: int) -> IntegerLattice:
-    """The lattice {y in Z^n : y * M = 0 (mod p)} for n rows M, in HNF:
-    the lift of the F_p left kernel plus p*Z^n."""
+    """The lattice {y in Z^n : y * M = 0 (mod p)} for n rows M with entries
+    in [0, p), in HNF: the lift of the F_p left kernel plus p*Z^n.  The rows
+    stream through ``modp_span_add``; each dependent row i gives the kernel
+    vector 1 at i, its relation at the kept rows, and these span the kernel."""
     n = len(rows)
-    gens = modp_left_kernel(rows, p) + [[p if j == i else 0 for j in range(n)] for i in range(n)]
+    span, kept, gens = [], [], []
+    for i, row in enumerate(rows):
+        if (relation := modp_span_add(span, row, p)) is None:
+            kept.append(i)
+        else:
+            at = dict(zip(kept + [i], relation))
+            gens.append([at.get(j, 0) for j in range(n)])
+    gens += [[p if j == i else 0 for j in range(n)] for i in range(n)]
     return hnf_reduce(gens, n)
 
 

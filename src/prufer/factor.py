@@ -252,6 +252,8 @@ def _symmetric(c: int, m: int) -> int:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Trial division and the search for a good prime stop below this bound.
 _SMALL_PRIME_LIMIT = 100000
+# Pollard-Brent iterations factor_int spends on one composite cofactor.
+POLLARD_BUDGET = 500000
 
 
 def is_probable_prime(n: int) -> bool:
@@ -317,11 +319,11 @@ def _pollard_brent(n: int, budget: int) -> int | None:
     return None
 
 
-def factor_int(n: int, budget: int = 500000) -> dict[int, int]:
+def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Trial division below 10^5, then Pollard-Brent with a work budget; raises
-    DiscFactorizationError if a composite cofactor survives.
+    Trial division below 10^5, then Pollard-Brent, POLLARD_BUDGET iterations
+    a cofactor; raises DiscFactorizationError if a composite one survives.
     """
     n = abs(int(n))
     if n == 0:
@@ -343,7 +345,7 @@ def factor_int(n: int, budget: int = 500000) -> dict[int, int]:
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_brent(m, budget)
+        d = _pollard_brent(m, POLLARD_BUDGET)
         if d is None:
             raise DiscFactorizationError(f"composite cofactor {m} resisted the budget")
         stack.append(d)

@@ -36,6 +36,7 @@ from .errors import (
     PruferError,
 )
 from .factor import _zp_divmod_monic, is_probable_prime, modp_degrees, poly_factor
+from .linalg import modp_span_add
 from .orders import (
     AlgebraElement,
     ZOrder,
@@ -143,9 +144,10 @@ def _vanishes_mod_prime(order: ZOrder, nums: Sequence[int], p: int, points: Iter
 
     A/pA is an F_p-algebra with 1, so g(x) = 0 exactly when the minimal
     polynomial of x over F_p divides g mod p (F_p[x] = F_p[X]/(mu_x)).  mu_x
-    is the first relation among 1, x, x^2, ... mod p, found by eliminating
-    each power as it is formed: at most dim products per point, whatever
-    deg g.  Each distinct mu_x is divided into g mod p once.
+    is the first relation among 1, x, x^2, ... mod p: each power, as it is
+    formed, goes to ``modp_span_add``, as ``orders.power_span`` does over Q.
+    At most dim products per point, whatever deg g.  Each distinct mu_x is
+    divided into g mod p once.
     """
     n = order.dim
     entries = [
@@ -158,30 +160,14 @@ def _vanishes_mod_prime(order: ZOrder, nums: Sequence[int], p: int, points: Iter
     one = [c % p for c in order.one]
     divides: dict[tuple[int, ...], bool] = {}
     for x in points:
-        # Echelon rows (pivot, vector, polynomial): the vector is the
-        # polynomial evaluated at x, scaled to 1 at the pivot.
-        rows: list[tuple[int, list[int], list[int]]] = []
-        power, degree = one, 0
-        while True:
-            vector, poly = list(power), [0] * degree + [1]
-            for pivot, row, row_poly in rows:
-                c = vector[pivot]
-                if c:
-                    vector = [(a - c * b) % p for a, b in zip(vector, row)]
-                    for i, b in enumerate(row_poly):
-                        poly[i] = (poly[i] - c * b) % p
-            pivot = next((i for i, c in enumerate(vector) if c), None)
-            if pivot is None:
-                break
-            inverse = pow(vector[pivot], -1, p)
-            rows.append((pivot, [c * inverse % p for c in vector], [c * inverse % p for c in poly]))
+        span, power = [], one
+        while (mu := modp_span_add(span, power, p)) is None:
             product = [0] * n
             for i, j, k, t in entries:
                 product[k] += power[i] * x[j] * t
-            power, degree = [c % p for c in product], degree + 1
-        mu = tuple(poly)
-        if (ok := divides.get(mu)) is None:
-            ok = divides[mu] = not _zp_divmod_monic(nums, list(mu), p)[1]
+            power = [c % p for c in product]
+        if (ok := divides.get(key := tuple(mu))) is None:
+            ok = divides[key] = not _zp_divmod_monic(nums, mu, p)[1]
         if not ok:
             return False
     return True

@@ -9,10 +9,12 @@ rows are kept primitive by dividing out their content (Bareiss, Math. Comp.
 directly: an element of an order's ambient algebra already is integer
 coordinates over one denominator (``orders.AlgebraElement``).
 
-``EchelonSpan`` is the one eliminator over Q.  It answers both questions
-asked of a stream of vectors: is this vector in the span of the ones
-before it, and if so, which relation puts it there.  Minimal polynomials,
-the primitive-element search and the reducedness test all feed it.
+One contract answers both questions asked of a stream of vectors: is this
+vector in the span of the ones before it, and if so, which relation puts it
+there.  ``EchelonSpan.add`` keeps it over Q, for minimal polynomials, the
+primitive-element search and the reducedness test.  ``modp_span_add`` keeps
+it over F_p, for the kernels of round 2 and the minimal polynomials of the
+residue membership test.
 """
 
 from __future__ import annotations
@@ -152,41 +154,25 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return _bareiss(m) * m[n - 1][n - 1]
 
 
-def modp_left_kernel(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Basis of {v : v * M = 0 (mod p)} over F_p, deterministic order.
+def modp_span_add(rows: list[tuple[int, list[int], list[int]]], v: Sequence[int], p: int) -> list[int] | None:
+    """``EchelonSpan.add`` over F_p, p prime, for v with entries in [0, p).
 
-    Eliminates on the transpose so row vectors stay row vectors; one basis
-    vector per free row index, free coordinate set to 1.
+    ``rows`` is the caller's list of echelon rows (pivot, vector, combination),
+    one per vector kept so far: the vector is 1 at its pivot, 0 at earlier
+    pivots, and is that combination of the kept vectors.  None when v is
+    independent, and ``rows`` grows.  Otherwise the relation c_0..c_k, entries
+    in [0, p) and c_k = 1, with c_0 v_0 + ... + c_(k-1) v_(k-1) + c_k v = 0 mod p.
     """
-    m = len(rows)
-    if m == 0:
-        return []
-    mat = [[rows[i][j] % p for i in range(m)] for j in range(len(rows[0]))]
-    pivots: list[int] = []
-    prow = 0
-    for col in range(m):
-        piv = next((r for r in range(prow, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[prow], mat[piv] = mat[piv], mat[prow]
-        inv = pow(mat[prow][col], p - 2, p)
-        mat[prow] = [(x * inv) % p for x in mat[prow]]
-        for r in range(len(mat)):
-            if r != prow and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == len(mat):
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(m):
-        if fc in pivot_set:
-            continue
-        v = [0] * m
-        v[fc] = 1
-        for row, pcol in zip(mat[:prow], pivots):
-            v[pcol] = (-row[fc]) % p
-        basis.append(v)
-    return basis
+    vector, combination = v, [0] * len(rows) + [1]
+    for pivot, row, row_combination in rows:
+        c = vector[pivot]
+        if c:
+            vector = [(a - c * b) % p for a, b in zip(vector, row)]
+            for i, b in enumerate(row_combination):
+                combination[i] = (combination[i] - c * b) % p
+    for pivot, lead in enumerate(vector):
+        if lead:
+            inverse = pow(lead, -1, p)
+            rows.append((pivot, [c * inverse % p for c in vector], [c * inverse % p for c in combination]))
+            return None
+    return combination

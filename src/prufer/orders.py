@@ -277,15 +277,6 @@ def load_order(source: OrderSource) -> ZOrder:
     return ZOrder(dim=dim, table=tab, one=one, basis_names=None if names is None else tuple(names))
 
 
-def order_to_dict(order: ZOrder) -> dict:
-    return {
-        "dim": order.dim,
-        "basis_names": list(order.basis_names),
-        "one": list(order.one),
-        "table": [[list(cell) for cell in row] for row in order.table],
-    }
-
-
 # -- arithmetic in the ambient algebra -------------------------------------
 
 

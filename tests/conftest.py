@@ -33,6 +33,16 @@ CORPUS_FILES = (
 )
 
 
+def order_to_dict(order):
+    """The JSON document ``load_order`` reads back as ``order``."""
+    return {
+        "dim": order.dim,
+        "basis_names": list(order.basis_names),
+        "one": list(order.one),
+        "table": [[list(cell) for cell in row] for row in order.table],
+    }
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return {name: load_order(ORDERS_DIR / f"{name}.json") for name in CORPUS_FILES}

@@ -5,8 +5,9 @@ import pathlib
 
 import pytest
 
+from conftest import order_to_dict
 from prufer.cli import main
-from prufer.orders import equation_order, order_to_dict
+from prufer.orders import equation_order
 from prufer.poly import RationalPolynomial
 
 ORDERS = pathlib.Path(__file__).resolve().parent.parent / "orders"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import prufer.closure
+import prufer.factor
 from prufer.closure import (
     _first_non_integral,
     discriminant,
@@ -77,12 +78,14 @@ def test_factor_int_budget():
         factor_int(n)
 
 
-def test_factor_int_budget_is_a_total():
+def test_factor_int_budget_is_a_total(monkeypatch):
     # Each constant c alone finds a factor within 1600 iterations; the
     # budget covers all of them together, so the cap is 1600, not 19 * 1600.
     n = 1000003 * 3000017
-    with pytest.raises(DiscFactorizationError):
-        factor_int(n, budget=1600)
+    with monkeypatch.context() as patch:
+        patch.setattr(prufer.factor, "POLLARD_BUDGET", 1600)
+        with pytest.raises(DiscFactorizationError):
+            factor_int(n)
     assert factor_int(n) == {1000003: 1, 3000017: 1}
 
 

@@ -15,10 +15,10 @@ import io
 import json
 import pathlib
 
-from conftest import CORPUS_FILES, ORDERS_DIR
+from conftest import CORPUS_FILES, ORDERS_DIR, order_to_dict
 from prufer.cli import main
 from prufer.decision import decide_pruefer, verify_certificate
-from prufer.orders import equation_order, order_to_dict, product_order
+from prufer.orders import equation_order, product_order
 from prufer.poly import RationalPolynomial
 
 GOLDENS = pathlib.Path(__file__).resolve().parent / "element_goldens.json"

@@ -2,11 +2,12 @@ from itertools import permutations
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from prufer.closure import _modp_kernel_lattice
 from prufer.errors import DimensionMismatchError
 from prufer.lattice import hnf_reduce
-from prufer.linalg import EchelonSpan, bareiss_det, modp_left_kernel, xgcd
+from prufer.linalg import EchelonSpan, bareiss_det, modp_span_add, xgcd
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -88,9 +89,105 @@ def test_det_identity():
     assert bareiss_det([[1 if i == j else 0 for j in range(4)] for i in range(4)]) == 1
 
 
-def test_modp_left_kernel():
-    ker = modp_left_kernel([[2, 0], [0, 1]], 2)
-    assert ker == [[1, 0]]
+def modp_left_kernel(rows, p):
+    """Basis of {v : v * M = 0 (mod p)} over F_p by Gauss-Jordan elimination
+    on the transpose, one basis vector per free row index: the reference
+    the streaming eliminator replaced."""
+    m = len(rows)
+    if m == 0:
+        return []
+    mat = [[rows[i][j] % p for i in range(m)] for j in range(len(rows[0]))]
+    pivots = []
+    prow = 0
+    for col in range(m):
+        piv = next((r for r in range(prow, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[prow], mat[piv] = mat[piv], mat[prow]
+        inv = pow(mat[prow][col], p - 2, p)
+        mat[prow] = [(x * inv) % p for x in mat[prow]]
+        for r in range(len(mat)):
+            if r != prow and mat[r][col]:
+                c = mat[r][col]
+                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[prow])]
+        pivots.append(col)
+        prow += 1
+        if prow == len(mat):
+            break
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(m):
+        if fc in pivot_set:
+            continue
+        v = [0] * m
+        v[fc] = 1
+        for row, pcol in zip(mat[:prow], pivots):
+            v[pcol] = (-row[fc]) % p
+        basis.append(v)
+    return basis
+
+
+def modp_rank(rows, p):
+    return len(rows) - len(modp_left_kernel(rows, p))
+
+
+@st.composite
+def modp_matrices(draw):
+    """(rows, p): up to 6 rows of width up to 36 with entries in [0, p), some
+    of them combinations of the rows before, so that relations occur."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    width = draw(st.integers(min_value=1, max_value=36))
+    entries = st.integers(min_value=0, max_value=p - 1)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        if rows and draw(st.booleans()):
+            coefficients = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coefficients, rows)) % p for j in range(width)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=width, max_size=width)))
+    return rows, p
+
+
+# The case [[2, 0], [0, 1]] mod 2, reduced into [0, 2): its left kernel is (1, 0).
+TWO_BY_TWO = ([[0, 0], [0, 1]], 2)
+
+
+@given(modp_matrices())
+@example(TWO_BY_TWO)
+def test_modp_span_add_relations_kill_their_vectors(case):
+    rows, p = case
+    span, kept = [], []
+    for i, v in enumerate(rows):
+        relation = modp_span_add(span, v, p)
+        # None exactly when the F_p rank grows; the span grows with it.
+        assert (relation is None) == (modp_rank(rows[: i + 1], p) > modp_rank(rows[:i], p))
+        if relation is None:
+            kept.append(v)
+            assert len(span) == len(kept)
+            continue
+        assert len(relation) == len(kept) + 1 and relation[-1] == 1
+        assert all(0 <= c < p for c in relation)
+        combined = [sum(c * u[j] for c, u in zip(relation, kept + [v])) % p for j in range(len(v))]
+        assert not any(combined)
+        assert len(span) == len(kept)
+
+
+@given(modp_matrices())
+@example(TWO_BY_TWO)
+def test_modp_kernel_lattice_matches_the_reference(case):
+    rows, p = case
+    n = len(rows)
+    reference = modp_left_kernel(rows, p) + [[p if j == i else 0 for j in range(n)] for i in range(n)]
+    assert _modp_kernel_lattice(rows, p) == hnf_reduce(reference, n)
+
+
+def test_modp_kernel_of_the_two_by_two_case():
+    rows, p = TWO_BY_TWO
+    span = []
+    assert modp_span_add(span, rows[0], p) == [1]
+    assert modp_span_add(span, rows[1], p) is None
+    assert modp_left_kernel([[2, 0], [0, 1]], 2) == [[1, 0]]
+    assert _modp_kernel_lattice(rows, p).basis == ((1, 0), (0, 2))
 
 
 @given(st.integers(min_value=-500, max_value=500), st.integers(min_value=-500, max_value=500))

@@ -27,13 +27,13 @@ from prufer.orders import (
     load_order,
     minimal_polynomial,
     mul,
-    order_to_dict,
     power,
     product_order,
     trace_gram_matrix,
 )
 import pathlib
 
+from conftest import order_to_dict
 from prufer.poly import RationalPolynomial
 
 ORDERS_DIR = pathlib.Path(__file__).resolve().parent.parent / "orders"
