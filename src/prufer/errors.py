@@ -79,10 +79,10 @@ class SearchExhaustedError(UnansweredError):
 
 class BudgetExceededError(UnansweredError):
     """A membership check would evaluate more points than the budget allows,
-    or a ramification exponent r would have more digits than its cap.
+    r would have more digits than its cap, or a transform sequence cost more.
 
-    Carries ``required`` (the number of points to evaluate, or the fewest
-    digits r is known to have) and ``budget`` so callers can report both.
+    Carries ``required`` (the points to evaluate, the fewest digits r is
+    known to have, or the sequence's work) and ``budget`` to report both.
     """
 
     tag = "BUDGET_EXCEEDED"

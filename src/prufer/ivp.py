@@ -6,11 +6,11 @@ N = deg g, each prime power p^k || d is checked on a residue system of
 A/p^kA or on the C(N + dim, dim) points of the Newton simplex, whichever is
 smaller (Cahen-Chabert, Integer-Valued Polynomials, ch. I and XI).  The
 number of checked points, at most d^dim, is capped by an explicit budget so
-the cost is always visible, never silently sampled.  At a prime modulus p a
-point x costs its minimal polynomial over F_p, at most dim products however
-large N is, and g vanishes on A/pA exactly when every such polynomial
-divides g mod p (the null ideal of A/pA; Frisch, J. Algebra 2013).  A prime
-power p^k with k >= 2, and the simplex, cost about 3 sqrt(N) products a point.
+the cost is always visible, never silently sampled.  g vanishes on A/pA, p
+prime, exactly when each residue's minimal polynomial over F_p divides g mod p
+(Frisch, J. Algebra 2013); one, at most dim products whatever N, serves the
+p(p - 1) residues l x + c, about p^(dim-1)/(p - 1) in all.  A prime power
+p^k, k >= 2, and the simplex cost about 3 sqrt(N) products a point.
 
 Also here: the pointwise test (is A `integrally closed at a`, i.e. is the ring
 A ∩ Q[a] integrally closed), ramification profiles of maximal orders at
@@ -50,6 +50,8 @@ from .splitting import crt_idempotents
 
 DEFAULT_POINT_BUDGET = 10**6
 R_DIGIT_CAP = 4300
+# deg^2 * bits of a transform sequence's last entry: f_12 of X at (2; 1, 1) is 2.7 * 10^11.
+TRANSFORM_WORK_CAP = 10**12
 
 
 def int_member_finite(
@@ -139,17 +141,29 @@ def _vanishes_mod(order: ZOrder, nums: Sequence[int], q: int, points: Iterable[S
     return True
 
 
-def _vanishes_mod_prime(order: ZOrder, nums: Sequence[int], p: int, points: Iterable[Sequence[int]]) -> bool:
-    """Is g(x) = 0 in A/pA at every point x, for g with coefficients nums and p prime?
+def _orbit_representatives(one: Sequence[int], p: int) -> Iterable[list[int]]:
+    """0 and the x with x_j = 0 and first nonzero coordinate 1, for the first j with
+    one_j != 0 mod p: each residue of A/pA is l x + c 1 (l != 0) for exactly one."""
+    n, j = len(one), next(i for i, c in enumerate(one) if c % p)
+    yield [0] * n
+    for t in range(n - 1):
+        for tail in itertools.product(range(p), repeat=n - 2 - t):
+            x = [0] * t + [1, *tail]
+            x.insert(j, 0)
+            yield x
+
+
+def _vanishes_mod_prime(order: ZOrder, nums: Sequence[int], p: int) -> bool:
+    """Is g(x) = 0 in A/pA for every residue x, for g with coefficients nums and p prime?
 
     A/pA is an F_p-algebra with 1, so g(x) = 0 exactly when the minimal
     polynomial of x over F_p divides g mod p (F_p[x] = F_p[X]/(mu_x)).  mu_x
-    is the first relation among 1, x, x^2, ... mod p: each power, as it is
-    formed, goes to ``modp_span_add``, as ``orders.power_span`` does over Q.
-    At most dim products per point, whatever deg g.  Each distinct mu_x is
-    divided into g mod p once.
+    is the first relation among 1, x, x^2, ... mod p, found by ``modp_span_add``
+    in at most dim products.  F_p[l x + c] = F_p[x] gives mu_(l x + c)(X) =
+    l^d mu_x((X - c)/l), so one mu_x per orbit (_orbit_representatives)
+    settles up to p(p - 1) residues.  Each distinct minimal polynomial is
+    divided into g mod p once; an orbit whose mu_x has passed is skipped.
     """
-    n = order.dim
     entries = [
         (i, j, k, t % p)
         for i, row in enumerate(order.table)
@@ -157,19 +171,28 @@ def _vanishes_mod_prime(order: ZOrder, nums: Sequence[int], p: int, points: Iter
         for k, t in enumerate(cell)
         if t % p
     ]
-    one = [c % p for c in order.one]
-    divides: dict[tuple[int, ...], bool] = {}
-    for x in points:
+    one, passed = [c % p for c in order.one], set()
+    for x in _orbit_representatives(one, p):
         span, power = [], one
         while (mu := modp_span_add(span, power, p)) is None:
-            product = [0] * n
+            product = [0] * len(one)
             for i, j, k, t in entries:
                 product[k] += power[i] * x[j] * t
             power = [c % p for c in product]
-        if (ok := divides.get(key := tuple(mu))) is None:
-            ok = divides[key] = not _zp_divmod_monic(nums, mu, p)[1]
-        if not ok:
-            return False
+        if tuple(mu) in passed:
+            continue
+        d = len(mu) - 1
+        for scale in range(1, p):
+            image = [a * pow(scale, d - i, p) % p for i, a in enumerate(mu)]
+            for _ in range(p):
+                if (key := tuple(image)) not in passed:
+                    if _zp_divmod_monic(nums, image, p)[1]:
+                        return False
+                    passed.add(key)
+                # Taylor shift: image(X) becomes image(X - 1).
+                for i in range(d):
+                    for k in range(d - 1, i - 1, -1):
+                        image[k] = (image[k] - image[k + 1]) % p
     return True
 
 
@@ -184,12 +207,12 @@ def int_member_order(order: ZOrder, f: RationalPolynomial, budget: int | None = 
     polynomials of degree <= N, read off the simplex by a unimodular
     triangular system (Cahen-Chabert, Integer-Valued Polynomials, ch. I and
     XI).  By CRT each prime power of d takes the smaller set (membership_plan).
-    The budget counts the checked points and is checked before any work.
-    A prime modulus checks each residue by its minimal polynomial over F_p
-    (_vanishes_mod_prime): at most dim products a point, and one division
-    into g mod p per distinct minimal polynomial.  Prime powers p^k, k >= 2,
-    and the simplex evaluate g by Horner (_vanishes_mod): about
-    3 sqrt(N) products a point.
+    The budget counts the points, q^n per modulus, before any work.  A prime
+    modulus takes one minimal polynomial over F_p per orbit of x -> l x + c,
+    about p^(n-1)/(p - 1) of them, and one division into g mod p per distinct
+    minimal polynomial (_vanishes_mod_prime).  Prime powers p^k, k >= 2, and
+    the simplex evaluate g by Horner (_vanishes_mod): about 3 sqrt(N)
+    products a point.
     """
     limit = DEFAULT_POINT_BUDGET if budget is None else budget
     if limit < 1:
@@ -205,8 +228,8 @@ def int_member_order(order: ZOrder, f: RationalPolynomial, budget: int | None = 
         )
     n, nums = order.dim, f.integer_numerators
     for q in moduli:
-        check = _vanishes_mod_prime if is_probable_prime(q) else _vanishes_mod
-        if not check(order, nums, q, itertools.product(range(q), repeat=n)):
+        residues, prime = itertools.product(range(q), repeat=n), is_probable_prime(q)
+        if not (_vanishes_mod_prime(order, nums, q) if prime else _vanishes_mod(order, nums, q, residues)):
             return False
     # The gaps of each n-subset of range(N + n) run once over the simplex.
     cuts = itertools.combinations(range(f.degree + n), n)
@@ -411,17 +434,23 @@ def transform_sequence(
     if k_max < 1:
         raise MalformedInputError("MALFORMED_INPUT: k_max must be at least 1")
     degree, r, s = _transform_exponents(f, profile)
-    # deg f_k = d s (1 + (r - 1) s)^k: every degree is checked before f_1 is built.
-    degree *= s
+    m, p = 1 + (r - 1) * s, profile.prime
+    # deg f_k = d s m^k, and f_k = g_k / d_k with max(|g_k|_1, d_k) < 2^bits_k,
+    # bits_k = m bits_(k-1) + s + log2 p: both are checked before f_1 is built.
+    degree, bits = degree * s, s * max(sum(map(abs, f.integer_numerators)), f.denominator).bit_length()
     for k in range(1, k_max + 1):
-        degree *= 1 + (r - 1) * s
+        degree, bits = degree * m, bits * m + s + p.bit_length()
         if degree > MAX_PARSE_DEGREE:
             raise MalformedInputError(
                 f"MALFORMED_INPUT: f_{k} of the transform sequence would have degree {degree}, "
                 f"above the cap {MAX_PARSE_DEGREE}"
             )
+    # The last step costs most: at most deg^2 products of integers below 2^bits.
+    if (work := degree**2 * bits) > TRANSFORM_WORK_CAP:
+        message = f"f_{k_max} of the sequence would cost deg^2 * bits = {work} > {TRANSFORM_WORK_CAP}"
+        raise BudgetExceededError(message, required=work, budget=TRANSFORM_WORK_CAP)
     seq = [f**s]
     for _ in range(k_max):
         prev = seq[-1]
-        seq.append(prev * (prev ** (r - 1) - 1) ** s / profile.prime)
+        seq.append(prev * (prev ** (r - 1) - 1) ** s / p)
     return seq

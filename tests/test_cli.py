@@ -402,6 +402,19 @@ def test_transform_beyond_the_degree_cap(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_transform_sequence_refused_before_any_product(capsys, monkeypatch):
+    # f_13 of X at (2; 1, 1) has degree 8192 and coefficients of about 8192
+    # bits: below the degree cap, but above the work cap.
+    def no_products(self, other):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(RationalPolynomial, "__mul__", no_products)
+    code, out, err = run(capsys, "transform", "--prime", "2", "--ef", "1,1", "--poly", "X", "--sequence", "13")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: BUDGET_EXCEEDED: f_13 of the sequence")
+
+
 def test_hurwitz_lemma_pass(capsys):
     code, out, _ = run(capsys, "hurwitz", "lemma42", "--n", "2", "--json")
     assert code == 0

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import pathlib
 import subprocess
@@ -19,7 +20,9 @@ from prufer.errors import (
 )
 from prufer.factor import poly_factor
 from prufer.ivp import (
+    TRANSFORM_WORK_CAP,
     RamificationProfile,
+    _orbit_representatives,
     _vanishes_mod,
     _vanishes_mod_prime,
     int_member_finite,
@@ -244,7 +247,7 @@ def test_member_order_composite_agrees_with_direct_evaluation(corpus, name, data
 @given(st.data())
 def test_prime_modulus_check_agrees_with_evaluation(corpus, name, data):
     order = corpus[name]
-    p = data.draw(st.sampled_from([p for p in (2, 3, 5, 7) if p**order.dim <= 2500]))
+    p = data.draw(st.sampled_from([p for p in (2, 3, 5, 7, 11) if p**order.dim <= 2500]))
     if data.draw(st.booleans()):
         g = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12))
     else:
@@ -258,9 +261,8 @@ def test_prime_modulus_check_agrees_with_evaluation(corpus, name, data):
             g[data.draw(st.integers(0, len(g) - 1))] += data.draw(st.integers(1, p - 1))
         if data.draw(st.booleans()):
             g = [0] + g
-    residues = lambda: itertools.product(range(p), repeat=order.dim)
-    verdict = _vanishes_mod_prime(order, g, p, residues())
-    assert verdict is _vanishes_mod(order, g, p, residues())
+    verdict = _vanishes_mod_prime(order, g, p)
+    assert verdict is _vanishes_mod(order, g, p, itertools.product(range(p), repeat=order.dim))
     assert verdict is _vanishes_everywhere(order, g, p)
 
 
@@ -284,8 +286,41 @@ def test_null_ideal_of_2x2_matrices_mod_3(corpus, name, g, member):
     assert int_member_order(order, f) is member
 
 
+@pytest.mark.parametrize("name", sorted(MIN_POLY_DEGREE))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_orbits_partition_the_residues(corpus, name, p):
+    order = corpus[name]
+    if p**order.dim > 2500:
+        pytest.skip("p^dim above 2500")
+    one = order.one
+    seen = collections.Counter()
+    for x in _orbit_representatives(one, p):
+        # x = 0 has the orbit {c 1}; every other x has p(p - 1) images.
+        scales = range(1, p) if any(x) else [1]
+        seen.update(
+            tuple((s * a + c * b) % p for a, b in zip(x, one)) for s in scales for c in range(p)
+        )
+    assert set(seen.values()) == {1}
+    assert sorted(seen) == list(itertools.product(range(p), repeat=order.dim))
+
+
+def test_prime_modulus_takes_one_minimal_polynomial_per_orbit(m2z, patch_everywhere):
+    # 1 + (5^3 - 1)/(5 - 1) = 32 orbits cover the 625 residues of M_2(F_5).
+    relations, original = [], prufer.linalg.modp_span_add
+
+    def counting(rows, v, p):
+        if (relation := original(rows, v, p)) is not None:
+            relations.append(relation)
+        return relation
+
+    patch_everywhere(prufer.linalg, "modp_span_add", counting)
+    g = _int_poly_mul(_universal(5, 2), [0, 1])
+    assert int_member_order(m2z, RationalPolynomial([Fraction(c, 5) for c in g]))
+    assert len(relations) == 32
+
+
 def test_prime_moduli_take_minimal_polynomials(m2z, calls_to):
-    prime = calls_to(prufer.ivp, "_vanishes_mod_prime", lambda order, nums, q, points: q)
+    prime = calls_to(prufer.ivp, "_vanishes_mod_prime", lambda order, nums, q: q)
     horner = calls_to(prufer.ivp, "_vanishes_mod", lambda order, nums, q, points: q)
     # d = 20: the prime power 4 goes through Horner, the prime 5 through minimal polynomials.
     g = _int_poly_mul(_universal(20, 2), [0, 1])
@@ -580,6 +615,24 @@ def test_transform_degree_cap():
     with pytest.raises(MalformedInputError, match="f_2 of the transform sequence would have degree 1018081"):
         transform_sequence(P(0, 1), RamificationProfile.single(1009, 1, 1), 2)
     assert transform_sequence(P(0, 1), RamificationProfile.single(1009, 1, 1), 1)[1].degree == 1009
+
+
+@pytest.mark.parametrize("k, refused", [(12, False), (13, True)])
+def test_transform_sequence_work_is_bounded_before_any_product(monkeypatch, k, refused):
+    # deg f_k = 2^k and its coefficients have about 2^k bits: f_13 is refused
+    # before a single product, f_12 is still built.
+    def no_products(self, other):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(RationalPolynomial, "__mul__", no_products)
+    prof = RamificationProfile.single(2, 1, 1)
+    if refused:
+        with pytest.raises(BudgetExceededError, match="f_13 of the sequence") as exc:
+            transform_sequence(P(0, 1), prof, k)
+        assert exc.value.budget == TRANSFORM_WORK_CAP < exc.value.required
+    else:
+        with pytest.raises(AssertionError, match="a product was formed"):
+            transform_sequence(P(0, 1), prof, k)
 
 
 def test_transform_sequence_starts_with_power():
