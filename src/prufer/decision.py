@@ -42,8 +42,6 @@ from .errors import (
 from .factor import dedekind_p_maximal, factor_int, poly_factor
 from .lattice import hnf_reduce
 from .orders import (
-    NOT_REDUCED,
-    UNDECIDED_SEMISIMPLE,
     AlgebraElement,
     ZOrder,
     element,
@@ -199,14 +197,13 @@ def _decide(order: ZOrder) -> PrueferCertificate:
             VERDICT_NO, REASON_NONCOMMUTATIVE, witness, _CITATIONS[REASON_NONCOMMUTATIVE]
         )
 
-    red = is_reduced(order)
-    if red.status == NOT_REDUCED:
-        witness = {"element": _coords_json(red.witness), "power": red.nilpotency}
+    reduced, nilpotent = is_reduced(order)
+    if not reduced:
+        x, k = nilpotent
+        witness = {"element": _coords_json(x), "power": k}
         return PrueferCertificate(
             VERDICT_NO, REASON_NOT_REDUCED, witness, _CITATIONS[REASON_NOT_REDUCED]
         )
-    if red.status == UNDECIDED_SEMISIMPLE:
-        raise PruferError("internal: semisimple-undecided on a commutative order")
 
     dec = _split_reduced(order)
     escaping = next((e for e in dec.idempotents if not e.is_integral_vector), None)

@@ -358,10 +358,9 @@ def _small_primes():
 
 
 def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:
-    """Irreducible monic integer factors of a monic squarefree integer poly."""
+    """Irreducible monic integer factors of a monic squarefree integer poly
+    of degree at least 2."""
     n = len(g_coeffs) - 1
-    if n <= 1:
-        return [list(g_coeffs)]
     # G is monic, so it keeps its degree mod every p.
     p = next((p for p in _small_primes() if _gp_gcd(g_coeffs, _gp_deriv(g_coeffs, p), p) == [1]), None)
     if p is None:

@@ -398,8 +398,9 @@ def _bounded_factorial(k: int, cap: int) -> int | None:
     return out
 
 
-def _transform_exponents(f: RationalPolynomial, profile: RamificationProfile) -> tuple[int, int, int]:
-    """(d, r, s) for the transform of f, with d = max(deg f, 1).
+def _transform_exponents(f: RationalPolynomial, profile: RamificationProfile) -> tuple[int, int, int, int]:
+    """(d, r, s, b) for the transform of f = g/den, with d = max(deg f, 1)
+    and max(|g|_1, den) < 2^b.
 
     Refused as MALFORMED_INPUT when d*r*s, the degree of (f^r - f)^s, would
     exceed the parser's degree cap.  r = p^(f!) >= 2^(f!), so f! and e! are
@@ -416,13 +417,24 @@ def _transform_exponents(f: RationalPolynomial, profile: RamificationProfile) ->
             f"MALFORMED_INPUT: the transform of a degree-{d} polynomial at {profile.pairs} "
             f"would exceed the degree cap {MAX_PARSE_DEGREE}"
         )
-    return d, r, s
+    return d, r, s, max(sum(map(abs, f.integer_numerators)), f.denominator).bit_length()
+
+
+def _check_transform_work(what: str, degree: int, bits: int) -> None:
+    """Refuse a result of this degree with numerators and denominator below
+    2^bits: building it costs at most deg^2 products of such integers."""
+    if (work := degree**2 * bits) > TRANSFORM_WORK_CAP:
+        message = f"{what} would cost deg^2 * bits = {work} > {TRANSFORM_WORK_CAP}"
+        raise BudgetExceededError(message, required=work, budget=TRANSFORM_WORK_CAP)
 
 
 def pruefer_transform(f: RationalPolynomial, profile: RamificationProfile) -> RationalPolynomial:
-    """h = (f^r - f)^s / p, integer-valued whenever f is."""
-    _, r, s = _transform_exponents(f, profile)
-    return (f**r - f) ** s / profile.prime
+    """h = (f^r - f)^s / p, integer-valued whenever f is; h has degree d r s
+    and bit size at most s (r b + 1) + log2 p, refused before any product."""
+    d, r, s, b = _transform_exponents(f, profile)
+    p = profile.prime
+    _check_transform_work("the transform", d * r * s, s * (r * b + 1) + p.bit_length())
+    return (f**r - f) ** s / p
 
 
 def transform_sequence(
@@ -433,11 +445,11 @@ def transform_sequence(
     """[f_0, ..., f_k] with f_0 = f^s and f_k = f_{k-1} (f_{k-1}^{r-1} - 1)^s / p."""
     if k_max < 1:
         raise MalformedInputError("MALFORMED_INPUT: k_max must be at least 1")
-    degree, r, s = _transform_exponents(f, profile)
+    degree, r, s, b = _transform_exponents(f, profile)
     m, p = 1 + (r - 1) * s, profile.prime
     # deg f_k = d s m^k, and f_k = g_k / d_k with max(|g_k|_1, d_k) < 2^bits_k,
     # bits_k = m bits_(k-1) + s + log2 p: both are checked before f_1 is built.
-    degree, bits = degree * s, s * max(sum(map(abs, f.integer_numerators)), f.denominator).bit_length()
+    degree, bits = degree * s, s * b
     for k in range(1, k_max + 1):
         degree, bits = degree * m, bits * m + s + p.bit_length()
         if degree > MAX_PARSE_DEGREE:
@@ -445,10 +457,8 @@ def transform_sequence(
                 f"MALFORMED_INPUT: f_{k} of the transform sequence would have degree {degree}, "
                 f"above the cap {MAX_PARSE_DEGREE}"
             )
-    # The last step costs most: at most deg^2 products of integers below 2^bits.
-    if (work := degree**2 * bits) > TRANSFORM_WORK_CAP:
-        message = f"f_{k_max} of the sequence would cost deg^2 * bits = {work} > {TRANSFORM_WORK_CAP}"
-        raise BudgetExceededError(message, required=work, budget=TRANSFORM_WORK_CAP)
+    # The last step costs most.
+    _check_transform_work(f"f_{k_max} of the sequence", degree, bits)
     seq = [f**s]
     for _ in range(k_max):
         prev = seq[-1]

@@ -2,16 +2,18 @@
 
 An order of dimension n is a free Z-module Z^n with a bilinear multiplication
 ``table[i][j]`` = coordinates of b_i * b_j, an identity vector, and optional
-basis names.  Construction validates the ring axioms (associativity, the
-identity law, primitivity of the identity vector); everything downstream may
-assume a valid order.  Associativity is proved once, where a table enters the
-program (``ZOrder(...)``, ``load_order``, ``equation_order``,
-``product_order``), exactly and on packed integers: each cell becomes one
-integer with a slot per coordinate, wide enough that no coordinate of a
-triple product can carry into the next, so each triple costs one big-integer
-multiply-add per nonzero entry of the two cells it reads.  An order derived
-by ``embedded_order`` inherits associativity from its ambient order and runs
-only the shape, unit-line and identity checks.
+basis names.  Construction checks the field types (ints, bool refused; the
+one type check, whether the fields come from a file through ``load_order``
+or from Python) and the ring axioms (associativity, the identity law,
+primitivity of the identity vector); everything downstream may assume a
+valid order.  Associativity is proved once, where a table enters the program
+(``ZOrder(...)``, ``load_order``, ``equation_order``, ``product_order``),
+exactly and on packed integers: each cell becomes one integer with a slot per
+coordinate, wide enough that no coordinate of a triple product can carry into
+the next, so each triple costs one big-integer multiply-add per nonzero entry
+of the two cells it reads.  An order derived by ``embedded_order`` is built
+from integer tuples and inherits associativity from its ambient order, so it
+runs only the shape, unit-line and identity checks.
 
 An element of the ambient Q-algebra B = A (x) Q is a vector of integer
 coordinates over one positive denominator, the way ``RationalPolynomial``
@@ -40,6 +42,7 @@ from .errors import (
     MalformedInputError,
     NoIdentityError,
     NonAssociativeError,
+    NotApplicableError,
     PruferError,
     UnitLineError,
 )
@@ -114,6 +117,12 @@ def element(coords: Sequence) -> AlgebraElement:
     return AlgebraElement(tuple(c.numerator * (den // c.denominator) for c in values), den)
 
 
+def _int_vector(v) -> tuple[int, ...] | None:
+    """v as a tuple if it is a list or tuple of ints (bool refused), else None."""
+    if isinstance(v, (list, tuple)) and all(isinstance(c, int) and not isinstance(c, bool) for c in v):
+        return tuple(v)
+
+
 @dataclass(frozen=True)
 class ZOrder:
     """A torsion-free Z-order given by structure constants."""
@@ -124,26 +133,48 @@ class ZOrder:
     basis_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        self._check_types()
         self._check_structure()
         self._check_associativity()
 
     @classmethod
     def _derived(cls, dim: int, table, one) -> "ZOrder":
         """An order whose table is the product of an already validated order
-        restricted to a closed lattice, so associative by construction: every
-        check of ``__post_init__`` runs except the n^3-triple associativity
-        proof."""
+        restricted to a closed lattice, so associative by construction, and
+        built from integer tuples: the shape, unit-line and identity checks
+        of ``__post_init__`` run, the type checks and the n^3-triple
+        associativity proof do not."""
         order = object.__new__(cls)
         for name, value in (("dim", dim), ("table", table), ("one", one), ("basis_names", None)):
             object.__setattr__(order, name, value)
         order._check_structure()
         return order
 
+    def _check_types(self):
+        """The one type check of the fields, for an order file and a
+        Python-built order alike; the fields become tuples."""
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
+            raise MalformedInputError("MALFORMED_INPUT: dim must be an integer")
+        names = self.basis_names
+        if names is not None:
+            if not isinstance(names, (list, tuple)) or not all(isinstance(s, str) for s in names):
+                raise MalformedInputError("MALFORMED_INPUT: basis_names must be a list of strings")
+            object.__setattr__(self, "basis_names", tuple(names))
+        if (one := _int_vector(self.one)) is None:
+            raise MalformedInputError("MALFORMED_INPUT: one must be a list of integers")
+        table = self.table
+        if not isinstance(table, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in table):
+            raise MalformedInputError("MALFORMED_INPUT: table must be a list of lists")
+        cells = tuple(tuple(_int_vector(cell) for cell in row) for row in table)
+        for i, row in enumerate(cells):
+            if None in row:
+                raise MalformedInputError(f"MALFORMED_INPUT: table[{i}][{row.index(None)}] must be a list of integers")
+        object.__setattr__(self, "one", one)
+        object.__setattr__(self, "table", cells)
+
     def _check_structure(self):
-        """Normalise the fields, then check shape, unit line and identity law."""
+        """Check shape, unit line and identity law."""
         n = self.dim
-        object.__setattr__(self, "table", tuple(tuple(tuple(int(c) for c in cell) for cell in row) for row in self.table))
-        object.__setattr__(self, "one", tuple(int(c) for c in self.one))
         if n < 1:
             raise MalformedInputError("MALFORMED_INPUT: dimension must be at least 1")
         if len(self.table) != n or any(len(row) != n for row in self.table):
@@ -156,8 +187,6 @@ class ZOrder:
         # huge dim on a small table costs nothing.
         if self.basis_names is None:
             object.__setattr__(self, "basis_names", tuple(f"b{i}" for i in range(n)))
-        else:
-            object.__setattr__(self, "basis_names", tuple(str(s) for s in self.basis_names))
         if len(self.basis_names) != n:
             raise MalformedInputError("MALFORMED_INPUT: basis_names has wrong length")
         if gcd(*self.one) not in (1,):
@@ -236,7 +265,10 @@ OrderSource = Union[dict, str, Path]
 
 
 def load_order(source: OrderSource) -> ZOrder:
-    """Build a validated ZOrder from a dict or a JSON file path."""
+    """Build a validated ZOrder from a dict or a JSON file path.
+
+    Only the document is checked here (the source, the top-level object and
+    the required fields); ``ZOrder`` type-checks the fields themselves."""
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8") as fh:
@@ -254,27 +286,7 @@ def load_order(source: OrderSource) -> ZOrder:
     missing = [key for key in ("dim", "one", "table") if key not in doc]
     if missing:
         raise MalformedInputError(f"MALFORMED_INPUT: missing fields {missing}")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise MalformedInputError("MALFORMED_INPUT: dim must be an integer")
-    names = doc.get("basis_names")
-    if names is not None and (not isinstance(names, list) or not all(isinstance(s, str) for s in names)):
-        raise MalformedInputError("MALFORMED_INPUT: basis_names must be a list of strings")
-
-    def as_int_vector(v, what):
-        if not isinstance(v, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in v):
-            raise MalformedInputError(f"MALFORMED_INPUT: {what} must be a list of integers")
-        return tuple(v)
-
-    one = as_int_vector(doc["one"], "one")
-    table = doc["table"]
-    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
-        raise MalformedInputError("MALFORMED_INPUT: table must be a list of lists")
-    tab = tuple(
-        tuple(as_int_vector(cell, f"table[{i}][{j}]") for j, cell in enumerate(row))
-        for i, row in enumerate(table)
-    )
-    return ZOrder(dim=dim, table=tab, one=one, basis_names=None if names is None else tuple(names))
+    return ZOrder(dim=doc["dim"], table=doc["table"], one=doc["one"], basis_names=doc.get("basis_names"))
 
 
 # -- arithmetic in the ambient algebra -------------------------------------
@@ -368,33 +380,15 @@ def is_commutative(order: ZOrder) -> tuple[bool, tuple[AlgebraElement, AlgebraEl
     return True, None
 
 
-REDUCED = "reduced"
-NOT_REDUCED = "not_reduced"
-UNDECIDED_SEMISIMPLE = "undecided_semisimple"
-
-
-@dataclass(frozen=True)
-class Reducedness:
-    """Outcome of the reducedness test.
-
-    status is one of REDUCED, NOT_REDUCED, UNDECIDED_SEMISIMPLE; a
-    NOT_REDUCED result carries a nilpotent witness and the exponent k with
-    witness^k = 0.
-    """
-
-    status: str
-    witness: AlgebraElement | None = None
-    nilpotency: int | None = None
-
-
-def is_reduced(order: ZOrder) -> Reducedness:
-    """Decide reducedness via the trace form.
+def is_reduced(order: ZOrder) -> tuple[bool, tuple[AlgebraElement, int] | None]:
+    """(True, None), or (False, (x, k)) with x != 0 and x^k = 0.
 
     In characteristic zero the radical of the trace form is the Jacobson
     radical, and any nonzero radical element of a finite-dimensional algebra
-    is nilpotent, so a nonzero kernel always yields an honest witness.  A
-    noncommutative algebra with zero radical may still contain nilpotents
-    that this test cannot see; that case is reported as undecided.
+    is nilpotent, so a nonzero kernel always yields an honest witness, on
+    any order.  A zero kernel proves reducedness only for a commutative
+    order; a noncommutative one (M_2(Q) has a nondegenerate trace form and
+    nilpotents) raises NotApplicableError.
     """
     span = EchelonSpan(order.dim)
     for row in trace_gram_matrix(order):
@@ -408,39 +402,22 @@ def is_reduced(order: ZOrder) -> Reducedness:
         for k in range(2, order.dim + 2):
             current = mul(order, current, witness)
             if current.is_zero:
-                return Reducedness(NOT_REDUCED, witness, k)
+                return False, (witness, k)
         raise PruferError("radical element is not nilpotent; invalid order")
-    commutative, _ = is_commutative(order)
-    if commutative:
-        return Reducedness(REDUCED)
-    return Reducedness(UNDECIDED_SEMISIMPLE)
+    if not is_commutative(order)[0]:
+        raise NotApplicableError("NOT_COMMUTATIVE: the reducedness test needs a commutative algebra")
+    return True, None
 
 
 def product_order(a: ZOrder, b: ZOrder) -> ZOrder:
     """Direct product, basis of a followed by basis of b."""
     n, m = a.dim, b.dim
-    dim = n + m
-    zero = tuple(0 for _ in range(dim))
-
-    def embed_a(v):
-        return tuple(v) + (0,) * m
-
-    def embed_b(v):
-        return (0,) * n + tuple(v)
-
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i < n and j < n:
-                row.append(embed_a(a.table[i][j]))
-            elif i >= n and j >= n:
-                row.append(embed_b(b.table[i - n][j - n]))
-            else:
-                row.append(zero)
-        table.append(tuple(row))
+    zero = (0,) * (n + m)
+    table = tuple(tuple(cell + (0,) * m for cell in row) + (zero,) * m for row in a.table) + tuple(
+        (zero,) * n + tuple((0,) * n + cell for cell in row) for row in b.table
+    )
     names = tuple(f"{name}.l" for name in a.basis_names) + tuple(f"{name}.r" for name in b.basis_names)
-    return ZOrder(dim=dim, table=tuple(table), one=embed_a(a.one)[:n] + embed_b(b.one)[n:], basis_names=names)
+    return ZOrder(dim=n + m, table=table, one=a.one + b.one, basis_names=names)
 
 
 def equation_order(f: RationalPolynomial) -> ZOrder:

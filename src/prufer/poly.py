@@ -278,8 +278,6 @@ class RationalPolynomial:
         compact = text.replace(" ", "")
         if not compact:
             raise MalformedInputError("PARSE_ERROR: empty polynomial text")
-        if compact == "0":
-            return cls._raw((), 1)
         terms = re.findall(r"[+-]?[^+-]+", compact)
         if "".join(terms) != compact:
             raise MalformedInputError(f"PARSE_ERROR: cannot tokenize {text!r}")
@@ -303,10 +301,11 @@ class RationalPolynomial:
             if power > MAX_PARSE_DEGREE:
                 raise MalformedInputError(f"PARSE_ERROR: degree {power} exceeds the parser's cap {MAX_PARSE_DEGREE}")
             coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
-        out = [Fraction(0)] * (max(coeffs) + 1)
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        out = [0] * (max(coeffs) + 1)
         for k, c in coeffs.items():
-            out[k] = c
-        return cls(out)
+            out[k] = c.numerator * (den // c.denominator)
+        return cls._raw(out, den)
 
     # -- plumbing ---------------------------------------------------------
 

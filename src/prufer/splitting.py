@@ -41,7 +41,6 @@ from .orders import (
     is_reduced,
     mul,
     power_span,
-    NOT_REDUCED,
 )
 from .poly import RationalPolynomial, poly_xgcd
 
@@ -123,8 +122,8 @@ def decompose(order: ZOrder) -> Decomposition:
     commutative, _ = is_commutative(order)
     if not commutative:
         raise NotApplicableError("NOT_COMMUTATIVE: decompose needs a commutative algebra")
-    reduced = is_reduced(order)
-    if reduced.status == NOT_REDUCED:
+    reduced, _ = is_reduced(order)
+    if not reduced:
         raise NotApplicableError("NOT_REDUCED: decompose needs a reduced algebra")
     return _split_reduced(order)
 

@@ -415,6 +415,19 @@ def test_transform_sequence_refused_before_any_product(capsys, monkeypatch):
     assert err.startswith("error: BUDGET_EXCEEDED: f_13 of the sequence")
 
 
+def test_transform_refused_before_any_product(capsys, monkeypatch):
+    # (X + 1)^999983 is below the degree cap, but its coefficients have about
+    # 10^6 bits: the work bound refuses it before the first product.
+    def no_products(self, other):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(RationalPolynomial, "__mul__", no_products)
+    code, out, err = run(capsys, "transform", "--prime", "999983", "--ef", "1,1", "--poly", "X+1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: BUDGET_EXCEEDED: the transform would cost")
+
+
 def test_hurwitz_lemma_pass(capsys):
     code, out, _ = run(capsys, "hurwitz", "lemma42", "--n", "2", "--json")
     assert code == 0

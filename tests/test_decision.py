@@ -345,6 +345,22 @@ def test_verify_rejects_integral_witness(z_sqrt5):
     assert not verify_certificate(z_sqrt5, tampered)
 
 
+def test_verify_runs_round_two_at_a_prime_dividing_the_index(calls_to, z_sqrt5):
+    # A forged YES for Z[sqrt5] with primitive 2*sqrt5: mu = X^2 - 20 and
+    # [A : Z[a]] = 2, so Dedekind's criterion cannot settle 2, round 2 runs
+    # there and finds (1 + sqrt5)/2.
+    multiplier_primes = calls_to(prufer.closure, "ring_of_multipliers", lambda order, ideal, p: p)
+    component = {"factor": "-20 + X^2", "dim": 2, "basis": [["1", "0"], ["0", "1"]]}
+    doc = {
+        "verdict": "YES",
+        "reason": "ALL_COMPONENTS_MAXIMAL",
+        "witness": {"primitive": ["0", "2"], "min_poly": "-20 + X^2", "idempotents": [["1", "0"]], "components": [component]},
+        "citation": "product-of-maximal-orders",
+    }
+    assert verify_certificate(z_sqrt5, PrueferCertificate.from_dict(doc)) is False
+    assert multiplier_primes == [2]
+
+
 def test_verify_rejects_commuting_pair(m2z, corpus):
     cert = decide_pruefer(m2z)
     doc = cert.to_dict()

@@ -10,13 +10,11 @@ from prufer.errors import (
     MalformedInputError,
     NoIdentityError,
     NonAssociativeError,
+    NotApplicableError,
     PruferError,
     UnitLineError,
 )
 from prufer.orders import (
-    NOT_REDUCED,
-    REDUCED,
-    UNDECIDED_SEMISIMPLE,
     ZOrder,
     element,
     embedded_order,
@@ -89,6 +87,27 @@ def test_load_rejects_a_huge_dim_on_a_small_table():
     with pytest.raises(MalformedInputError):
         ZOrder(dim=10**9, table=(((1,),),), one=(1,))
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("cell", 1.7), ("cell", True), ("cell", "x"), ("dim", "1")],
+    ids=["float", "bool", "str", "dim-str"],
+)
+def test_zorder_refuses_what_load_order_refuses(field, value):
+    # A Python-built order meets the same type checks, with the same message,
+    # as the document that describes it.
+    doc = {"dim": 1, "one": [1], "table": [[[1]]]}
+    if field == "dim":
+        doc["dim"] = value
+    else:
+        doc["table"][0][0] = [value]
+    with pytest.raises(MalformedInputError) as loaded:
+        load_order(doc)
+    table = tuple(tuple(tuple(cell) for cell in row) for row in doc["table"])
+    with pytest.raises(MalformedInputError) as built:
+        ZOrder(dim=doc["dim"], table=table, one=(1,))
+    assert str(built.value) == str(loaded.value)
 
 
 def test_unit_line_error(zxz):
@@ -328,13 +347,14 @@ def test_is_commutative(m2z, z_i):
 
 
 def test_is_reduced(corpus):
-    r = is_reduced(corpus["z_x_mod_x2"])
-    assert r.status == NOT_REDUCED
-    sq = mul(corpus["z_x_mod_x2"], r.witness, r.witness)
-    assert sq.is_zero
-    assert is_reduced(corpus["z_i"]).status == REDUCED
-    # reducedness is only decided for commutative input; M2(Z) stays open here
-    assert is_reduced(corpus["m2z"]).status == UNDECIDED_SEMISIMPLE
+    reduced, (witness, k) = is_reduced(corpus["z_x_mod_x2"])
+    assert not reduced
+    sq = mul(corpus["z_x_mod_x2"], witness, witness)
+    assert sq.is_zero and k == 2
+    assert is_reduced(corpus["z_i"]) == (True, None)
+    # reducedness is only decided for commutative input; M2(Z) is refused
+    with pytest.raises(NotApplicableError, match="^NOT_COMMUTATIVE: "):
+        is_reduced(corpus["m2z"])
 
 
 def test_product_order(corpus):
