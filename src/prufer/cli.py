@@ -122,8 +122,8 @@ def _cmd_member(args) -> int:
         _emit(args, payload, [f"member: {str(ok).lower()}"])
         return 0
     point = _require_dim(order, _parse_coords(args.at))
-    ok, failure = int_member_finite(order, [point], f)
-    value = evaluate_poly(order, f, point) if failure is None else failure[1]
+    value = evaluate_poly(order, f, point)
+    ok = value.is_integral_vector
     payload = {
         "poly": str(f),
         "at": _coords_out(point),

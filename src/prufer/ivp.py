@@ -6,11 +6,22 @@ N = deg g, each prime power p^k || d is checked on a residue system of
 A/p^kA or on the C(N + dim, dim) points of the Newton simplex, whichever is
 smaller (Cahen-Chabert, Integer-Valued Polynomials, ch. I and XI).  The
 number of checked points, at most d^dim, is capped by an explicit budget so
-the cost is always visible, never silently sampled.  g vanishes on A/pA, p
-prime, exactly when each residue's minimal polynomial over F_p divides g mod p
-(Frisch, J. Algebra 2013); one, at most dim products whatever N, serves the
-p(p - 1) residues l x + c, about p^(dim-1)/(p - 1) in all.  A prime power
-p^k, k >= 2, and the simplex cost about 3 sqrt(N) products a point.
+the cost is always visible, never silently sampled.
+
+At a prime modulus p, g vanishes on R = A/pA exactly when g mod p lies in
+the null ideal of R, and that ideal is read from the structure of R where
+it is known, by one division per local factor:
+- some residue x generates R, so R = F_p[X]/(mu_x) = prod F_q[t]/(t^e),
+  q = p^f, with the (e, f) pairs of mu_x mod p: the null ideal is the lcm
+  of the (X^q - X)^e (Frisch, J. Algebra 2013);
+- dim 4, p odd, p not dividing disc(A) and R not commutative, so
+  R = M_2(F_p): the null ideal is ((X^p - X)(X^(p^2) - X))
+  (Brawley-Carlitz-Levine, 1975);
+- otherwise each residue's minimal polynomial over F_p is divided into
+  g mod p; one, at most dim products whatever N, serves the p(p - 1)
+  residues l x + c, about p^(dim-1)/(p - 1) in all.
+A prime power p^k, k >= 2, and the simplex cost about 3 sqrt(N) products a
+point.
 
 Also here: the pointwise test (is A `integrally closed at a`, i.e. is the ring
 A ∩ Q[a] integrally closed), ramification profiles of maximal orders at
@@ -24,9 +35,9 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import comb, factorial, isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .closure import _round_two, field_polynomial, power_index
+from .closure import _round_two, discriminant, field_polynomial, power_index
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -35,7 +46,7 @@ from .errors import (
     NotApplicableError,
     PruferError,
 )
-from .factor import _zp_divmod_monic, is_probable_prime, modp_degrees, poly_factor
+from .factor import _trim, _zp_divmod_monic, is_probable_prime, modp_degrees, poly_factor
 from .linalg import modp_span_add
 from .orders import (
     AlgebraElement,
@@ -110,7 +121,8 @@ def _vanishes_mod(order: ZOrder, nums: Sequence[int], q: int, points: Iterable[S
     summed against 1, x, ..., x^(s-1): about 3 sqrt(deg g) matrix-vector
     products mod q per point instead of deg g.  This is the check for a prime
     power q = p^k with k >= 2 and for the simplex cofactor; a prime q takes
-    _vanishes_mod_prime, whose cost per point does not grow with deg g.
+    one division of g per local factor of A/qA or per distinct minimal
+    polynomial over F_q instead (int_member_order).
     """
     n = order.dim
     mul = operator.mul
@@ -142,28 +154,54 @@ def _vanishes_mod(order: ZOrder, nums: Sequence[int], q: int, points: Iterable[S
 
 
 def _orbit_representatives(one: Sequence[int], p: int) -> Iterable[list[int]]:
-    """0 and the x with x_j = 0 and first nonzero coordinate 1, for the first j with
-    one_j != 0 mod p: each residue of A/pA is l x + c 1 (l != 0) for exactly one."""
+    """The x with x_j = 0 and first nonzero coordinate 1, for the first j with
+    one_j != 0 mod p, then 0: each residue of A/pA is l x + c 1 (l != 0) for
+    exactly one."""
     n, j = len(one), next(i for i, c in enumerate(one) if c % p)
-    yield [0] * n
     for t in range(n - 1):
         for tail in itertools.product(range(p), repeat=n - 2 - t):
             x = [0] * t + [1, *tail]
             x.insert(j, 0)
             yield x
+    yield [0] * n
 
 
-def _vanishes_mod_prime(order: ZOrder, nums: Sequence[int], p: int) -> bool:
-    """Is g(x) = 0 in A/pA for every residue x, for g with coefficients nums and p prime?
+# M_2(F_p) has the null ideal ((X^p - X)(X^(p^2) - X)), that of F_p[t]/(t^2) x F_(p^2).
+MATRIX_PAIRS = ((2, 1), (1, 2))
 
-    A/pA is an F_p-algebra with 1, so g(x) = 0 exactly when the minimal
-    polynomial of x over F_p divides g mod p (F_p[x] = F_p[X]/(mu_x)).  mu_x
-    is the first relation among 1, x, x^2, ... mod p, found by ``modp_span_add``
-    in at most dim products.  F_p[l x + c] = F_p[x] gives mu_(l x + c)(X) =
-    l^d mu_x((X - c)/l), so one mu_x per orbit (_orbit_representatives)
-    settles up to p(p - 1) residues.  Each distinct minimal polynomial is
-    divided into g mod p once; an orbit whose mu_x has passed is skipped.
+
+def _null_ideal_contains(nums: Sequence[int], p: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Does (X^q - X)^e, q = p^f, divide g mod p for each pair (e, f), p prime?
+
+    That is g(x) = 0 for every x in prod F_q[t]/(t^e): with x = a + t b,
+    g(x) = sum_k (D^k g)(a) (t b)^k over the Hasse derivatives D^k, so g must
+    vanish to order e at each a in F_q.  (X^q - X)^e has e + 1 terms, so the
+    division costs about (e + 1) deg g, and it is made only when the divisor
+    is no longer than g mod p.
     """
+    g = _trim([c % p for c in nums])
+    if not g:
+        return True
+    for e, f in set(pairs):
+        q = p**f
+        if (m := q * e) >= len(g):
+            return False
+        # (X^q - X)^e = X^m + sum_(k >= 1) (-1)^k C(e, k) X^(k + q (e - k)).
+        tail = [(k + q * (e - k), (-1) ** k * comb(e, k)) for k in range(1, e + 1)]
+        rest = list(g)
+        for top in range(len(rest) - 1, m - 1, -1):
+            if c := rest[top] % p:
+                for j, t in tail:
+                    rest[top - m + j] -= c * t
+        if any(c % p for c in rest[:m]):
+            return False
+    return True
+
+
+def _orbit_minimal_polynomials(order: ZOrder, p: int) -> Iterator[list[int]]:
+    """mu_x over F_p, p prime, for each x of _orbit_representatives: the first
+    relation among 1, x, x^2, ... mod p, found by ``modp_span_add`` in at
+    most dim products."""
     entries = [
         (i, j, k, t % p)
         for i, row in enumerate(order.table)
@@ -171,7 +209,7 @@ def _vanishes_mod_prime(order: ZOrder, nums: Sequence[int], p: int) -> bool:
         for k, t in enumerate(cell)
         if t % p
     ]
-    one, passed = [c % p for c in order.one], set()
+    one = [c % p for c in order.one]
     for x in _orbit_representatives(one, p):
         span, power = [], one
         while (mu := modp_span_add(span, power, p)) is None:
@@ -179,21 +217,74 @@ def _vanishes_mod_prime(order: ZOrder, nums: Sequence[int], p: int) -> bool:
             for i, j, k, t in entries:
                 product[k] += power[i] * x[j] * t
             power = [c % p for c in product]
-        if tuple(mu) in passed:
-            continue
-        d = len(mu) - 1
-        for scale in range(1, p):
-            image = [a * pow(scale, d - i, p) % p for i, a in enumerate(mu)]
-            for _ in range(p):
-                if (key := tuple(image)) not in passed:
-                    if _zp_divmod_monic(nums, image, p)[1]:
-                        return False
-                    passed.add(key)
-                # Taylor shift: image(X) becomes image(X - 1).
-                for i in range(d):
-                    for k in range(d - 1, i - 1, -1):
-                        image[k] = (image[k] - image[k + 1]) % p
+        yield mu
+
+
+def _orbit_divides(nums: Sequence[int], mu: list[int], p: int, passed: set[tuple[int, ...]]) -> bool:
+    """Does g mod p vanish on the orbit l x + c of x, mu = mu_x over F_p?
+
+    F_p[l x + c] = F_p[x] gives mu_(l x + c)(X) = l^d mu_x((X - c)/l), so
+    each of those images must divide g mod p.  An image in passed is not
+    divided again, and each that divides is added to it.
+    """
+    if tuple(mu) in passed:
+        return True
+    d = len(mu) - 1
+    for scale in range(1, p):
+        image = [a * pow(scale, d - i, p) % p for i, a in enumerate(mu)]
+        for _ in range(p):
+            if (key := tuple(image)) not in passed:
+                if _zp_divmod_monic(nums, image, p)[1]:
+                    return False
+                passed.add(key)
+            # Taylor shift: image(X) becomes image(X - 1).
+            for i in range(d):
+                for k in range(d - 1, i - 1, -1):
+                    image[k] = (image[k] - image[k + 1]) % p
     return True
+
+
+def _vanishes_mod_prime(order: ZOrder, nums: Sequence[int], p: int) -> bool:
+    """Is g(x) = 0 in A/pA for every residue x, for g with coefficients nums and p prime?
+
+    A/pA is an F_p-algebra with 1, so g(x) = 0 exactly when the minimal
+    polynomial of x over F_p divides g mod p (F_p[x] = F_p[X]/(mu_x)).  One
+    mu_x per orbit of x -> l x + c (_orbit_minimal_polynomials) settles up to
+    p(p - 1) residues (_orbit_divides), about p^(dim-1)/(p - 1) orbits in all.
+    The first x whose mu_x has degree dim generates A/pA = F_p[X]/(mu_x),
+    and the walk stops there: g passes exactly when it lies in the null ideal
+    of the local factors F_(p^f)[t]/(t^e), one per (e, f) pair of mu_x mod p
+    (_null_ideal_contains; Frisch, J. Algebra 2013).  Where no residue
+    generates A/pA, as at a common index divisor or in M_2(F_p), every orbit
+    is walked.
+    """
+    passed: set[tuple[int, ...]] = set()
+    for mu in _orbit_minimal_polynomials(order, p):
+        if len(mu) > order.dim:
+            return _null_ideal_contains(nums, p, modp_degrees(mu, p))
+        if not _orbit_divides(nums, mu, p, passed):
+            return False
+    return True
+
+
+def _matrix_primes(order: ZOrder, primes: Iterable[int]) -> set[int]:
+    """The primes p with A/pA = M_2(F_p): dim 4, p odd, A/pA not commutative
+    and p not dividing disc(A), which is worked out at most once.
+
+    The radical of A/pA lies in the kernel of its trace form (x y is
+    nilpotent for x in it), so p not dividing disc(A) makes A/pA semisimple;
+    by Wedderburn's theorems M_2(F_p) is the only noncommutative semisimple
+    F_p-algebra of dimension 4.
+    """
+    if order.dim != 4:
+        return set()
+    t = order.table
+    commutators = [a - b for i in range(4) for j in range(i) for a, b in zip(t[i][j], t[j][i])]
+    candidates = [p for p in primes if p % 2 and any(c % p for c in commutators)]
+    if not candidates:
+        return set()
+    disc = discriminant(order)
+    return {p for p in candidates if disc % p}
 
 
 def int_member_order(order: ZOrder, f: RationalPolynomial, budget: int | None = None) -> bool:
@@ -207,11 +298,12 @@ def int_member_order(order: ZOrder, f: RationalPolynomial, budget: int | None = 
     polynomials of degree <= N, read off the simplex by a unimodular
     triangular system (Cahen-Chabert, Integer-Valued Polynomials, ch. I and
     XI).  By CRT each prime power of d takes the smaller set (membership_plan).
-    The budget counts the points, q^n per modulus, before any work.  A prime
-    modulus takes one minimal polynomial over F_p per orbit of x -> l x + c,
-    about p^(n-1)/(p - 1) of them, and one division into g mod p per distinct
-    minimal polynomial (_vanishes_mod_prime).  Prime powers p^k, k >= 2, and
-    the simplex evaluate g by Horner (_vanishes_mod): about 3 sqrt(N)
+    The budget counts the points, q^n per modulus, before any work.
+
+    A prime modulus p takes the null ideal of M_2(F_p) where _matrix_primes
+    finds A/pA = M_2(F_p), and _vanishes_mod_prime otherwise, which stops
+    at a generator of A/pA (module docstring).  Prime powers p^k, k >= 2,
+    and the simplex evaluate g by Horner (_vanishes_mod): about 3 sqrt(N)
     products a point.
     """
     limit = DEFAULT_POINT_BUDGET if budget is None else budget
@@ -227,9 +319,16 @@ def int_member_order(order: ZOrder, f: RationalPolynomial, budget: int | None = 
             budget=limit,
         )
     n, nums = order.dim, f.integer_numerators
+    primes = [q for q in moduli if is_probable_prime(q)]
+    matrix_primes = _matrix_primes(order, primes)
     for q in moduli:
-        residues, prime = itertools.product(range(q), repeat=n), is_probable_prime(q)
-        if not (_vanishes_mod_prime(order, nums, q) if prime else _vanishes_mod(order, nums, q, residues)):
+        if q in matrix_primes:
+            ok = _null_ideal_contains(nums, q, MATRIX_PAIRS)
+        elif q in primes:
+            ok = _vanishes_mod_prime(order, nums, q)
+        else:
+            ok = _vanishes_mod(order, nums, q, itertools.product(range(q), repeat=n))
+        if not ok:
             return False
     # The gaps of each n-subset of range(N + n) run once over the simplex.
     cuts = itertools.combinations(range(f.degree + n), n)

@@ -255,9 +255,10 @@ class RationalPolynomial:
         if self.is_zero:
             return "0"
         pieces: list[str] = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
+        for k, num in enumerate(self._num):
+            if num == 0:
                 continue
+            c = num if self._den == 1 else Fraction(num, self._den)
             mag = abs(c)
             if k == 0:
                 body = str(mag)

@@ -20,8 +20,13 @@ from prufer.errors import (
 )
 from prufer.factor import poly_factor
 from prufer.ivp import (
+    MATRIX_PAIRS,
     TRANSFORM_WORK_CAP,
     RamificationProfile,
+    _matrix_primes,
+    _null_ideal_contains,
+    _orbit_divides,
+    _orbit_minimal_polynomials,
     _orbit_representatives,
     _vanishes_mod,
     _vanishes_mod_prime,
@@ -33,7 +38,7 @@ from prufer.ivp import (
     ramification_profile,
     transform_sequence,
 )
-from prufer.orders import element, equation_order, evaluate_poly, load_order, minimal_polynomial, power
+from prufer.orders import ZOrder, element, equation_order, evaluate_poly, load_order, minimal_polynomial, power
 from prufer.poly import RationalPolynomial, poly_xgcd
 from prufer.splitting import crt_idempotents, shell_vectors
 
@@ -304,8 +309,8 @@ def test_orbits_partition_the_residues(corpus, name, p):
     assert sorted(seen) == list(itertools.product(range(p), repeat=order.dim))
 
 
-def test_prime_modulus_takes_one_minimal_polynomial_per_orbit(m2z, patch_everywhere):
-    # 1 + (5^3 - 1)/(5 - 1) = 32 orbits cover the 625 residues of M_2(F_5).
+def _count_relations(patch_everywhere):
+    """The minimal polynomials ``modp_span_add`` finds, one per Krylov sequence."""
     relations, original = [], prufer.linalg.modp_span_add
 
     def counting(rows, v, p):
@@ -314,20 +319,163 @@ def test_prime_modulus_takes_one_minimal_polynomial_per_orbit(m2z, patch_everywh
         return relation
 
     patch_everywhere(prufer.linalg, "modp_span_add", counting)
+    return relations
+
+
+def test_prime_modulus_takes_one_minimal_polynomial_per_orbit(m2z, patch_everywhere):
+    # 1 + (5^3 - 1)/(5 - 1) = 32 orbits cover the 625 residues of M_2(F_5),
+    # and no residue generates it, so the walk takes every orbit.
+    relations = _count_relations(patch_everywhere)
     g = _int_poly_mul(_universal(5, 2), [0, 1])
-    assert int_member_order(m2z, RationalPolynomial([Fraction(c, 5) for c in g]))
+    assert _vanishes_mod_prime(m2z, g, 5)
     assert len(relations) == 32
 
 
-def test_prime_moduli_take_minimal_polynomials(m2z, calls_to):
+def test_prime_moduli_dispatch_by_the_residue_ring(m2z, calls_to):
     prime = calls_to(prufer.ivp, "_vanishes_mod_prime", lambda order, nums, q: q)
     horner = calls_to(prufer.ivp, "_vanishes_mod", lambda order, nums, q, points: q)
-    # d = 20: the prime power 4 goes through Horner, the prime 5 through minimal polynomials.
+    null = calls_to(prufer.ivp, "_null_ideal_contains", lambda nums, q, pairs: (q, pairs))
+    # d = 20: the prime power 4 goes through Horner, and the prime 5 through
+    # the null ideal of M_2(F_5), with no orbit walked.
     g = _int_poly_mul(_universal(20, 2), [0, 1])
     f = RationalPolynomial([Fraction(c, 20) for c in g])
     assert membership_plan(m2z, f)[:2] == ([4, 5], 1)
     assert int_member_order(m2z, f)
-    assert (prime, horner) == ([5], [4])
+    assert (prime, horner, null) == ([], [4], [(5, MATRIX_PAIRS)])
+
+
+def test_a_generator_mod_p_settles_the_prime_after_one_krylov_sequence(patch_everywhere, calls_to):
+    # 2^(1/4) generates A/17A for A = Z[2^(1/4)], and X^4 - 2 is a product of
+    # two irreducible quadratics mod 17: the null ideal is (X^289 - X), one
+    # division instead of 1 + (17^3 - 1)/16 = 308 orbits.
+    order = equation_order(P(-2, 0, 0, 0, 1))
+    relations = _count_relations(patch_everywhere)
+    degrees = calls_to(prufer.ivp, "modp_degrees", lambda coeffs, p: (tuple(coeffs), p))
+    x = P(0, 1)
+    x289_x = RationalPolynomial.x_power(289) - x
+    assert int_member_order(order, x * x289_x / 17)
+    assert relations == [[15, 0, 0, 0, 1]]
+    assert degrees == [((15, 0, 0, 0, 1), 17)]
+    assert not int_member_order(order, (RationalPolynomial.x_power(17) - x) / 17)
+    assert not int_member_order(order, (x289_x + 1) / 17)
+
+
+@pytest.mark.parametrize("name, p, orbits", [("m2z", 2, 8), ("cubic_index2", 2, 4)])
+def test_no_generator_mod_p_walks_every_orbit(corpus, patch_everywhere, calls_to, name, p, orbits):
+    # M_2(F_2) has no element of degree 4, and 2 is a common index divisor of
+    # cubic_index2 (A/2A = F_2^3): every one of 1 + (p^(n-1) - 1)/(p - 1)
+    # orbits is walked, and no null ideal is taken.
+    order = corpus[name]
+    relations = _count_relations(patch_everywhere)
+    null = calls_to(prufer.ivp, "_null_ideal_contains")
+    g = _int_poly_mul(_universal(p, MIN_POLY_DEGREE[name]), [0, 1])
+    f = RationalPolynomial([Fraction(c, p) for c in g])
+    assert membership_plan(order, f)[:2] == ([p], 1)
+    assert int_member_order(order, f)
+    assert len(relations) == orbits
+    assert max(len(mu) for mu in relations) <= order.dim
+    assert null == []
+
+
+def _square_zero_order():
+    """Z + Zx + Zy with x^2 = xy = y^2 = 0: mod p every residue has a minimal
+    polynomial of degree at most 2, so none generates A/pA."""
+    e, z = [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (0, 0, 0)
+    return ZOrder(dim=3, table=((e[0], e[1], e[2]), (e[1], z, z), (e[2], z, z)), one=(1, 0, 0))
+
+
+# Maximal orders of fields of degree 2 to 6: Q(sqrt 3); Q(2^(1/3)); Dedekind's
+# cubic X^3 + X^2 - 2X + 8, where 2 is a common index divisor; Q(2^(1/4));
+# Q(2^(1/5)); Q(zeta_9), totally ramified at 3.
+AGREEMENT_FIELDS = {
+    "sqrt3": (-3, 0, 1),
+    "cbrt2": (-2, 0, 0, 1),
+    "dedekind": (8, -2, 1, 1),
+    "root4_2": (-2, 0, 0, 0, 1),
+    "root5_2": (-2, 0, 0, 0, 0, 1),
+    "zeta9": (1, 0, 0, 1, 0, 0, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def agreement_orders(corpus):
+    orders = dict(corpus, square_zero=_square_zero_order())
+    for name, coeffs in AGREEMENT_FIELDS.items():
+        orders[name] = maximal_order(equation_order(P(*coeffs))).order
+    return orders
+
+
+def _walk_every_orbit(order, g, p):
+    """The orbit walk without the stop at a generator."""
+    passed = set()
+    return all(_orbit_divides(g, mu, p, passed) for mu in _orbit_minimal_polynomials(order, p))
+
+
+def _prime_path(order, p):
+    """Which check int_member_order makes at the prime modulus p."""
+    if _matrix_primes(order, [p]):
+        return "matrix"
+    if any(len(mu) > order.dim for mu in _orbit_minimal_polynomials(order, p)):
+        return "generator"
+    return "walk"
+
+
+def _check_agreement(order, p, data):
+    # A universal g vanishes on A/pA once m reaches the largest degree of a
+    # minimal polynomial, at most dim; a nudged coefficient and a factor X
+    # move it off and on the null ideal.
+    if data.draw(st.booleans()):
+        g = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12))
+    else:
+        m = data.draw(st.integers(1, order.dim))
+        h = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3))
+        g = _int_poly_mul(_universal(p, m), h)
+        if data.draw(st.booleans()):
+            g[data.draw(st.integers(0, len(g) - 1))] += data.draw(st.integers(1, p - 1))
+        if data.draw(st.booleans()):
+            g = [0] + g
+    if _matrix_primes(order, [p]):
+        verdict = _null_ideal_contains(g, p, MATRIX_PAIRS)
+    else:
+        verdict = _vanishes_mod_prime(order, g, p)
+    assert verdict is _walk_every_orbit(order, g, p)
+    assert verdict is _vanishes_mod(order, g, p, itertools.product(range(p), repeat=order.dim))
+
+
+AGREEMENT_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@pytest.mark.parametrize("name", [*sorted(MIN_POLY_DEGREE), "square_zero", *AGREEMENT_FIELDS])
+@settings(max_examples=8)
+@given(st.data())
+def test_null_ideal_agrees_with_the_orbit_walk_and_evaluation(agreement_orders, name, data):
+    order = agreement_orders[name]
+    p = data.draw(st.sampled_from([p for p in AGREEMENT_PRIMES if p**order.dim <= 10**4]))
+    _check_agreement(order, p, data)
+
+
+@pytest.mark.parametrize(
+    "name, p, path",
+    [
+        ("z_i", 2, "generator"),  # ramified: F_2[t]/(t^2)
+        ("z_3i", 3, "generator"),  # Z[3i]/3 = F_3[t]/(t^2)
+        ("z_x_mod_x2", 3, "generator"),
+        ("square_zero", 2, "walk"),
+        ("square_zero", 3, "walk"),
+        ("cubic_index2", 2, "walk"),
+        ("dedekind", 2, "walk"),
+        ("hurwitz", 2, "walk"),  # even, and not semisimple: no M_2 rule
+        ("hurwitz", 3, "matrix"),
+        ("m2z", 3, "matrix"),
+        ("zeta9", 3, "generator"),
+    ],
+)
+@settings(max_examples=12)
+@given(st.data())
+def test_null_ideal_agrees_at_the_named_primes(agreement_orders, name, p, path, data):
+    order = agreement_orders[name]
+    assert _prime_path(order, p) == path
+    _check_agreement(order, p, data)
 
 
 # -- pointwise closure --------------------------------------------------------
