@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from pathlib import Path
 from typing import Sequence, Union
@@ -316,15 +317,23 @@ def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> Al
     """f(x) in the ambient algebra, by Horner on integer vectors.
 
     With x = y/d and f = g/e of degree N, f(x) = sum_i g_i y^i d^(N-i) / (e d^N).
+    Each nonzero coefficient, and the constant one, costs one product: by y,
+    or after a run of zeros k places long by y^(k+1), squared up in at most k.
     """
     if x.dim != order.dim:
         raise DimensionMismatchError("element dimension does not match the order")
-    y, d = x.integer_numerators, x.denominator
-    acc, scale = [0] * order.dim, 1
-    for k, c in enumerate(reversed(f.integer_numerators)):
-        if k:
-            scale *= d
-        acc = [a + c * scale * u for a, u in zip(order._mul_coords(acc, y), order.one)]
+    y, d, g = x.integer_numerators, x.denominator, f.integer_numerators
+    acc, scale, last = [0] * order.dim, 1, len(g) - 1
+    for i in reversed([0, *compress(range(1, len(g)), g[1:])] if g else []):
+        step, gap = y, last - i
+        if gap > 1:  # step = y^gap, by squaring from the top bit down
+            for bit in bin(gap)[3:]:
+                step = order._mul_coords(step, step)
+                if bit == "1":
+                    step = order._mul_coords(step, y)
+        scale *= d**gap
+        acc = [a + g[i] * scale * u for a, u in zip(order._mul_coords(acc, step), order.one)]
+        last = i
     return AlgebraElement(tuple(acc), f.denominator * scale)
 
 

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import prufer.cli
 from conftest import order_to_dict
 from prufer.cli import main
 from prufer.orders import equation_order
@@ -49,6 +50,12 @@ def test_analyze_yes_golden_json(capsys):
         '"dim": 2, "basis": [["1", "0"], ["0", "1"]]}]}, '
         '"citation": "product-of-maximal-orders"}\n'
     )
+
+
+def test_analyze_refuses_a_certificate_that_fails_verification(capsys, monkeypatch):
+    monkeypatch.setattr(prufer.cli, "verify_certificate", lambda order, cert: False)
+    code, out, err = run(capsys, "analyze", order_path("z_i"), "--json")
+    assert (code, out, err) == (1, "", "error: certificate failed independent verification\n")
 
 
 def test_analyze_json_deterministic(capsys):
@@ -380,6 +387,12 @@ def test_transform_bad_pair(capsys):
     code, _, err = run(capsys, "transform", "--prime", "2", "--ef", "0,1", "--poly", "X")
     assert code == 1
     assert "MALFORMED_INPUT" in err
+
+
+@pytest.mark.parametrize("ef", ["1", "a,b"])
+def test_transform_bad_ef_value(capsys, ef):
+    code, out, err = run(capsys, "transform", "--prime", "2", "--ef", ef, "--poly", "X")
+    assert (code, out, err) == (1, "", f"error: MALFORMED_INPUT: bad --ef value {ef!r}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -454,3 +455,137 @@ def test_certificate_soundness_randomized(f):
     assert verify_certificate(order, cert)
     again = PrueferCertificate.from_json(cert.to_json())
     assert verify_certificate(order, again)
+
+
+def _yes_doc(primitive, min_poly, idempotents, components):
+    """A YES certificate document; ``components`` holds (factor, dim, basis)."""
+    return {
+        "verdict": "YES",
+        "reason": "ALL_COMPONENTS_MAXIMAL",
+        "witness": {
+            "primitive": primitive,
+            "min_poly": min_poly,
+            "idempotents": idempotents,
+            "components": [{"factor": g, "dim": d, "basis": rows} for g, d, rows in components],
+        },
+        "citation": "product-of-maximal-orders",
+    }
+
+
+ZXZ_COMPONENTS = [("-1 + X", 1, [["1", "0"]]), ("X", 1, [["0", "1"]])]
+ZI_COMPONENT = ("1 + X^2", 2, [["1", "0"], ["0", "1"]])
+
+# Each forged YES breaks one claim of the verifier, and the named stage, the
+# first that runs after that claim is checked, must never run: a later claim
+# would refuse most of these certificates too, so the refusal has to come
+# where the broken claim is checked.
+FORGED_YES = {
+    "min-poly-degree": (
+        "zxz",
+        _yes_doc(["1", "1"], "-1 + X", [["1", "1"]], [("-1 + X", 1, [["1", "1"]])]),
+        "evaluate_poly",
+    ),
+    "min-poly-not-monic": (
+        "zxz",
+        _yes_doc(["1", "0"], "-2*X + 2*X^2", [["1", "0"], ["0", "1"]], ZXZ_COMPONENTS),
+        "evaluate_poly",
+    ),
+    "min-poly-not-squarefree": (
+        "zxz",
+        _yes_doc(["1", "1"], "1 - 2*X + X^2", [["1", "1"]], [("-1 + X", 1, [["1", "1"]])]),
+        "mul",
+    ),
+    "factor-list-differs": (
+        "z_i",
+        _yes_doc(["0", "1"], "1 + X^2", [["1", "0"]], [("2 + X^2", 2, ZI_COMPONENT[2])]),
+        "mul",
+    ),
+    # Z[X]/((X - 1)(X - 3)): the true idempotents of the algebra, outside A.
+    "idempotent-not-integral": (
+        "escaping",
+        _yes_doc(
+            ["0", "1"],
+            "3 - 4*X + X^2",
+            [["-1/2", "1/2"], ["3/2", "-1/2"]],
+            [("-1 + X", 1, [["-1", "1"]]), ("-3 + X", 1, [["3", "-1"]])],
+        ),
+        "mul",
+    ),
+    "idempotents-not-orthogonal": (
+        "zxz",
+        _yes_doc(["1", "0"], "-X + X^2", [["2", "1"], ["-1", "0"]], ZXZ_COMPONENTS),
+        "hnf_reduce",
+    ),
+    "idempotents-do-not-sum-to-one": (
+        "zxz",
+        _yes_doc(["1", "0"], "-X + X^2", [["1", "0"], ["0", "0"]], ZXZ_COMPONENTS),
+        "hnf_reduce",
+    ),
+    "basis-row-not-integral": (
+        "z_i",
+        _yes_doc(["0", "1"], "1 + X^2", [["1", "0"]], [("1 + X^2", 2, [["1/2", "0"], ["0", "1"]])]),
+        "hnf_reduce",
+    ),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(FORGED_YES))
+def test_verify_refuses_a_forged_yes_at_its_claim(calls_to, corpus, claim):
+    name, doc, stage = FORGED_YES[claim]
+    order = equation_order(P(3, -4, 1)) if name == "escaping" else corpus[name]
+    calls = calls_to(prufer.decision, stage)
+    assert verify_certificate(order, PrueferCertificate.from_dict(doc)) is False
+    assert calls == []
+
+
+@pytest.mark.parametrize("element", [["0", "0"], ["0", "1/2"]], ids=["zero", "not-integral"])
+def test_verify_refuses_a_nilpotent_outside_the_order(corpus, element):
+    # Both square to 0 in Z[x]/(x^2), but a nilpotent witness must be a
+    # nonzero element of A.
+    doc = decide_pruefer(corpus["z_x_mod_x2"]).to_dict()
+    doc["witness"]["element"] = element
+    assert verify_certificate(corpus["z_x_mod_x2"], PrueferCertificate.from_dict(doc)) is False
+
+
+def _zi_doc(edit):
+    doc = json.loads(GOLDEN_ZI)
+    edit(doc["witness"])
+    return doc
+
+
+MALFORMED_WITNESSES = {
+    "primitive-length": (_zi_doc(lambda w: w.update(primitive=["0"])), "expected 2 coordinates"),
+    "coordinate-not-a-string": (_zi_doc(lambda w: w.update(primitive=[0, 1])), "coordinates must be strings"),
+    "coordinate-zero-denominator": (_zi_doc(lambda w: w.update(primitive=["0", "1/0"])), "bad coordinate '1/0'"),
+    "coordinate-not-a-number": (_zi_doc(lambda w: w.update(primitive=["0", "i"])), "bad coordinate 'i'"),
+    "min-poly-not-a-string": (_zi_doc(lambda w: w.update(min_poly=5)), "polynomial must be a string"),
+    "primitive-missing": (_zi_doc(lambda w: w.pop("primitive")), "witness missing 'primitive'"),
+    "idempotents-not-a-list": (_zi_doc(lambda w: w.update(idempotents={})), "idempotents/components must be lists"),
+    "no-components": (_zi_doc(lambda w: w.update(idempotents=[], components=[])), "component/idempotent count mismatch"),
+    "component-not-an-object": (_zi_doc(lambda w: w.update(components=["1 + X^2"])), "component must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WITNESSES))
+def test_verify_raises_on_a_malformed_witness(z_i, case):
+    doc, message = MALFORMED_WITNESSES[case]
+    with pytest.raises(MalformedCertificateError, match=f"^MALFORMED_CERTIFICATE: {re.escape(message)}"):
+        verify_certificate(z_i, PrueferCertificate.from_dict(doc))
+
+
+def test_verify_raises_on_a_nilpotency_power_below_two(corpus):
+    doc = decide_pruefer(corpus["z_x_mod_x2"]).to_dict()
+    doc["witness"]["power"] = 1
+    with pytest.raises(MalformedCertificateError, match="bad nilpotency power"):
+        verify_certificate(corpus["z_x_mod_x2"], PrueferCertificate.from_dict(doc))
+
+
+def test_certificate_construction_checks_its_fields():
+    citation = "product-of-maximal-orders"
+    with pytest.raises(MalformedCertificateError, match="bad verdict 'MAYBE'"):
+        PrueferCertificate("MAYBE", "NONCOMMUTATIVE", {}, citation)
+    with pytest.raises(MalformedCertificateError, match="witness must be an object"):
+        PrueferCertificate("YES", "ALL_COMPONENTS_MAXIMAL", [], citation)
+    # The list has the four keys as its elements, so only the type check refuses it.
+    with pytest.raises(MalformedCertificateError, match="not an object"):
+        PrueferCertificate.from_dict(["verdict", "reason", "witness", "citation"])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prufer.closure import maximal_order
-from prufer.orders import AlgebraElement, element, equation_order, evaluate_poly, mul
+from prufer.orders import AlgebraElement, ZOrder, element, equation_order, evaluate_poly, mul
 from prufer.poly import RationalPolynomial
 
 FIELDS = ("cubic_index2", "z", "z_3i", "z_golden", "z_i", "z_sqrt5")
@@ -59,6 +59,49 @@ def test_arithmetic_matches_fractions(orders, data):
     assert mul(order, a, b).coords == _reference_mul(order, x, y)
     assert a.is_integral_vector == all(p.denominator == 1 for p in x)
     assert a.is_zero == all(p == 0 for p in x)
+
+
+small = st.integers(min_value=-5, max_value=5)
+coefficient_lists = st.one_of(
+    st.just([]),
+    st.lists(small.filter(bool), min_size=1, max_size=6),
+    st.lists(small, min_size=1, max_size=8),
+    st.dictionaries(st.integers(min_value=0, max_value=30), small, max_size=4).map(
+        lambda terms: [terms.get(i, 0) for i in range(max(terms, default=-1) + 1)]
+    ),
+)
+
+
+@given(st.data(), coefficient_lists, st.sampled_from([1, 2, 3, 6]))
+def test_evaluate_poly_matches_horner(orders, data, coeffs, den):
+    # Zero, dense and sparse polynomials over a denominator, at rational
+    # points, on every order of the corpus (m2z and hurwitz noncommutative).
+    order = orders[data.draw(st.sampled_from(sorted(orders)))]
+    x = _coords(data, order.dim)
+    f = [Fraction(c, den) for c in coeffs]
+    expected = (Fraction(0),) * order.dim
+    for c in reversed(f):
+        expected = tuple(a + c * u for a, u in zip(_reference_mul(order, expected, x), order.one))
+    assert evaluate_poly(order, RationalPolynomial(f), element(x)).coords == expected
+
+
+def test_evaluate_poly_product_count(monkeypatch, corpus):
+    products = []
+    original = ZOrder._mul_coords
+
+    def counting(self, x, y):
+        products.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(ZOrder, "_mul_coords", counting)
+    a = element([1, 2, -1, 3])
+    evaluate_poly(corpus["m2z"], RationalPolynomial((1, 2, 3, 4, 5, 6)), a)
+    assert len(products) == 6
+    # X^1000 at the idempotent e11: y^1000 by squaring, not 1000 products.
+    products.clear()
+    e11 = element([1, 0, 0, 0])
+    assert evaluate_poly(corpus["m2z"], RationalPolynomial.parse("X^1000"), e11) == e11
+    assert len(products) <= 2 * (1000).bit_length()
 
 
 @given(st.data())

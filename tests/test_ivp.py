@@ -153,16 +153,31 @@ def test_member_order_huge_prime_denominator(corpus):
         assert exc.value.required == required
 
 
-def test_import_leaves_numpy_out():
+def _fresh_import(module):
+    """The sorted names in sys.modules after a fresh interpreter imports module."""
     src = pathlib.Path(prufer.__file__).resolve().parent.parent
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, prufer; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
         capture_output=True,
         text=True,
         check=True,
         env={"PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_import_leaves_numpy_out():
+    # prufer.cli imports every module of the package, and none of them numpy.
+    loaded = _fresh_import("prufer.cli")
+    package = pathlib.Path(prufer.__file__).parent
+    assert {f"prufer.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"} <= set(loaded)
+    assert "numpy" not in loaded
+
+
+def test_import_of_orders_loads_only_what_it_uses():
+    # The package root re-exports nothing, so it pulls in no other module.
+    loaded = [name for name in _fresh_import("prufer.orders") if name.split(".")[0] == "prufer"]
+    assert loaded == ["prufer", "prufer.errors", "prufer.lattice", "prufer.linalg", "prufer.orders", "prufer.poly"]
 
 
 # Every element of these orders is a root of a monic integer polynomial of
