@@ -20,6 +20,7 @@ residue membership test.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -46,10 +47,12 @@ class EchelonSpan:
     It is kept in reduced row echelon form over one common denominator: row r
     is ``rows[r] / den``, equal to 1 at column ``pivots[r]`` and to 0 at every
     other pivot.  So v lies in the span exactly when
-    den * v = sum_r v[pivots[r]] * rows[r], and that is checked column by
-    free column: a vector outside usually fails at the first one.  The
-    vectors kept so far are stored as given; a relation among them is solved
-    for only when a dependent vector arrives.
+    den * v = sum_r v[pivots[r]] * rows[r], that is when every annihilator
+    f_j = den e_j - sum_r rows[r][j] e_(pivots[r]), one per free column j,
+    has f_j . v = 0.  The annihilators are built once per span, on the first
+    membership question after it grows; a vector outside usually fails at
+    the first one.  The vectors kept so far are stored as given; a relation
+    among them is solved for only when a dependent vector arrives.
     """
 
     def __init__(self, width: int):
@@ -59,15 +62,30 @@ class EchelonSpan:
         self.rows: list[list[int]] = []
         self._kept: list[list[int]] = []
         self._free = list(range(width))
+        self._annihilators: list[list[int]] | None = None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
+    @property
+    def annihilators(self) -> list[list[int]]:
+        """The integer functionals f_j, one per free column j, whose common
+        kernel is the span."""
+        if self._annihilators is None:
+            self._annihilators = []
+            for j in self._free:
+                f = [0] * self.width
+                f[j] = self.den
+                for p, row in zip(self.pivots, self.rows):
+                    f[p] = -row[j]
+                self._annihilators.append(f)
+        return self._annihilators
+
     def __contains__(self, v: Sequence[int]) -> bool:
-        terms = [(v[p], row) for p, row in zip(self.pivots, self.rows) if v[p]]
-        den = self.den
-        return all(den * v[j] == sum(c * row[j] for c, row in terms) for j in self._free)
+        if len(v) != self.width:
+            raise DimensionMismatchError(f"vector of length {len(v)} tested against a span of width {self.width}")
+        return not any(sum(map(mul, v, f)) for f in self.annihilators)
 
     def add(self, v: Sequence[int]) -> list[int] | None:
         """Put v into the span: None when v is independent and the span grows.
@@ -105,6 +123,7 @@ class EchelonSpan:
         self.pivots.append(q)
         self._free.remove(q)
         self._kept.append(list(v))
+        self._annihilators = None
         return None
 
     def _relation(self, v: Sequence[int]) -> list[int]:

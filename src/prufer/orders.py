@@ -317,14 +317,19 @@ def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> Al
     """f(x) in the ambient algebra, by Horner on integer vectors.
 
     With x = y/d and f = g/e of degree N, f(x) = sum_i g_i y^i d^(N-i) / (e d^N).
-    Each nonzero coefficient, and the constant one, costs one product: by y,
-    or after a run of zeros k places long by y^(k+1), squared up in at most k.
+    Horner starts from g_N; each later nonzero coefficient, and the constant
+    one, costs one product: by y, or after a run of zeros k places long by
+    y^(k+1), squared up in at most k.
     """
     if x.dim != order.dim:
         raise DimensionMismatchError("element dimension does not match the order")
     y, d, g = x.integer_numerators, x.denominator, f.integer_numerators
-    acc, scale, last = [0] * order.dim, 1, len(g) - 1
-    for i in reversed([0, *compress(range(1, len(g)), g[1:])] if g else []):
+    if not g:
+        return order.zero()
+    positions = [0, *compress(range(1, len(g)), g[1:])]
+    last = positions.pop()
+    acc, scale = [g[last] * u for u in order.one], 1
+    for i in reversed(positions):
         step, gap = y, last - i
         if gap > 1:  # step = y^gap, by squaring from the top bit down
             for bit in bin(gap)[3:]:

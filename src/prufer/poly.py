@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -255,9 +256,8 @@ class RationalPolynomial:
         if self.is_zero:
             return "0"
         pieces: list[str] = []
-        for k, num in enumerate(self._num):
-            if num == 0:
-                continue
+        for k in compress(range(len(self._num)), self._num):
+            num = self._num[k]
             c = num if self._den == 1 else Fraction(num, self._den)
             mag = abs(c)
             if k == 0:

@@ -13,8 +13,12 @@ proper.  ``orders.power_span`` gives that span and the first relation among
 the powers, which for the accepted a is mu_a, so the search returns it too.
 Every later candidate c inside a rejected candidate's Q[a] has Q[c] <= Q[a],
 so it is not primitive either and is skipped without computing one power of
-it.  The argument uses only the identity element, so it holds in non-reduced
-algebras too, and the element chosen is the same as testing every candidate.
+it.  Whether c lies in Q[a] is read off the span's annihilators
+(``linalg.EchelonSpan.annihilators``), integer functionals built once per
+rejected a, so each kept span costs a candidate a few integer dot products
+of length n, most often one.  The argument uses only the identity element,
+so it holds in non-reduced algebras too, and the element chosen is the same
+as testing every candidate.
 ``crt_idempotents`` is the one CRT split of Q[a]; ``ivp``'s pointwise test
 uses it too.  Everything is deterministic: the factors are sorted
 canonically, so component numbering is reproducible.  A component A e_i
@@ -24,13 +28,13 @@ overorders.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import NotApplicableError, PruferError, SearchExhaustedError
 from .factor import poly_factor
-from .linalg import EchelonSpan
 from .orders import (
     AlgebraElement,
     EmbeddedOrder,
@@ -61,10 +65,9 @@ def shell_vectors(dim: int, shell_max: int) -> Iterator[tuple[int, ...]]:
         for v in range(1, m + 1):
             values.extend((v, -v))
         for rev in product(values, repeat=dim):
-            vec = rev[::-1]
-            if max(abs(c) for c in vec) != m:
+            if m not in rev and -m not in rev:
                 continue
-            yield vec
+            yield rev[::-1]
             seen += 1
             if seen >= SEARCH_CAP:
                 return
@@ -77,8 +80,11 @@ def find_primitive_element(order: ZOrder) -> tuple[AlgebraElement, RationalPolyn
     powers 1, a, ..., a^(dim-1) are independent, mu_a from the relation that
     closes a's power span.  Each rejected candidate b leaves its span Q[b], a
     proper subalgebra; a later candidate c in Q[b] has Q[c] <= Q[b] and is
-    skipped untested.  A span inside a newer one is dropped, as the newer one
-    rejects everything it would.  Requires the ambient algebra to be
+    skipped untested.  c lies in Q[b] exactly when every annihilator f of
+    Q[b] has f . c = 0; outside it, the first f usually shows a nonzero, so a
+    candidate costs about one dot product of length dim per kept span before
+    it is skipped or tested.  A span inside a newer one is dropped, as the
+    newer one rejects everything it would.  Requires the ambient algebra to be
     commutative; in a reduced (etale) algebra primitive elements exist and
     small integer combinations of the basis hit one quickly.
     """
@@ -88,15 +94,20 @@ def find_primitive_element(order: ZOrder) -> tuple[AlgebraElement, RationalPolyn
     n = order.dim
     if n == 1:
         return order.identity(), RationalPolynomial((-1, 1))
-    rejected: list[tuple[tuple[int, ...], EchelonSpan]] = []  # (b, Q[b])
+    rejected: list[tuple[tuple[int, ...], list[list[int]]]] = []  # (b, annihilators of Q[b])
     for vec in shell_vectors(n, shell_max=max(4, n)):
-        if any(vec in span for _, span in rejected):
-            continue
-        span, relation = power_span(order, vec)
-        if span.rank == n:
-            return AlgebraElement(vec), RationalPolynomial.from_int_coeffs(relation, relation[-1])
-        rejected = [(b, kept) for b, kept in rejected if b not in span]
-        rejected.append((vec, span))
+        for _, annihilators in rejected:
+            for f in annihilators:
+                if sum(map(operator.mul, vec, f)):
+                    break
+            else:
+                break  # every f_j . vec = 0: vec lies in this Q[b]
+        else:
+            span, relation = power_span(order, vec)
+            if span.rank == n:
+                return AlgebraElement(vec), RationalPolynomial.from_int_coeffs(relation, relation[-1])
+            rejected = [(b, kept) for b, kept in rejected if b not in span]
+            rejected.append((vec, span.annihilators))
     raise SearchExhaustedError("no primitive element found within the search budget")
 
 

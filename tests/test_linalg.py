@@ -80,6 +80,16 @@ def test_first_relation_rejects_mixed_lengths():
     assert span.rank == 0
 
 
+def test_membership_rejects_a_wrong_length():
+    # A vector of another length is refused, not read in part.
+    span = EchelonSpan(3)
+    assert span.add([1, 2, 0]) is None
+    for v in ([1, 2, 0, 7], [1], []):
+        with pytest.raises(DimensionMismatchError):
+            v in span
+    assert [2, 4, 0] in span
+
+
 def test_determinants_agree():
     m = [[2, 7, 1], [0, 3, -4], [5, 1, 1]]
     assert bareiss_det(m) == 2 * (3 * 1 - (-4) * 1) - 7 * (0 - (-20)) + 1 * (0 - 15)
@@ -242,8 +252,11 @@ def test_echelon_span_agrees_with_lattice_rank(rows, coeffs, offset):
     # membership in the Q-span is "adding v does not raise the rank".
     span, kept = EchelonSpan(4), []
     for k, row in enumerate(rows):
+        # Asked between adds, so a span that grew must answer from fresh
+        # annihilators.
+        inside = row in span
         rel = span.add(row)
-        assert (rel is None) == (_rank(rows[: k + 1], 4) > _rank(rows[:k], 4))
+        assert (rel is None) == (not inside) == (_rank(rows[: k + 1], 4) > _rank(rows[:k], 4))
         if rel is None:
             kept.append(row)
         else:
@@ -251,6 +264,9 @@ def test_echelon_span_agrees_with_lattice_rank(rows, coeffs, offset):
             assert [sum(c * v[j] for c, v in zip(rel, kept + [row])) for j in range(4)] == [0] * 4
     assert span.rank == _rank(rows, 4)
     assert all(row in span for row in rows)
+    # One annihilator per free column, each vanishing on every kept row.
+    assert len(span.annihilators) == 4 - span.rank
+    assert all(sum(a * x for a, x in zip(f, row)) == 0 for f in span.annihilators for row in kept)
     v = [sum(c * row[j] for c, row in zip(coeffs, rows)) + e for j, e in enumerate(offset)]
     assert (v in span) == (_rank(rows + [v], 4) == span.rank)
 

@@ -105,6 +105,33 @@ def test_str_forms():
     assert str(P(0, 1)) == "X"
 
 
+def _reference_str(coeffs):
+    """The writer's format, one term per nonzero coefficient in ascending order."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        body = str(mag) if k == 0 else ("X" if k == 1 else f"X^{k}")
+        if k and mag != 1:
+            body = f"{mag}*{body}"
+        if terms:
+            sign = "- " if c < 0 else "+ "
+        else:
+            sign = "-" if c < 0 else ""
+        terms.append(sign + body)
+    return " ".join(terms) or "0"
+
+
+sparse_terms = st.dictionaries(st.integers(min_value=0, max_value=400), fractions, max_size=5)
+
+
+@given(sparse_terms)
+def test_str_matches_reference_on_sparse_polynomials(terms):
+    coeffs = [terms.get(k, Fraction(0)) for k in range(max(terms, default=-1) + 1)]
+    assert str(RationalPolynomial(coeffs)) == _reference_str(coeffs)
+
+
 @pytest.mark.parametrize(
     "text",
     ["0", "X", "5", "1 - X + X^2", "-1/2*X + 1/2*X^2", "2 + 3*X^4", "-X", "1/3"],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +41,28 @@ def test_shell_vectors_start():
 
 def test_shell_vectors_deterministic():
     assert list(shell_vectors(3, 2)) == list(shell_vectors(3, 2))
+
+
+def _reference_shell_vectors(dim, shell_max):
+    """The shell walk with its norm computed as max |c|, uncapped."""
+    for m in range(1, shell_max + 1):
+        values = [0] + [s * v for v in range(1, m + 1) for s in (1, -1)]
+        for rev in product(values, repeat=dim):
+            vec = rev[::-1]
+            if max(abs(c) for c in vec) == m:
+                yield vec
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+@pytest.mark.parametrize("shell_max", range(1, 4))
+def test_shell_vectors_match_reference(dim, shell_max):
+    assert list(shell_vectors(dim, shell_max)) == list(_reference_shell_vectors(dim, shell_max))
+
+
+def test_shell_vectors_stop_at_the_cap(monkeypatch):
+    assert sum(1 for _ in shell_vectors(16, 1)) == prufer.splitting.SEARCH_CAP
+    monkeypatch.setattr(prufer.splitting, "SEARCH_CAP", 50)
+    assert list(shell_vectors(3, 3)) == list(islice(_reference_shell_vectors(3, 3), 50))
 
 
 def test_find_primitive_element(z_i, zxz):
@@ -129,21 +152,37 @@ def test_search_matches_reference(corpus, equation_product, kind, spec):
     assert mu == minimal_polynomial(order, a)
 
 
-def test_dimension_12_product_tests_few_candidates(monkeypatch, equation_product):
+def test_dimension_12_product_tests_few_candidates(calls_to, equation_product):
     # Z[2^(1/3)] x Z[3^(1/4)] x Z[5^(1/5)]: the primitive element is shell
     # candidate 6645; the candidates before it lie in few subalgebras.
     order = equation_product(CBRT2, QRT3, (-5, 0, 0, 0, 0, 1))
-    calls = []
-    original = prufer.splitting.power_span
-
-    def counting(*args):
-        calls.append(args[1])
-        return original(*args)
-
-    monkeypatch.setattr(prufer.splitting, "power_span", counting)
+    calls = calls_to(prufer.splitting, "power_span")
     a, _ = find_primitive_element(order)
     assert a.coords == (0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0)
-    assert len(calls) <= 20
+    assert len(calls) == 14
+
+
+def test_z6_search_tests_one_candidate_per_rejected_subalgebra(calls_to, corpus):
+    # The unital subalgebras of Q^6 are the Bell(6) = 203 partitions of the
+    # coordinates.  Each proper one except Q (inside every span) rejects one
+    # candidate, and the primitive element is one more exact test: 202.
+    order = corpus["z"]
+    for _ in range(5):
+        order = product_order(order, corpus["z"])
+    calls = calls_to(prufer.splitting, "power_span")
+    a, mu = find_primitive_element(order)
+    assert a.coords == (3, -2, 2, -1, 1, 0)
+    assert len(calls) == 202
+    assert mu == minimal_polynomial(order, a)
+
+
+def test_dimension_16_product_exhausts_the_search(equation_product):
+    # Z[i] x Z[sqrt 2] x Z[2^(1/3)] x Z[3^(1/4)] x Z[5^(1/5)] is YES, but the
+    # first SEARCH_CAP shell vectors are all 0 on the last block, so none
+    # generates Z[5^(1/5)].
+    order = equation_product(GAUSS, SQRT2, CBRT2, QRT3, (-5, 0, 0, 0, 0, 1))
+    with pytest.raises(SearchExhaustedError):
+        find_primitive_element(order)
 
 
 def test_square_zero_plane_has_no_primitive_element():
