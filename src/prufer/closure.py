@@ -14,9 +14,15 @@ Round 2 needs an order that spans a number field.  ``field_polynomial`` is
 the one check of that: it searches for a primitive element a, which comes
 with its minimal polynomial, and asks ``poly_factor`` whether that is
 irreducible.  ``maximal_order`` and the ramification profile run it once;
-callers that already know the answer, such as ``decide_pruefer`` on its
-components and the pointwise test on irreducible factors, go straight to
-``_round_two``.
+``decide_pruefer`` on its components and the pointwise test on irreducible
+factors already know the answer and skip it.
+
+``_enlargements`` yields the overorder after each step of index > 1.  One
+such step proves the order is not maximal, so the callers that ask only
+that, ``decide_pruefer`` and ``ivp.ramification_profile``, take its first
+step and stop.  ``_round_two`` runs it to the fixed point for the callers
+that need the maximal order itself: ``maximal_order`` (and through it
+``prufer maximal-order``) and ``ivp.pointwise_integrally_closed``.
 
 Everything works in the coordinates of the *original* order: each result is
 an ``orders.EmbeddedOrder``, the new order's structure constants together
@@ -25,6 +31,8 @@ coordinates over one denominator), built by ``orders.embedded_order``.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .errors import NotApplicableError
 from .lattice import IntegerLattice, hnf_reduce
@@ -170,12 +178,18 @@ def maximal_order(order: ZOrder) -> EmbeddedOrder:
     return _round_two(order, mu, power_index(order, a))
 
 
-def _round_two(order: ZOrder, mu: RationalPolynomial, index: int) -> EmbeddedOrder:
-    """The round-2 loop of ``maximal_order``, for an order already known to
-    span a number field: one ``field_polynomial`` has passed on it, or it is
-    a component A e_i of ``decompose`` or the equation order of an
-    irreducible polynomial.  mu = mu_b for some b in O of degree dim, and
-    ``index`` is a multiple of [O : Z[b]], 0 when unknown."""
+def _enlargements(order: ZOrder, mu: RationalPolynomial, index: int) -> Iterator[EmbeddedOrder]:
+    """The round-2 steps of ``maximal_order`` that enlarge the order, for an
+    order already known to span a number field: one ``field_polynomial`` has
+    passed on it, or it is a component A e_i of ``decompose`` or the equation
+    order of an irreducible polynomial.  mu = mu_b for some b in O of degree
+    dim, and ``index`` is a multiple of [O : Z[b]], 0 when unknown.
+
+    Yields the running overorder, its basis in O's ambient coordinates, after
+    each ring-of-multipliers step of index > 1, and stops at the maximal
+    order.  O is maximal exactly when nothing is yielded; the first yield is
+    one step's order, in Hermite form, and each of its basis vectors outside
+    O is integral over Z (Cohen, GTM 138, Thm 6.1.3)."""
     # ``running.order`` is the current overorder and ``running`` maps its
     # coordinates into the input order's; each step is composed through it.
     running = _unchanged(order)
@@ -190,10 +204,19 @@ def _round_two(order: ZOrder, mu: RationalPolynomial, index: int) -> EmbeddedOrd
             if step.index == 1:
                 break
             running = EmbeddedOrder(step.order, tuple(running.to_ambient(x) for x in step.basis))
+            yield running
             total_index *= step.index
             if disc // (total_index * total_index) % (p * p):  # p^2 no longer divides
                 break
-    return embedded_order(order, running.basis, order.identity())
+
+
+def _round_two(order: ZOrder, mu: RationalPolynomial, index: int) -> EmbeddedOrder:
+    """The maximal order: ``_enlargements`` run to its end, on the same
+    inputs, with the last overorder's basis put in Hermite form."""
+    basis = _unchanged(order).basis
+    for running in _enlargements(order, mu, index):
+        basis = running.basis
+    return embedded_order(order, basis, order.identity())
 
 
 def _first_non_integral(closure: EmbeddedOrder) -> AlgebraElement | None:

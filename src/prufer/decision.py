@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closure import (
+    _enlargements,
     _first_non_integral,
-    _round_two,
     discriminant,
     p_radical,
     power_index,
@@ -220,9 +220,10 @@ def _decide(order: ZOrder) -> PrueferCertificate:
         comp = component_order(order, dec, i)
         # A e_i spans the field Q[X]/(g_i), so round 2 runs without a second
         # search; g_i = mu of a e_i, and [A e_i : Z[a e_i]] divides [A : Z[a]].
-        bad = _first_non_integral(_round_two(comp.order, g, index))
-        if bad is not None:
-            pulled = comp.to_ambient(bad)
+        # Its first step of index > 1, if any, proves A e_i is not maximal.
+        step = next(_enlargements(comp.order, g, index), None)
+        if step is not None:
+            pulled = comp.to_ambient(_first_non_integral(step))
             mu = minimal_polynomial(order, pulled)
             witness = {
                 "element": _coords_json(pulled),

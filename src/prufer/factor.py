@@ -28,7 +28,8 @@ so their cost does not grow with p.
 from __future__ import annotations
 
 import random
-from itertools import combinations, zip_longest
+from functools import cache
+from itertools import combinations, compress, islice, zip_longest
 from math import comb, gcd, isqrt
 from typing import Sequence
 
@@ -322,14 +323,15 @@ def _pollard_brent(n: int, budget: int) -> int | None:
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Trial division below 10^5, then Pollard-Brent, POLLARD_BUDGET iterations
-    a cofactor; raises DiscFactorizationError if a composite one survives.
+    Trial division by the primes below 10^5, then Pollard-Brent,
+    POLLARD_BUDGET iterations a cofactor; raises DiscFactorizationError if a
+    composite one survives.
     """
     n = abs(int(n))
     if n == 0:
         raise ZeroDivisionError("factoring zero")
     out: dict[int, int] = {}
-    for p in range(2, _SMALL_PRIME_LIMIT):
+    for p in _primes_below_limit():
         if p * p > n:
             break
         while n % p == 0:
@@ -353,8 +355,21 @@ def factor_int(n: int) -> dict[int, int]:
     return out
 
 
+@cache
+def _primes_below_limit() -> tuple[int, ...]:
+    """The primes below _SMALL_PRIME_LIMIT, sieved on first use so that
+    importing the module does no work."""
+    sieve = bytearray([1]) * _SMALL_PRIME_LIMIT
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(_SMALL_PRIME_LIMIT - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, _SMALL_PRIME_LIMIT, i)))
+    return tuple(compress(range(_SMALL_PRIME_LIMIT), sieve))
+
+
 def _small_primes():
-    return (n for n in range(3, _SMALL_PRIME_LIMIT, 2) if is_probable_prime(n))
+    """The odd primes below _SMALL_PRIME_LIMIT, in increasing order."""
+    return islice(_primes_below_limit(), 1, None)
 
 
 def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:

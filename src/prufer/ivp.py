@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from math import comb, factorial, isqrt
 from typing import Iterable, Iterator, Sequence
 
-from .closure import _round_two, discriminant, field_polynomial, power_index
+from .closure import _enlargements, _round_two, discriminant, field_polynomial, power_index
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -469,12 +469,14 @@ def ramification_profile(order: ZOrder, p: int) -> RamificationProfile:
     They are valid only when p does not divide the index of the equation
     order Z[a] in the maximal order (INDEX_DIVISIBLE otherwise; full ideal
     factorization at such primes is out of scope).  The index is
-    ``closure.power_index``, worked out before round 2, which it shortens.
+    ``closure.power_index``, worked out before round 2, which it shortens;
+    round 2 stops at its first step of index > 1, which proves the order is
+    not maximal.
     """
     _require_prime(p)
     a, mu = field_polynomial(order)
     index = power_index(order, a)
-    if _round_two(order, mu, index).index != 1:
+    if next(_enlargements(order, mu, index), None) is not None:
         raise NotApplicableError("NOT_MAXIMAL: the order is not maximal")
     if index % p == 0:
         raise IndexDivisibleError(

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 import prufer.cli
+import prufer.closure
 from conftest import order_to_dict
 from prufer.cli import main
 from prufer.orders import equation_order
@@ -346,6 +347,16 @@ def test_ramify_not_maximal(capsys):
     code, _, err = run(capsys, "ramify", order_path("z_sqrt5"), "--prime", "2")
     assert code == 1
     assert "NOT_MAXIMAL" in err
+
+
+def test_ramify_not_maximal_after_one_round_two_step(capsys, tmp_path, calls_to):
+    # The first round-2 step on Z[X]/(X^6 + 108) enlarges it, which settles
+    # NOT_MAXIMAL; the maximal order would take 13 steps.
+    steps = calls_to(prufer.closure, "ring_of_multipliers")
+    doc = order_file(tmp_path, radical_order(6, 108))
+    code, out, err = run(capsys, "ramify", doc, "--prime", "5", "--json")
+    assert (code, out, err) == (1, "", "error: NOT_MAXIMAL: the order is not maximal\n")
+    assert len(steps) == 1
 
 
 def test_transform_single(capsys):

@@ -330,15 +330,62 @@ def test_x12_minus_2_needs_no_round_two_step(calls_to):
 
 
 def test_x6_plus_108_still_takes_round_two_steps(calls_to):
-    # Z[X]/(X^6 + 108) fails the criterion at 2 and 3, so round 2 enlarges.
+    # Z[X]/(X^6 + 108) fails the criterion at 2 and 3.  The maximal order
+    # takes 13 round-2 steps; the decision stops after the first, which
+    # already enlarges the order, and its witness x^5/2 lies in that step.
     steps = calls_to(prufer.closure, "ring_of_multipliers")
     radicals = calls_to(prufer.closure, "p_radical")
     order = equation_order(P(108, 0, 0, 0, 0, 0, 1))
+    bad = _first_non_integral(maximal_order(order))
+    assert [str(c) for c in bad.coords] == ["1/2", "0", "0", "1/12", "0", "0"]
+    assert len(steps) == 13 and len(radicals) == 13
+    steps.clear()
+    radicals.clear()
     cert = decide_pruefer(order)
     assert cert.to_json() == (
         '{"verdict": "NO", "reason": "COMPONENT_NOT_MAXIMAL", "witness": {"element": '
-        '["1/2", "0", "0", "1/12", "0", "0"], "min_poly": "1 - X + X^2", "component": 0}, '
+        '["0", "0", "0", "0", "0", "1/2"], "min_poly": "229582512 + X^6", "component": 0}, '
         '"citation": "component-not-integrally-closed"}'
     )
+    assert len(steps) == 1 and len(radicals) == 1
     assert verify_certificate(order, cert)
-    assert len(steps) > 0 and len(radicals) == len(steps)
+
+
+# The minimal polynomial of sqrt2 + sqrt3 + sqrt5 + sqrt7, a Swinnerton-Dyer
+# polynomial of degree 16.
+SD4 = P(46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0, -141912, 0, 6476, 0, -136, 0, 1)
+
+
+def test_sd4_decides_no_after_one_round_two_step(calls_to):
+    # The maximal order of Z[X]/(SD4) takes 47 round-2 steps; a NO needs one.
+    steps = calls_to(prufer.closure, "ring_of_multipliers")
+    order = equation_order(SD4)
+    cert = decide_pruefer(order)
+    assert (cert.verdict, cert.reason) == ("NO", "COMPONENT_NOT_MAXIMAL")
+    assert len(steps) == 1
+    assert verify_certificate(order, cert)
+
+
+def test_decision_stops_early_yet_agrees_with_the_maximal_order():
+    # A NO from the first enlarging step exactly when the whole round 2
+    # enlarges; its witness is integral over Z and outside the order.  Each
+    # maximal order found is decided too: its primitive element rarely
+    # generates it, so round 2 there takes steps of index 1, which must not
+    # count as enlarging.
+    verdicts = []
+    for mu in _dedekind_cases(seed=26, trials=150):
+        equation = equation_order(mu)
+        closure = maximal_order(equation)
+        for order in (equation, closure.order) if closure.index > 1 else (equation,):
+            cert = decide_pruefer(order)
+            assert (cert.verdict == "NO") == (order is equation and closure.index > 1), str(mu)
+            assert verify_certificate(order, cert), str(mu)
+            verdicts.append(cert.verdict)
+            if cert.verdict == "YES":
+                continue
+            witness = element(cert.witness["element"])
+            mu_w = minimal_polynomial(order, witness)
+            assert not witness.is_integral_vector, str(mu)
+            assert mu_w.is_monic and mu_w.has_integer_coefficients, str(mu)
+            assert cert.witness["min_poly"] == str(mu_w)
+    assert verdicts.count("NO") >= 80 and verdicts.count("YES") >= 140

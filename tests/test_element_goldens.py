@@ -8,6 +8,13 @@ for a family of number fields and one product the certificate JSON, its
 verification and the ``maximal-order --json`` output (index, discriminants,
 basis of the maximal order).  Everything here goes through ``cli.main`` and
 ``PrueferCertificate.to_json``, so no element type is named.
+
+The certificates of X^4 + 36, X^6 + 108 and X^8 - 162 alone were recorded
+again when the decision began to stop at the first round-2 step that enlarges
+a component: each NO witness is now the first non-integral basis vector of
+that step's order, not of the maximal order.  Every ``cli`` entry, every
+``maximal-order`` output, every ``verified`` flag and every YES certificate
+is still the original recording.
 """
 
 import contextlib

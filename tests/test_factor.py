@@ -5,8 +5,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from prufer.errors import FactorDegreeError, ZeroPolynomialError
-from prufer.factor import _pollard_brent, is_probable_prime, modp_degrees, poly_factor
+import prufer.factor
+from prufer.errors import DiscFactorizationError, FactorDegreeError, ZeroPolynomialError
+from prufer.factor import _pollard_brent, factor_int, is_probable_prime, modp_degrees, poly_factor
 from prufer.poly import RationalPolynomial
 
 
@@ -213,3 +214,53 @@ def test_pollard_brent_without_abs_matches_the_abs_loop():
     results = [_pollard_brent(n, budget) for n, budget in cases]
     assert results == [_pollard_brent_with_abs(n, budget) for n, budget in cases]
     assert None in results and any(results)
+
+
+def _factor_int_over_every_integer(n):
+    """``factor_int`` as it was when its trial division walked every integer
+    below 10^5, composites included."""
+    n = abs(n)
+    out = {}
+    for p in range(2, 100000):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _pollard_brent(m, prufer.factor.POLLARD_BUDGET)
+        if d is None:
+            raise DiscFactorizationError(f"composite cofactor {m} resisted the budget")
+        stack.append(d)
+        stack.append(m // d)
+    return out
+
+
+def test_factor_int_over_primes_matches_every_integer(monkeypatch):
+    # Same factors, same exponents, in the same insertion order.
+    rng = random.Random(26)
+    cases = list(range(-60, 0)) + list(range(1, 200))
+    for _ in range(60):
+        n = rng.choice([1, -1])
+        for _ in range(rng.randint(1, 5)):
+            n *= _random_prime(rng, 2, rng.choice([100, 10**4, 10**5, 10**7])) ** rng.randint(1, 4)
+        cases.append(n)
+    # |disc| of Z[2^(1/n)], n = 2..12, and the discriminant of Z[sqrt(-420 * 7^2)].
+    cases += [n**n * 2 ** (n - 1) for n in range(2, 13)] + [-4 * 420 * 49]
+    # 4pq as in the benchmark's refusal: p, q near 10^6 factor; near 10^18
+    # both walks reach Pollard-Brent and refuse under a small budget.
+    cases.append(4 * _random_prime(rng, 10**6, 2 * 10**6) * _random_prime(rng, 10**6, 2 * 10**6))
+    for n in cases:
+        assert list(factor_int(n).items()) == list(_factor_int_over_every_integer(n).items()), n
+    monkeypatch.setattr(prufer.factor, "POLLARD_BUDGET", 2000)
+    semiprime = 4 * _random_prime(rng, 10**18, 2 * 10**18) * _random_prime(rng, 10**18, 2 * 10**18)
+    for walk in (factor_int, _factor_int_over_every_integer):
+        with pytest.raises(DiscFactorizationError):
+            walk(semiprime)
