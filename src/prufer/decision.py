@@ -39,7 +39,7 @@ from .errors import (
     PruferError,
     UnansweredError,
 )
-from .factor import dedekind_p_maximal, factor_int, poly_factor
+from .factor import check_factor_degree, dedekind_p_maximal, factor_int, poly_factor
 from .lattice import hnf_reduce
 from .orders import (
     AlgebraElement,
@@ -315,15 +315,21 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
         dims.append(d)
         bases.append(rows)
 
-    # The primitive element must generate the whole algebra and factor as claimed.
+    # The primitive element must generate the whole algebra and factor as
+    # claimed: by unique factorisation, mu is squarefree with exactly the
+    # claimed irreducible factors when they are distinct monic irreducibles
+    # whose product is mu.
     if mu.degree != n or not mu.is_monic:
         return False
     if not evaluate_poly(order, mu, primitive).is_zero:
         return False
-    expected = poly_factor(mu)
-    if any(e != 1 for _, e in expected):
+    check_factor_degree(mu)
+    if any(g.degree < 1 or not g.is_monic for g in factors) or len(set(factors)) != len(factors):
         return False
-    if sorted(g.sort_key() for g in factors) != [g.sort_key() for g, _ in expected]:
+    product = RationalPolynomial.one_poly
+    for g in factors:
+        product = product * g
+    if product != mu or any(poly_factor(g) != [(g, 1)] for g in factors):
         return False
 
     # Orthogonal idempotent system inside A summing to 1.

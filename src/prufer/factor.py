@@ -1,18 +1,28 @@
 """Factorization of univariate polynomials over Q, from scratch.
 
-Pipeline for a squarefree primitive integer polynomial F:
+Pipeline for a nonzero polynomial F over Q with primitive part P:
 
-1. scale to a monic integer polynomial G(X) = l^(n-1) * F(X/l), l = lc(F);
-2. pick a small odd prime p where G stays squarefree mod p;
-3. distinct-degree splitting over F_p, then Cantor-Zassenhaus equal-degree
-   splitting with a generator seeded by p (deterministic);
-4. quadratic Hensel lifting of the factor tree until the modulus clears
+1. scale to a monic integer polynomial G(X) = l^(n-1) * P(X/l), l = lc(P);
+2. look for a small odd prime p at which G stays squarefree; one among the
+   first few odd primes proves F squarefree, and only when there is none does
+   F go through Yun's algorithm over Q, part by part;
+3. distinct-degree splitting over F_p; while p gives several factors, split
+   at up to two more such primes as well and intersect the subset sums of
+   each prime's factor degrees, which hold the degree of every factor of G
+   over Q.  When only 0 and n are left, G is irreducible (Musser, J. ACM
+   1978) and nothing below is needed;
+4. Cantor-Zassenhaus equal-degree splitting at the prime with the fewest
+   factors, with a generator seeded by that prime (deterministic);
+5. quadratic Hensel lifting of the factor tree until the modulus clears
    twice the Landau-Mignotte coefficient bound;
-5. subset recombination, each monic candidate tested by exact division;
-6. map factors of G back to factors of F as g(l*X), made monic by the caller.
+6. subset recombination (Zassenhaus, J. Number Theory 1969): a subset is
+   skipped when its degree is not among the subset sums of step 3, or when
+   its constant term does not divide that of the remaining cofactor, and
+   each other monic candidate is tested by exact division;
+7. map factors of G back to factors of F as g(l*X), made monic.
 
 Polynomials are dense lists of ints, ascending powers; the exact division
-of step 5 is ``RationalPolynomial``'s.  The degree cap keeps
+of step 6 is ``RationalPolynomial``'s.  The degree cap keeps
 the subset stage honest; inputs here are minimal polynomials of elements of
 small orders, so the cap is generous.
 
@@ -198,8 +208,9 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
 
 def _hensel_step(
     f: list[int], g: list[int], h: list[int], s: list[int], t: list[int], q: int
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """One quadratic lift: from (mod q) data to (mod q^2); f, g, h monic."""
+) -> tuple[list[int], list[int]]:
+    """One quadratic lift of f = g h from mod q to mod q^2, for f, g, h
+    monic and s g + t h = 1 mod q: the new g and h."""
     q2 = q * q
     fm = [c % q2 for c in f]
     e = _zp_sub(fm, _zp_mul(g, h, q2), q2)
@@ -208,11 +219,17 @@ def _hensel_step(
     h_new = _zp_add(h, rr, q2)
     if len(g_new) != len(g) or len(h_new) != len(h):
         raise PruferError("Hensel step changed a factor degree")
-    b = _zp_sub(_zp_add(_zp_mul(s, g_new, q2), _zp_mul(t, h_new, q2), q2), [1], q2)
-    cc, dd = _zp_divmod_monic(_zp_mul(s, b, q2), h_new, q2)
-    s_new = _zp_sub(s, dd, q2)
-    t_new = _zp_sub(_zp_sub(t, _zp_mul(t, b, q2), q2), _zp_mul(cc, g_new, q2), q2)
-    return g_new, h_new, s_new, t_new
+    return g_new, h_new
+
+
+def _hensel_bezout_step(
+    g: list[int], h: list[int], s: list[int], t: list[int], q2: int
+) -> tuple[list[int], list[int]]:
+    """Lift s g + t h = 1 to mod q2 = q^2, for g and h already lifted there
+    and s, t given mod q."""
+    b = _zp_sub(_zp_add(_zp_mul(s, g, q2), _zp_mul(t, h, q2), q2), [1], q2)
+    cc, dd = _zp_divmod_monic(_zp_mul(s, b, q2), h, q2)
+    return _zp_sub(s, dd, q2), _zp_sub(_zp_sub(t, _zp_mul(t, b, q2), q2), _zp_mul(cc, g, q2), q2)
 
 
 def _hensel_lift_tree(f: list[int], factors: list[list[int]], p: int, target: int) -> list[list[int]]:
@@ -237,8 +254,11 @@ def _hensel_lift_tree(f: list[int], factors: list[list[int]], p: int, target: in
         raise PruferError("Hensel tree halves are not coprime")
     q = p
     while q < target:
-        g, h, s, t = _hensel_step(f, g, h, s, t, q)
+        g, h = _hensel_step(f, g, h, s, t, q)
         q *= q
+        # After the last step s and t are not needed again.
+        if q < target:
+            s, t = _hensel_bezout_step(g, h, s, t, q)
     return _hensel_lift_tree(g, left, p, target) + _hensel_lift_tree(h, right, p, target)
 
 
@@ -372,21 +392,61 @@ def _small_primes():
     return islice(_primes_below_limit(), 1, None)
 
 
-def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:
+# poly_factor proves its input squarefree by a reduction mod one of the
+# first _SQUAREFREE_PRIMES odd primes; only without one does it run Yun's
+# algorithm.  Distinct-degree splittings at up to _DEGREE_PRIMES good primes
+# bound the factor degrees, the primes after the first only when the first
+# gives at least _MANY_FACTORS factors.
+_SQUAREFREE_PRIMES = 20
+_DEGREE_PRIMES = 3
+_MANY_FACTORS = 3
+
+
+def _separable_mod(g: list[int], p: int) -> bool:
+    """Whether a monic integer polynomial stays squarefree mod p."""
+    return _gp_gcd(g, _gp_deriv(g, p), p) == [1]
+
+
+def _degree_sums(split: list[tuple[int, list[int]]]) -> int:
+    """The subset sums of the factor degrees of a distinct-degree splitting,
+    as a bit mask: bit k is set when some product of factors has degree k."""
+    sums = 1
+    for d, g in split:
+        for _ in range((len(g) - 1) // d):
+            sums |= sums << d
+    return sums
+
+
+def _factor_count(split: list[tuple[int, list[int]]]) -> int:
+    return sum((len(g) - 1) // d for d, g in split)
+
+
+def _factor_squarefree_monic_int(g_coeffs: list[int], p: int, more_primes) -> list[list[int]]:
     """Irreducible monic integer factors of a monic squarefree integer poly
-    of degree at least 2."""
+    of degree at least 2, with p and then ``more_primes`` the odd primes at
+    which it stays squarefree, in increasing order."""
     n = len(g_coeffs) - 1
-    # G is monic, so it keeps its degree mod every p.
-    p = next((p for p in _small_primes() if _gp_gcd(g_coeffs, _gp_deriv(g_coeffs, p), p) == [1]), None)
-    if p is None:
-        raise PruferError("no squarefree reduction prime found")
+    # The degree of each factor over Q is a subset sum of the factor degrees
+    # mod every good prime; only 0 and n left means G is irreducible.
+    irreducible = 1 | 1 << n
+    split = _distinct_degree(_gp_monic(g_coeffs, p), p)
+    sums = _degree_sums(split)
+    count = _factor_count(split)
+    if count >= _MANY_FACTORS:
+        for q in islice(more_primes, _DEGREE_PRIMES - 1):
+            other = _distinct_degree(_gp_monic(g_coeffs, q), q)
+            sums &= _degree_sums(other)
+            if (fewer := _factor_count(other)) < count:
+                p, split, count = q, other, fewer
+            if sums == irreducible:
+                break
+    if sums == irreducible:
+        return [list(g_coeffs)]
     rng = random.Random(p)
     modular = sorted(
-        (u for d, g in _distinct_degree(_gp_monic(g_coeffs, p), p) for u in _equal_degree(g, d, p, rng)),
+        (u for d, g in split for u in _equal_degree(g, d, p, rng)),
         key=lambda u: (len(u), tuple(u)),
     )
-    if len(modular) == 1:
-        return [list(g_coeffs)]
     norm2 = isqrt(sum(c * c for c in g_coeffs)) + 1
     bound = comb(n, n // 2) * norm2 + 1
     target = 2 * bound + 1
@@ -395,7 +455,9 @@ def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:
         final_mod *= final_mod
     lifted = _hensel_lift_tree(g_coeffs, modular, p, target)
     # Subset recombination against the remaining cofactor.  Each candidate
-    # is monic, so division by it stays over Z and is exact when it divides.
+    # is monic, so division by it stays over Z and is exact when it divides;
+    # then its degree is a subset sum and its constant term divides the
+    # cofactor's, and both are tested before the product is formed.
     remaining = RationalPolynomial.from_int_coeffs(g_coeffs)
     pool = lifted
     found: list[list[int]] = []
@@ -403,6 +465,15 @@ def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:
     while 2 * size <= len(pool):
         hit = False
         for combo in combinations(range(len(pool)), size):
+            if not sums >> sum(len(pool[i]) - 1 for i in combo) & 1:
+                continue
+            low = 1
+            for i in combo:
+                low = low * pool[i][0] % final_mod
+            low = _symmetric(low, final_mod)
+            rest_low = remaining.integer_numerators[0]
+            if (rest_low % low if low else rest_low) != 0:
+                continue
             cand = [1]
             for i in combo:
                 cand = _zp_mul(cand, pool[i], final_mod)
@@ -422,18 +493,29 @@ def _factor_squarefree_monic_int(g_coeffs: list[int]) -> list[list[int]]:
     return found
 
 
-def _factor_squarefree_int(f_coeffs: list[int]) -> list[list[int]]:
-    """Irreducible factors over Q of a squarefree integer polynomial with
-    positive leading coefficient, each as an integer coefficient list known
-    only up to a scalar; ``poly_factor`` makes them monic."""
-    n = len(f_coeffs) - 1
-    if n <= 1:
-        return [list(f_coeffs)]
-    lead = f_coeffs[-1]
-    # G(X) = lead^(n-1) * F(X/lead) is monic with integer coefficients, and
-    # each factor g of G gives the factor g(lead * X) of F.
-    g_coeffs = [c * lead ** (n - 1 - i) for i, c in enumerate(f_coeffs[:-1])] + [1]
-    return [[c * lead**i for i, c in enumerate(g)] for g in _factor_squarefree_monic_int(g_coeffs)]
+def _factor_primitive(prim: Sequence[int], limit: int | None = None) -> list[RationalPolynomial] | None:
+    """The monic irreducible factors over Q of a primitive integer polynomial
+    P of degree at least 1 with positive leading coefficient, or None when
+    its monic scaling G is squarefree modulo none of the first ``limit`` odd
+    primes (by default, none below the trial-division bound).  One such
+    prime proves P squarefree; a P that is not squarefree has none."""
+    n = len(prim) - 1
+    lead = prim[-1]
+    # G(X) = lead^(n-1) * P(X/lead) is monic with integer coefficients, and
+    # each factor g of G gives the factor g(lead * X) of P.
+    g_coeffs = [c * lead ** (n - 1 - i) for i, c in enumerate(prim[:-1])] + [1]
+    if n == 1:
+        factors = [g_coeffs]
+    else:
+        # G is monic, so it keeps its degree mod every p.
+        odd = _small_primes()
+        p = next((p for p in islice(odd, limit) if _separable_mod(g_coeffs, p)), None)
+        if p is None:
+            if limit is None:
+                raise PruferError("no squarefree reduction prime found")
+            return None
+        factors = _factor_squarefree_monic_int(g_coeffs, p, (q for q in odd if _separable_mod(g_coeffs, q)))
+    return [RationalPolynomial.from_int_coeffs([c * lead**i for i, c in enumerate(g)]).monic() for g in factors]
 
 
 def poly_factor(f: RationalPolynomial) -> list[tuple[RationalPolynomial, int]]:
@@ -443,17 +525,29 @@ def poly_factor(f: RationalPolynomial) -> list[tuple[RationalPolynomial, int]]:
     reproducible; f equals its leading coefficient times the product of
     factor^multiplicity.  Degree is capped at FACTOR_DEGREE_CAP.
     """
+    check_factor_degree(f)
+    if f.degree == 0:
+        return []
+    factors = _factor_primitive(f.content_and_primitive()[1], _SQUAREFREE_PRIMES)
+    if factors is not None:
+        out = [(g, 1) for g in factors]
+    else:
+        out = [
+            (g, mult)
+            for part, mult in squarefree_decomposition(f)
+            for g in _factor_primitive(part.content_and_primitive()[1])
+        ]
+    out.sort(key=lambda pair: pair[0].sort_key())
+    return out
+
+
+def check_factor_degree(f: RationalPolynomial) -> None:
+    """Raise unless ``poly_factor`` takes f: f nonzero, of degree at most
+    FACTOR_DEGREE_CAP."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     if f.degree > FACTOR_DEGREE_CAP:
         raise FactorDegreeError(f"degree {f.degree} exceeds the factorization cap {FACTOR_DEGREE_CAP}")
-    out: list[tuple[RationalPolynomial, int]] = []
-    for part, mult in squarefree_decomposition(f):
-        _, prim = part.content_and_primitive()
-        for coeffs in _factor_squarefree_int(list(prim)):
-            out.append((RationalPolynomial.from_int_coeffs(coeffs).monic(), mult))
-    out.sort(key=lambda pair: pair[0].sort_key())
-    return out
 
 
 def _gp_radical(f: list[int], p: int) -> list[int]:

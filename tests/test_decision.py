@@ -495,6 +495,22 @@ FORGED_YES = {
         _yes_doc(["1", "1"], "1 - 2*X + X^2", [["1", "1"]], [("-1 + X", 1, [["1", "1"]])]),
         "mul",
     ),
+    # (X - 1)^2 is not squarefree: the same factor claimed twice.
+    "factors-repeat": (
+        "zxz",
+        _yes_doc(
+            ["1", "1"],
+            "1 - 2*X + X^2",
+            [["1", "0"], ["0", "1"]],
+            [("-1 + X", 1, [["1", "0"]]), ("-1 + X", 1, [["0", "1"]])],
+        ),
+        "mul",
+    ),
+    "factor-reducible": (
+        "zxz",
+        _yes_doc(["1", "0"], "-X + X^2", [["1", "1"]], [("-X + X^2", 2, [["1", "0"], ["0", "1"]])]),
+        "mul",
+    ),
     "factor-list-differs": (
         "z_i",
         _yes_doc(["0", "1"], "1 + X^2", [["1", "0"]], [("2 + X^2", 2, ZI_COMPONENT[2])]),
@@ -536,6 +552,23 @@ def test_verify_refuses_a_forged_yes_at_its_claim(calls_to, corpus, claim):
     calls = calls_to(prufer.decision, stage)
     assert verify_certificate(order, PrueferCertificate.from_dict(doc)) is False
     assert calls == []
+
+
+def test_verify_refuses_to_factor_past_the_degree_cap():
+    # X is a root of mu = X^33 - 2 in Z[X]/(mu), so the claim reaches the
+    # factor check, and mu is past the cap before the claimed factors, whose
+    # product is not mu, are looked at.
+    n = 33
+    order = equation_order(RationalPolynomial([-2] + [0] * (n - 1) + [1]))
+    rows = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    doc = _yes_doc(
+        rows[1],
+        "-2 + X^33",
+        [rows[0], ["0"] * n],
+        [("X", 1, rows[:1]), ("X^32", 32, rows[1:])],
+    )
+    with pytest.raises(FactorDegreeError):
+        verify_certificate(order, PrueferCertificate.from_dict(doc))
 
 
 @pytest.mark.parametrize("element", [["0", "0"], ["0", "1/2"]], ids=["zero", "not-integral"])

@@ -264,3 +264,48 @@ def test_factor_int_over_primes_matches_every_integer(monkeypatch):
     for walk in (factor_int, _factor_int_over_every_integer):
         with pytest.raises(DiscFactorizationError):
             walk(semiprime)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [P(-2, *[0] * 11, 1), P(108, *[0] * 5, 1)],
+    ids=["x12-2", "x6+108"],
+)
+def test_degree_patterns_prove_irreducible_without_lifting(calls_to, f):
+    # Mod 5 and mod 7, X^12 - 2 has factors of degrees 4, 4, 4 and 3, 3, 6,
+    # and X^6 + 108 of degrees 2, 2, 2 and 3, 3: no degree strictly between 0
+    # and n is a sum of factor degrees at both primes, so neither has a
+    # proper factor over Q.
+    lifts = calls_to(prufer.factor, "_hensel_lift_tree")
+    assert poly_factor(f) == [(f, 1)]
+    assert lifts == []
+
+
+def test_irreducible_without_a_proving_pattern_still_lifts(calls_to):
+    # X^4 + 1 has Galois group (Z/2)^2, so mod every odd prime its factors
+    # have degree at most 2: only lifting and recombination prove it.
+    lifts = calls_to(prufer.factor, "_hensel_lift_tree")
+    f = P(1, 0, 0, 0, 1)
+    assert poly_factor(f) == [(f, 1)]
+    assert lifts
+
+
+def test_recombination_divisions(monkeypatch):
+    # The minimal polynomial of the primitive element found on
+    # Z[i] x Z[2^(1/3)] x Z[3^(1/4)].  Recombination skips a subset whose
+    # degree no prime allows or whose constant term does not divide that of
+    # the cofactor, and makes 2 exact divisions here.  Before it did, it made
+    # 6, and Yun's algorithm, which a squarefree reduction mod 7 now
+    # replaces, 13 more.
+    factors = [P(1, 0, 1), P(-2, 0, 0, 1), P(-3, 0, 0, 0, 1)]
+    mu = factors[0] * factors[1] * factors[2]
+    divisions = []
+    exact = RationalPolynomial.__divmod__
+
+    def counting(a, b):
+        divisions.append(b)
+        return exact(a, b)
+
+    monkeypatch.setattr(RationalPolynomial, "__divmod__", counting)
+    assert poly_factor(mu) == [(g, 1) for g in factors]
+    assert len(divisions) == 2

@@ -4,9 +4,10 @@ sympy is a test-only dependency; without it the module is skipped.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from prufer.factor import _distinct_degree, _equal_degree, _gp_monic, factor_int, modp_degrees, poly_factor
 from prufer.poly import RationalPolynomial
@@ -39,15 +40,57 @@ def test_squarefree_split_matches_sympy(coeffs, p):
     assert sorted(tuple(u) for u in split) == sorted(g for g, _ in expected)
 
 
-small_monic_factor = st.lists(st.integers(-6, 6), min_size=1, max_size=2).map(lambda c: tuple(c) + (1,))
+# A factor is (coefficients below the top, leading coefficient, multiplicity).
+random_factor = st.tuples(st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.integers(1, 3), st.integers(1, 3))
+scale = st.tuples(st.integers(1, 12).map(lambda k: k * (-1) ** k), st.integers(1, 12))
 
 
-@given(st.lists(small_monic_factor, min_size=1, max_size=3))
-def test_poly_factor_matches_sympy(factors):
-    f = RationalPolynomial.one_poly
-    for g in factors:
-        f = f * RationalPolynomial(g)
-    assert f.degree <= 6
+def _monic(*lower):
+    return (list(lower), 1, 1)
+
+
+def _radical(n, a):
+    return _monic(a, *[0] * (n - 1))
+
+
+# Irreducible over Q: X^n - 2 and X^n + 3 by Eisenstein's criterion, X^4 + 1,
+# X^8 + 1 and X^16 + 1 as cyclotomic polynomials, X^4 - 10X^2 + 1 and the
+# Swinnerton-Dyer polynomial of sqrt2 + sqrt3 + sqrt5 + sqrt7 as minimal
+# polynomials of primitive elements of multiquadratic fields, and X^6 + 108.
+# None of the last six is irreducible mod any prime.
+X4_PLUS_1 = _monic(1, 0, 0, 0)
+X8_PLUS_1 = _monic(1, *[0] * 7)
+X16_PLUS_1 = _monic(1, *[0] * 15)
+SD2 = _monic(1, 0, -10, 0)
+X6_PLUS_108 = _radical(6, 108)
+SD4 = _monic(46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0, -141912, 0, 6476, 0, -136, 0)
+KNOWN_FACTOR_LISTS = (
+    [[_radical(n, a)] for n in range(1, 33) for a in (-2, 3)]
+    + [[g] for g in (X4_PLUS_1, X8_PLUS_1, X16_PLUS_1, SD2, X6_PLUS_108, SD4)]
+    + [
+        [X4_PLUS_1, SD2],
+        [X8_PLUS_1, X16_PLUS_1],
+        [X6_PLUS_108, _radical(5, -2)],
+        [SD4, X4_PLUS_1],
+        [_radical(12, -2), _radical(12, 3)],
+        [(X4_PLUS_1[0], 1, 2), X8_PLUS_1],
+        [(SD2[0], 1, 3), (X6_PLUS_108[0], 1, 2)],
+    ]
+)
+
+
+def _with_known_factor_lists(test):
+    for factors in KNOWN_FACTOR_LISTS:
+        test = example(factors, (1, 1))(test)
+    return test
+
+
+@_with_known_factor_lists
+@given(st.lists(random_factor, min_size=1, max_size=4).filter(lambda fs: sum(len(c) * m for c, _, m in fs) <= 16), scale)
+def test_poly_factor_matches_sympy(factors, scale):
+    f = RationalPolynomial([Fraction(*scale)])
+    for lower, lead, mult in factors:
+        f = f * RationalPolynomial(tuple(lower) + (lead,)) ** mult
     _, expected = sympy.Poly(list(reversed(f.integer_numerators)), X).factor_list()
     expected = sorted((tuple(int(c) for c in reversed(g.all_coeffs())), m) for g, m in expected)
     assert sorted((g.integer_numerators, m) for g, m in poly_factor(f)) == expected
