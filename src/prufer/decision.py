@@ -318,13 +318,14 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
     # The primitive element must generate the whole algebra and factor as
     # claimed: by unique factorisation, mu is squarefree with exactly the
     # claimed irreducible factors when they are distinct monic irreducibles
-    # whose product is mu.
+    # whose product is mu.  poly_factor(g) == [(g, 1)] holds only for a
+    # monic irreducible g of degree at least 1.
     if mu.degree != n or not mu.is_monic:
         return False
     if not evaluate_poly(order, mu, primitive).is_zero:
         return False
     check_factor_degree(mu)
-    if any(g.degree < 1 or not g.is_monic for g in factors) or len(set(factors)) != len(factors):
+    if len(set(factors)) != len(factors):
         return False
     product = RationalPolynomial.one_poly
     for g in factors:

@@ -500,21 +500,20 @@ def _factor_primitive(prim: Sequence[int], limit: int | None = None) -> list[Rat
     primes (by default, none below the trial-division bound).  One such
     prime proves P squarefree; a P that is not squarefree has none."""
     n = len(prim) - 1
+    if n == 1:
+        return [RationalPolynomial.from_int_coeffs(prim).monic()]
     lead = prim[-1]
     # G(X) = lead^(n-1) * P(X/lead) is monic with integer coefficients, and
     # each factor g of G gives the factor g(lead * X) of P.
     g_coeffs = [c * lead ** (n - 1 - i) for i, c in enumerate(prim[:-1])] + [1]
-    if n == 1:
-        factors = [g_coeffs]
-    else:
-        # G is monic, so it keeps its degree mod every p.
-        odd = _small_primes()
-        p = next((p for p in islice(odd, limit) if _separable_mod(g_coeffs, p)), None)
-        if p is None:
-            if limit is None:
-                raise PruferError("no squarefree reduction prime found")
-            return None
-        factors = _factor_squarefree_monic_int(g_coeffs, p, (q for q in odd if _separable_mod(g_coeffs, q)))
+    # G is monic, so it keeps its degree mod every p.
+    odd = _small_primes()
+    p = next((p for p in islice(odd, limit) if _separable_mod(g_coeffs, p)), None)
+    if p is None:
+        if limit is None:
+            raise PruferError("no squarefree reduction prime found")
+        return None
+    factors = _factor_squarefree_monic_int(g_coeffs, p, (q for q in odd if _separable_mod(g_coeffs, q)))
     return [RationalPolynomial.from_int_coeffs([c * lead**i for i, c in enumerate(g)]).monic() for g in factors]
 
 
