@@ -7,8 +7,9 @@ certificate that can be re-verified independently of the decision procedure.
 Everything is exact and runs on integers: an element or a polynomial is an
 integer vector over one positive denominator, elimination is fraction-free,
 lattices are kept in Hermite normal form and polynomials are factored from
-scratch over Q.  ``fractions.Fraction`` is left at the edges, where values
-come in or go out, and no floating point enters any verdict.
+scratch over Q.  Rational text is read and written in integers, and
+``fractions.Fraction`` is left only for scalars passed in and for the
+``coords`` and ``coefficients`` views; no floating point enters any verdict.
 
 The package root re-exports nothing: import each name from its module.
 ``orders`` builds and loads orders (``load_order``, ``equation_order``,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .decision import VERDICT_YES, decide_pruefer, verify_certificate
@@ -53,17 +52,10 @@ def _parse_coords(text: str) -> AlgebraElement:
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise MalformedInputError(f"MALFORMED_INPUT: bad coordinate list {text!r}")
-    values = []
-    for p in parts:
-        try:
-            values.append(Fraction(p))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInputError(f"MALFORMED_INPUT: bad coordinate {p!r}") from exc
-    return element(values)
-
-
-def _coords_out(x: AlgebraElement) -> list[str]:
-    return [str(c) for c in x.coords]
+    try:
+        return element(parts)
+    except ValueError as exc:
+        raise MalformedInputError(f"MALFORMED_INPUT: {exc}") from exc
 
 
 def _emit(args, payload: dict, human_lines: Sequence[str]) -> None:
@@ -103,7 +95,7 @@ def _cmd_minpoly(args) -> int:
     order = load_order(args.order)
     point = _require_dim(order, _parse_coords(args.at))
     mu = minimal_polynomial(order, point)
-    payload = {"at": _coords_out(point), "min_poly": str(mu)}
+    payload = {"at": point.coord_texts(), "min_poly": str(mu)}
     _emit(args, payload, [f"min_poly: {mu}"])
     return 0
 
@@ -126,11 +118,11 @@ def _cmd_member(args) -> int:
     ok = value.is_integral_vector
     payload = {
         "poly": str(f),
-        "at": _coords_out(point),
+        "at": point.coord_texts(),
         "member": ok,
-        "value": _coords_out(value),
+        "value": value.coord_texts(),
     }
-    _emit(args, payload, [f"member: {str(ok).lower()}", f"value: {','.join(_coords_out(value))}"])
+    _emit(args, payload, [f"member: {str(ok).lower()}", f"value: {','.join(value.coord_texts())}"])
     return 0
 
 
@@ -139,15 +131,15 @@ def _cmd_pointwise(args) -> int:
     point = _require_dim(order, _parse_coords(args.at))
     result = pointwise_integrally_closed(order, point)
     payload = {
-        "at": _coords_out(point),
+        "at": point.coord_texts(),
         "closed": result.closed,
-        "witness": None if result.witness is None else _coords_out(result.witness),
+        "witness": None if result.witness is None else result.witness.coord_texts(),
         "kind": result.witness_kind,
         "subalgebra_dim": result.subalgebra_dim,
     }
     lines = [f"closed: {str(result.closed).lower()}"]
     if result.witness is not None:
-        lines.append(f"witness: {','.join(_coords_out(result.witness))} ({result.witness_kind})")
+        lines.append(f"witness: {','.join(result.witness.coord_texts())} ({result.witness_kind})")
     _emit(args, payload, lines)
     return 0
 
@@ -159,7 +151,7 @@ def _cmd_maximal_order(args) -> int:
         "index": emb.index,
         "disc_input": discriminant(order),
         "disc_maximal": discriminant(emb.order),
-        "basis": [_coords_out(x) for x in emb.basis],
+        "basis": [x.coord_texts() for x in emb.basis],
     }
     lines = [f"index: {emb.index}", f"disc: {payload['disc_input']} -> {payload['disc_maximal']}"]
     for row in payload["basis"]:
@@ -245,7 +237,7 @@ def _cmd_hurwitz(args) -> int:
         "seed": args.seed,
         "integral": report.integral_count,
         "member": report.member_count,
-        "counterexamples": [[str(c) for c in q.coords] for q in report.counterexamples],
+        "counterexamples": [q.coord_texts() for q in report.counterexamples],
     }
     lines = [
         f"samples: {report.samples}",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import takewhile
 
 from .closure import (
     _enlargements,
@@ -142,22 +142,18 @@ class PrueferCertificate:
         return cls.from_dict(data)
 
 
-def _coords_json(x: AlgebraElement) -> list[str]:
-    return [str(c) for c in x.coords]
-
-
 def _parse_coords(raw, dim: int) -> AlgebraElement:
     if not isinstance(raw, list) or len(raw) != dim:
         raise MalformedCertificateError(f"MALFORMED_CERTIFICATE: expected {dim} coordinates")
-    out = []
-    for c in raw:
-        if not isinstance(c, str):
-            raise MalformedCertificateError("MALFORMED_CERTIFICATE: coordinates must be strings")
-        try:
-            out.append(Fraction(c))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedCertificateError(f"MALFORMED_CERTIFICATE: bad coordinate {c!r}") from exc
-    return element(out)
+    # Read up to the first non-string: the first coordinate at fault names the error.
+    strings = list(takewhile(lambda c: isinstance(c, str), raw))
+    try:
+        point = element(strings)
+    except ValueError as exc:
+        raise MalformedCertificateError(f"MALFORMED_CERTIFICATE: {exc}") from exc
+    if len(strings) < dim:
+        raise MalformedCertificateError("MALFORMED_CERTIFICATE: coordinates must be strings")
+    return point
 
 
 def _parse_poly(raw) -> RationalPolynomial:
@@ -192,7 +188,7 @@ def _decide(order: ZOrder) -> PrueferCertificate:
     commutative, pair = is_commutative(order)
     if not commutative:
         x, y = pair
-        witness = {"x": _coords_json(x), "y": _coords_json(y)}
+        witness = {"x": x.coord_texts(), "y": y.coord_texts()}
         return PrueferCertificate(
             VERDICT_NO, REASON_NONCOMMUTATIVE, witness, _CITATIONS[REASON_NONCOMMUTATIVE]
         )
@@ -200,7 +196,7 @@ def _decide(order: ZOrder) -> PrueferCertificate:
     reduced, nilpotent = is_reduced(order)
     if not reduced:
         x, k = nilpotent
-        witness = {"element": _coords_json(x), "power": k}
+        witness = {"element": x.coord_texts(), "power": k}
         return PrueferCertificate(
             VERDICT_NO, REASON_NOT_REDUCED, witness, _CITATIONS[REASON_NOT_REDUCED]
         )
@@ -209,7 +205,7 @@ def _decide(order: ZOrder) -> PrueferCertificate:
     escaping = next((e for e in dec.idempotents if not e.is_integral_vector), None)
     if escaping is not None:
         mu = minimal_polynomial(order, escaping)
-        witness = {"element": _coords_json(escaping), "min_poly": str(mu)}
+        witness = {"element": escaping.coord_texts(), "min_poly": str(mu)}
         return PrueferCertificate(
             VERDICT_NO, REASON_IDEMPOTENT_ESCAPES, witness, _CITATIONS[REASON_IDEMPOTENT_ESCAPES]
         )
@@ -226,7 +222,7 @@ def _decide(order: ZOrder) -> PrueferCertificate:
             pulled = comp.to_ambient(_first_non_integral(step))
             mu = minimal_polynomial(order, pulled)
             witness = {
-                "element": _coords_json(pulled),
+                "element": pulled.coord_texts(),
                 "min_poly": str(mu),
                 "component": i,
             }
@@ -239,14 +235,14 @@ def _decide(order: ZOrder) -> PrueferCertificate:
         components.append(comp)
 
     witness = {
-        "primitive": _coords_json(dec.primitive),
+        "primitive": dec.primitive.coord_texts(),
         "min_poly": str(dec.min_poly),
-        "idempotents": [_coords_json(e) for e in dec.idempotents],
+        "idempotents": [e.coord_texts() for e in dec.idempotents],
         "components": [
             {
                 "factor": str(g),
                 "dim": g.degree,
-                "basis": [_coords_json(x) for x in comp.basis],
+                "basis": [x.coord_texts() for x in comp.basis],
             }
             for g, comp in zip(dec.factors, components)
         ],

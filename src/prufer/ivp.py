@@ -202,21 +202,11 @@ def _orbit_minimal_polynomials(order: ZOrder, p: int) -> Iterator[list[int]]:
     """mu_x over F_p, p prime, for each x of _orbit_representatives: the first
     relation among 1, x, x^2, ... mod p, found by ``modp_span_add`` in at
     most dim products."""
-    entries = [
-        (i, j, k, t % p)
-        for i, row in enumerate(order.table)
-        for j, cell in enumerate(row)
-        for k, t in enumerate(cell)
-        if t % p
-    ]
     one = [c % p for c in order.one]
     for x in _orbit_representatives(one, p):
         span, power = [], one
         while (mu := modp_span_add(span, power, p)) is None:
-            product = [0] * len(one)
-            for i, j, k, t in entries:
-                product[k] += power[i] * x[j] * t
-            power = [c % p for c in product]
+            power = [c % p for c in order._mul_coords(power, x)]
         yield mu
 
 

@@ -19,8 +19,8 @@ An element of the ambient Q-algebra B = A (x) Q is a vector of integer
 coordinates over one positive denominator, the way ``RationalPolynomial``
 stores its coefficients, so products, sums and minimal polynomials are
 integer arithmetic; membership in A is denominator 1.  ``element`` is the one
-constructor from rational coordinates, and ``coords`` the Fraction view for
-printing.
+constructor from rational coordinates, ``coord_texts`` the text that
+certificates and the CLI print, and ``coords`` the Fraction view.
 
 An ``EmbeddedOrder`` is an order inside B together with its basis as
 elements of B: a field component A e_i, or an overorder built by round 2.
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .lattice import hnf_reduce
 from .linalg import EchelonSpan
-from .poly import RationalPolynomial
+from .poly import RationalPolynomial, parse_rational, rational_text
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,9 @@ class AlgebraElement:
     @property
     def coords(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.denominator) for c in self.integer_numerators)
+
+    def coord_texts(self) -> list[str]:
+        return [rational_text(c, self.denominator) for c in self.integer_numerators]
 
     @property
     def dim(self) -> int:
@@ -112,10 +115,16 @@ class AlgebraElement:
 
 def element(coords: Sequence) -> AlgebraElement:
     """The element with the given rational coordinates (ints, Fractions or
-    strings such as "1/2")."""
-    values = [Fraction(c) for c in coords]
-    den = lcm(*(c.denominator for c in values))
-    return AlgebraElement(tuple(c.numerator * (den // c.denominator) for c in values), den)
+    strings such as "1/2", read by ``poly.parse_rational``).  A coordinate
+    that does not read raises ValueError naming it."""
+    pairs = []
+    for c in coords:
+        try:
+            pairs.append(parse_rational(c))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad coordinate {c!r}") from exc
+    den = lcm(*(d for _, d in pairs))
+    return AlgebraElement(tuple(n * (den // d) for n, d in pairs), den)
 
 
 def _int_vector(v) -> tuple[int, ...] | None:

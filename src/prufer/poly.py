@@ -2,8 +2,10 @@
 
 A polynomial is stored as a tuple of integer coefficients (ascending powers,
 no trailing zeros) plus one positive common denominator, kept coprime to the
-coefficient gcd.  The public surface speaks ``Fraction``; the integer view is
-what factorization and residue arithmetic want, and it falls out for free.
+coefficient gcd.  ``Fraction`` is left for scalars passed in and for the
+views ``coefficients``, ``leading_coefficient`` and ``content_and_primitive``.
+``rational_text`` writes and ``parse_rational`` reads the text of one rational
+number, a coefficient or an element coordinate.
 
 The text format used by the CLI and by certificates writes ascending terms:
 ``-4 - 2*X + X^2``.  The parser is a little more lenient than the writer
@@ -25,6 +27,30 @@ Scalar = Union[int, Fraction]
 # ``parse`` builds a dense coefficient list, so it refuses a degree above this
 # before allocating one: far above any degree the program works with.
 MAX_PARSE_DEGREE = 10**6
+
+
+def rational_text(num: int, den: int) -> str:
+    """num/den, den > 0, as ``n`` or ``n/d`` in lowest terms: what
+    ``str(Fraction(num, den))`` prints."""
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def parse_rational(value) -> tuple[int, int]:
+    """value (a string, an int or a Fraction) as (numerator, denominator > 0)
+    in lowest terms.  A string that ``int()`` reads is that integer; anything
+    else goes to ``Fraction``, which reads or refuses it (ValueError or
+    ZeroDivisionError).  Underscores skip ``int()``: Python 3.10's ``Fraction``
+    refuses them."""
+    if isinstance(value, str) and "_" not in value:
+        try:
+            return int(value), 1
+        except ValueError:
+            pass
+    value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -55,12 +81,9 @@ class RationalPolynomial:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        den = 1
-        for c in coeffs:
-            den = lcm(den, c.denominator)
-        nums = [int(c * den) for c in coeffs]
-        self._num, self._den = _normalize(nums, den)
+        pairs = [parse_rational(c) for c in coefficients]
+        den = lcm(*(d for _, d in pairs))
+        self._num, self._den = _normalize([n * (den // d) for n, d in pairs], den)
 
     @classmethod
     def _raw(cls, nums: Sequence[int], den: int) -> "RationalPolynomial":
@@ -253,23 +276,16 @@ class RationalPolynomial:
     )
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         pieces: list[str] = []
         for k in compress(range(len(self._num)), self._num):
             num = self._num[k]
-            c = num if self._den == 1 else Fraction(num, self._den)
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
+            body = rational_text(abs(num), self._den)
+            if k:
                 xpart = "X" if k == 1 else f"X^{k}"
-                body = xpart if mag == 1 else f"{mag}*{xpart}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+                body = xpart if abs(num) == self._den else f"{body}*{xpart}"
+            sign = ("+ " if num > 0 else "- ") if pieces else ("" if num > 0 else "-")
+            pieces.append(sign + body)
+        return " ".join(pieces) or "0"
 
     @classmethod
     def parse(cls, text: str) -> "RationalPolynomial":
@@ -282,30 +298,24 @@ class RationalPolynomial:
         terms = re.findall(r"[+-]?[^+-]+", compact)
         if "".join(terms) != compact:
             raise MalformedInputError(f"PARSE_ERROR: cannot tokenize {text!r}")
-        coeffs: dict[int, Fraction] = {}
+        parsed: list[tuple[int, int, int]] = []  # (power, numerator, denominator)
         for term in terms:
             m = cls._TERM_RE.match(term)
             if not m or (m.group(2) is None and m.group(3) is None):
                 raise MalformedInputError(f"PARSE_ERROR: bad term {term!r} in {text!r}")
-            sign = -1 if m.group(1) == "-" else 1
             try:
-                coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-                if m.group(3) is None:
-                    power = 0
-                elif m.group(4) is not None:
-                    power = int(m.group(4))
-                else:
-                    power = 1
+                num, den = parse_rational(m.group(2)) if m.group(2) else (1, 1)
+                power = 0 if m.group(3) is None else int(m.group(4) or 1)
             except (ValueError, ZeroDivisionError) as exc:
                 # ValueError: more digits than int() converts.
                 raise MalformedInputError(f"PARSE_ERROR: bad number in {term!r}") from exc
             if power > MAX_PARSE_DEGREE:
                 raise MalformedInputError(f"PARSE_ERROR: degree {power} exceeds the parser's cap {MAX_PARSE_DEGREE}")
-            coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        out = [0] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            out[k] = c.numerator * (den // c.denominator)
+            parsed.append((power, -num if m.group(1) == "-" else num, den))
+        den = lcm(*(d for _, _, d in parsed))
+        out = [0] * (max(k for k, _, _ in parsed) + 1)
+        for k, n, d in parsed:
+            out[k] += n * (den // d)
         return cls._raw(out, den)
 
     # -- plumbing ---------------------------------------------------------

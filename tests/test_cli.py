@@ -264,12 +264,32 @@ def test_member_all_counts_simplex_points(capsys):
     assert out == '{"poly": "1/30*X^2", "member": false, "denominator": 30, "residues": 15}\n'
 
 
-def test_member_bad_coordinates(capsys):
-    code, _, err = run(
-        capsys, "member", order_path("z_i"), "--poly", "X", "--at", "1,oops"
+@pytest.mark.parametrize("bad", ["oops", "1/0", "9" * 5000], ids=["word", "zero-denominator", "5000-digits"])
+def test_member_bad_coordinates(capsys, bad):
+    code, out, err = run(
+        capsys, "member", order_path("z_i"), "--poly", "X", "--at", f"1, {bad}"
     )
-    assert code == 1
-    assert "MALFORMED_INPUT" in err
+    assert (code, out, err) == (1, "", f"error: MALFORMED_INPUT: bad coordinate {bad!r}\n")
+
+
+# Decimal, signed, spaced and unreduced coordinates are read as Fraction reads them.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["minpoly", "z_golden", "--at", "1/2, 0.5"],
+            "min_poly: 1/4 - 3/2*X + X^2\n",
+        ),
+        (
+            ["member", "m2z", "--poly", "1/2*X", "--at", "0.5,2,+2,2/1", "--json"],
+            '{"poly": "1/2*X", "at": ["1/2", "2", "2", "2"], "member": false, "value": ["1/4", "1", "1", "1"]}\n',
+        ),
+    ],
+    ids=["minpoly", "member"],
+)
+def test_lenient_coordinates(capsys, argv, expected):
+    command, name, *rest = argv
+    assert run(capsys, command, order_path(name), *rest) == (0, expected, "")
 
 
 def test_minpoly_golden(capsys):

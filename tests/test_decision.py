@@ -591,6 +591,10 @@ MALFORMED_WITNESSES = {
     "coordinate-not-a-string": (_zi_doc(lambda w: w.update(primitive=[0, 1])), "coordinates must be strings"),
     "coordinate-zero-denominator": (_zi_doc(lambda w: w.update(primitive=["0", "1/0"])), "bad coordinate '1/0'"),
     "coordinate-not-a-number": (_zi_doc(lambda w: w.update(primitive=["0", "i"])), "bad coordinate 'i'"),
+    "coordinate-5000-digits": (_zi_doc(lambda w: w.update(primitive=["0", "9" * 5000])), f"bad coordinate '{'9' * 5000}'"),
+    # The first coordinate at fault names the error.
+    "bad-coordinate-then-not-a-string": (_zi_doc(lambda w: w.update(primitive=["i", 0])), "bad coordinate 'i'"),
+    "not-a-string-then-bad-coordinate": (_zi_doc(lambda w: w.update(primitive=[0, "i"])), "coordinates must be strings"),
     "min-poly-not-a-string": (_zi_doc(lambda w: w.update(min_poly=5)), "polynomial must be a string"),
     "primitive-missing": (_zi_doc(lambda w: w.pop("primitive")), "witness missing 'primitive'"),
     "idempotents-not-a-list": (_zi_doc(lambda w: w.update(idempotents={})), "idempotents/components must be lists"),

@@ -389,6 +389,9 @@ def test_equation_order_rejects_bad_input():
 
 def test_element_helpers():
     x = element((Fraction(1, 2), 3))
+    assert x.coords == (Fraction(1, 2), 3)
+    assert x.coord_texts() == ["1/2", "3"]
+    assert element(["2/4", " 3 "]) == element(["0.5", "3e0"]) == x
     assert x.dim == 2
     assert x.denominator == 2
     assert not x.is_integral_vector

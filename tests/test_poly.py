@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import prufer.poly
 from prufer.errors import MalformedInputError, ZeroPolynomialError
 from prufer.orders import element, evaluate_poly
 from prufer.poly import (
     RationalPolynomial,
+    parse_rational,
     poly_gcd,
     poly_xgcd,
+    rational_text,
     squarefree_decomposition,
 )
 
@@ -132,6 +134,44 @@ def test_str_matches_reference_on_sparse_polynomials(terms):
     assert str(RationalPolynomial(coeffs)) == _reference_str(coeffs)
 
 
+@given(st.integers() | st.integers(min_value=10**40) | st.integers(max_value=-(10**40)), st.integers(min_value=1))
+@example(0, 7)
+@example(-6, 4)
+def test_rational_text_is_what_fraction_prints(num, den):
+    assert rational_text(num, den) == str(Fraction(num, den))
+
+
+def _read(reader, text):
+    try:
+        value = reader(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return value if isinstance(value, tuple) else (value.numerator, value.denominator)
+
+
+RATIONAL_TEXT = (
+    st.text(alphabet="0123456789+-/ ._eE\t\u0663\u09ed\u0ed2\uff15", max_size=12)
+    | st.from_regex(r"\s?[+-]?\d{0,3}(\.\d{0,2})?([eE][+-]?\d)?\s?", fullmatch=True)
+    | st.from_regex(r"[+-]?\d{1,4}/\d{1,4}", fullmatch=True)
+)
+
+
+@settings(max_examples=100)
+@given(RATIONAL_TEXT)
+@example("1_000")
+@example(" 1/2 ")
+@example("1 /2")
+@example("0.5")
+@example("1e3")
+@example("-0")
+@example("\u0663\u0663")
+@example("1\x1c")
+@example("1/0")
+@example("9" * 5000)
+def test_parse_rational_reads_what_fraction_reads(text):
+    assert _read(parse_rational, text) == _read(Fraction, text)
+
+
 @pytest.mark.parametrize(
     "text",
     ["0", "X", "5", "1 - X + X^2", "-1/2*X + 1/2*X^2", "2 + 3*X^4", "-X", "1/3"],
@@ -154,12 +194,19 @@ def test_parse_rejects_noncanonical(text):
 # other two have more digits than int() converts.
 @pytest.mark.parametrize(
     "text",
-    ["X^99999999999", "1 + X^" + "9" * 5000, "9" * 5000 + "*X"],
-    ids=["exponent-10^11", "exponent-5000-digits", "coefficient-5000-digits"],
+    ["X^99999999999", "1 + X^" + "9" * 5000, "9" * 5000 + "*X", "1/" + "9" * 5000 + "*X", "1/0*X"],
+    ids=["exponent-10^11", "exponent-5000-digits", "coefficient-5000-digits", "denominator-5000-digits", "zero-denominator"],
 )
 def test_parse_refuses_huge_numbers(text):
     with pytest.raises(MalformedInputError, match="PARSE_ERROR"):
         RationalPolynomial.parse(text)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=4), fractions), min_size=1, max_size=6))
+def test_parse_sums_repeated_powers(terms):
+    text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*X^{k}" for k, c in terms)
+    expected = sum((P(*[0] * k, c) for k, c in terms), RationalPolynomial.zero_poly)
+    assert RationalPolynomial.parse(text) == expected
 
 
 def test_parse_degree_cap_is_inclusive(monkeypatch):
