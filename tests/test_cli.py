@@ -264,12 +264,12 @@ def test_member_all_counts_simplex_points(capsys):
     assert out == '{"poly": "1/30*X^2", "member": false, "denominator": 30, "residues": 15}\n'
 
 
-@pytest.mark.parametrize("bad", ["oops", "1/0", "9" * 5000], ids=["word", "zero-denominator", "5000-digits"])
-def test_member_bad_coordinates(capsys, bad):
-    code, out, err = run(
-        capsys, "member", order_path("z_i"), "--poly", "X", "--at", f"1, {bad}"
-    )
-    assert (code, out, err) == (1, "", f"error: MALFORMED_INPUT: bad coordinate {bad!r}\n")
+def test_member_bad_coordinates(capsys):
+    for bad in ("oops", "1/0", "9" * 5000):
+        code, out, err = run(
+            capsys, "member", order_path("z_i"), "--poly", "X", "--at", f"1, {bad}"
+        )
+        assert (code, out, err) == (1, "", f"error: MALFORMED_INPUT: bad coordinate {bad!r}\n")
 
 
 # Decimal, signed, spaced and unreduced coordinates are read as Fraction reads them.

@@ -191,7 +191,7 @@ def test_parse_rejects_noncanonical(text):
 
 
 # A dense parse of the first would need a list of 10^11 coefficients; the
-# other two have more digits than int() converts.
+# next three have more digits than int() converts, and the last divides by 0.
 @pytest.mark.parametrize(
     "text",
     ["X^99999999999", "1 + X^" + "9" * 5000, "9" * 5000 + "*X", "1/" + "9" * 5000 + "*X", "1/0*X"],
