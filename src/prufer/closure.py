@@ -7,8 +7,8 @@ linear algebra over F_p: I/pO is the kernel of Frobenius on O/pO, and the
 multiplier ring is (1/p) times the lift of the kernel of O/pO -> End(I/pI).
 Each enlargement divides the discriminant by the square of the index, so
 termination is immediate, and the fixed point at every such p certifies
-maximality.  As in Cohen, a prime p not dividing [O : Z[b]] is settled first
-by Dedekind's criterion on mu_b (``factor.dedekind_p_maximal``).
+maximality.  First, Dedekind's criterion on mu_b, b in O of degree dim O,
+settles every p at which Z[b] is p-maximal (``factor.dedekind_p_maximal``).
 
 Round 2 needs an order that spans a number field.  ``field_polynomial`` is
 the one check of that: it searches for a primitive element a, which comes
@@ -27,7 +27,7 @@ that need the maximal order itself: ``maximal_order`` (and through it
 Everything works in the coordinates of the *original* order: each result is
 an ``orders.EmbeddedOrder``, the new order's structure constants together
 with its basis as elements of the input order's ambient algebra (integer
-coordinates over one denominator), built by ``orders.embedded_order``.
+coordinates over one denominator).
 """
 
 from __future__ import annotations
@@ -174,16 +174,16 @@ def power_index(order: ZOrder, a: AlgebraElement) -> int:
 def maximal_order(order: ZOrder) -> EmbeddedOrder:
     """The integral closure of an order whose ambient algebra is a field;
     NotApplicableError from ``field_polynomial`` otherwise."""
-    a, mu = field_polynomial(order)
-    return _round_two(order, mu, power_index(order, a))
+    _, mu = field_polynomial(order)
+    return _round_two(order, mu)
 
 
-def _enlargements(order: ZOrder, mu: RationalPolynomial, index: int) -> Iterator[EmbeddedOrder]:
+def _enlargements(order: ZOrder, mu: RationalPolynomial) -> Iterator[EmbeddedOrder]:
     """The round-2 steps of ``maximal_order`` that enlarge the order, for an
     order already known to span a number field: one ``field_polynomial`` has
     passed on it, or it is a component A e_i of ``decompose`` or the equation
     order of an irreducible polynomial.  mu = mu_b for some b in O of degree
-    dim, and ``index`` is a multiple of [O : Z[b]], 0 when unknown.
+    dim; a prime at which mu passes Dedekind's criterion needs no step.
 
     Yields the running overorder, its basis in O's ambient coordinates, after
     each ring-of-multipliers step of index > 1, and stops at the maximal
@@ -196,7 +196,7 @@ def _enlargements(order: ZOrder, mu: RationalPolynomial, index: int) -> Iterator
     total_index = 1
     disc = discriminant(order)
     for p, v in sorted(factor_int(disc).items()):
-        if v < 2 or (index % p and dedekind_p_maximal(mu, p)):
+        if v < 2 or dedekind_p_maximal(mu, p):
             continue
         while True:
             rad = p_radical(running.order, p)
@@ -210,11 +210,11 @@ def _enlargements(order: ZOrder, mu: RationalPolynomial, index: int) -> Iterator
                 break
 
 
-def _round_two(order: ZOrder, mu: RationalPolynomial, index: int) -> EmbeddedOrder:
+def _round_two(order: ZOrder, mu: RationalPolynomial) -> EmbeddedOrder:
     """The maximal order: ``_enlargements`` run to its end, on the same
     inputs, with the last overorder's basis put in Hermite form."""
     basis = _unchanged(order).basis
-    for running in _enlargements(order, mu, index):
+    for running in _enlargements(order, mu):
         basis = running.basis
     return embedded_order(order, basis, order.identity())
 

@@ -5,9 +5,9 @@ finite product of rings of integers of number fields.  ``decide_pruefer``
 walks the obstruction ladder (noncommutativity, nilpotents, idempotents
 escaping the lattice, a component below its maximal order) and emits a
 ``PrueferCertificate`` whose witness ``verify_certificate`` re-checks
-without rerunning the decision.  Both use Dedekind's criterion at primes p
-not dividing [A : Z[a]], a the primitive element, where the check of a YES
-shares only ``dedekind_p_maximal`` with the solver; elsewhere it shares
+without rerunning the decision.  The solver tries Dedekind's criterion at
+every p; the check of a YES only at p prime to [A : Z[a]], a the primitive
+element, where it shares only ``dedekind_p_maximal``; elsewhere it shares
 ``p_radical`` and ``ring_of_multipliers``, and always ``discriminant``,
 ``factor_int`` and ``poly_factor``.  Neither guesses: when an
 ``errors.UnansweredError`` stops the work, ``decide_pruefer`` raises
@@ -20,8 +20,9 @@ witness, citation) so output files are byte-stable.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import takewhile
 
 from .closure import (
@@ -103,19 +104,16 @@ class PrueferCertificate:
             )
         if not isinstance(self.witness, dict):
             raise MalformedCertificateError("MALFORMED_CERTIFICATE: witness must be an object")
-        if not isinstance(self.citation, str) or not self.citation:
-            raise MalformedCertificateError("MALFORMED_CERTIFICATE: citation must be a nonempty string")
+        if self.citation != _CITATIONS[self.reason]:
+            raise MalformedCertificateError(f"MALFORMED_CERTIFICATE: citation does not match reason {self.reason}")
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "witness": self.witness,
-            "citation": self.citation,
-        }
+        """The fields in JSON order, with a copy of the witness: editing the
+        result leaves the certificate as it is."""
+        return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps({"verdict": self.verdict, "reason": self.reason, "witness": self.witness, "citation": self.citation})
 
     @classmethod
     def from_dict(cls, data: dict) -> "PrueferCertificate":
@@ -126,18 +124,17 @@ class PrueferCertificate:
             raise MalformedCertificateError(
                 f"MALFORMED_CERTIFICATE: fields {sorted(data)} do not match {sorted(expected)}"
             )
-        return cls(
-            verdict=data["verdict"],
-            reason=data["reason"],
-            witness=data["witness"],
-            citation=data["citation"],
-        )
+        try:
+            witness = copy.deepcopy(data["witness"])
+        except RecursionError as exc:
+            raise MalformedCertificateError("MALFORMED_CERTIFICATE: witness nested too deeply") from exc
+        return cls(verdict=data["verdict"], reason=data["reason"], witness=witness, citation=data["citation"])
 
     @classmethod
     def from_json(cls, text: str) -> "PrueferCertificate":
         try:
             data = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedCertificateError(f"MALFORMED_CERTIFICATE: invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 
@@ -211,13 +208,11 @@ def _decide(order: ZOrder) -> PrueferCertificate:
         )
 
     components = []
-    index = power_index(order, dec.primitive)
     for i, g in enumerate(dec.factors):
         comp = component_order(order, dec, i)
-        # A e_i spans the field Q[X]/(g_i), so round 2 runs without a second
-        # search; g_i = mu of a e_i, and [A e_i : Z[a e_i]] divides [A : Z[a]].
-        # Its first step of index > 1, if any, proves A e_i is not maximal.
-        step = next(_enlargements(comp.order, g, index), None)
+        # A e_i spans the field Q[X]/(g_i), g_i = mu of a e_i, so round 2 runs
+        # without a second search; a first step, if any, proves it not maximal.
+        step = next(_enlargements(comp.order, g), None)
         if step is not None:
             pulled = comp.to_ambient(_first_non_integral(step))
             mu = minimal_polynomial(order, pulled)
@@ -257,7 +252,9 @@ def verify_certificate(order: ZOrder, cert: PrueferCertificate) -> bool:
 
     Structural defects in the certificate raise MalformedCertificateError;
     a well-formed certificate whose claims do not hold returns False, and an
-    UnansweredError (no answer within a limit) propagates.
+    UnansweredError (no answer within a limit) propagates.  The component
+    index of a COMPONENT_NOT_MAXIMAL witness is checked only to be an int
+    >= 0: a NO witness carries no decomposition to bound it by.
     """
     witness = cert.witness
     if cert.verdict == VERDICT_NO:
@@ -274,12 +271,20 @@ def verify_certificate(order: ZOrder, cert: PrueferCertificate) -> bool:
                 return False
             return power(order, a, k).is_zero
         # IDEMPOTENT_ESCAPES and COMPONENT_NOT_MAXIMAL share the witness
-        # shape: an element integral over Z but outside the lattice.
+        # shape: an element integral over Z but outside the lattice, with its
+        # minimal polynomial; an escaping idempotent is also idempotent.
         b = _parse_coords(_field(witness, "element"), order.dim)
+        claimed = _parse_poly(_field(witness, "min_poly"))
+        if cert.reason == REASON_COMPONENT_NOT_MAXIMAL:
+            i = _field(witness, "component")
+            if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+                raise MalformedCertificateError("MALFORMED_CERTIFICATE: bad component index")
+        elif mul(order, b, b) != b:
+            return False
         if b.is_integral_vector:
             return False
         mu = minimal_polynomial(order, b)
-        return mu.is_monic and mu.has_integer_coefficients
+        return mu == claimed and mu.is_monic and mu.has_integer_coefficients
     return _verify_yes(order, witness)
 
 

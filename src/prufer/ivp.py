@@ -46,7 +46,7 @@ from .errors import (
     NotApplicableError,
     PruferError,
 )
-from .factor import _trim, _zp_divmod_monic, is_probable_prime, modp_degrees, poly_factor
+from .factor import _trim, _zp_divmod_monic, dedekind_p_maximal, is_probable_prime, modp_degrees, poly_factor
 from .linalg import modp_span_add
 from .orders import (
     AlgebraElement,
@@ -371,7 +371,7 @@ def pointwise_integrally_closed(order: ZOrder, a: AlgebraElement) -> PointwiseCl
         return PointwiseClosure(False, witness, "nilpotent", m)
 
     for (g, _), e in zip(factors, crt_idempotents(order, a, mu, [g for g, _ in factors])):
-        basis = (AlgebraElement((1,)),) if g.degree == 1 else _round_two(equation_order(g), g, 1).basis
+        basis = (AlgebraElement((1,)),) if g.degree == 1 else _round_two(equation_order(g), g).basis
         for x in basis:
             lift = RationalPolynomial.from_int_coeffs(x.integer_numerators, x.denominator)
             b = mul(order, evaluate_poly(order, lift, a), e)
@@ -458,19 +458,17 @@ def ramification_profile(order: ZOrder, p: int) -> RamificationProfile:
     degrees without splitting a factor, so the cost is polynomial in log p.
     They are valid only when p does not divide the index of the equation
     order Z[a] in the maximal order (INDEX_DIVISIBLE otherwise; full ideal
-    factorization at such primes is out of scope).  The index is
-    ``closure.power_index``, worked out before round 2, which it shortens;
-    round 2 stops at its first step of index > 1, which proves the order is
-    not maximal.
+    factorization at such primes is out of scope), which in a maximal order
+    is where mu fails Dedekind's criterion.  Round 2 stops at its first step
+    of index > 1, which proves the order is not maximal.
     """
     _require_prime(p)
     a, mu = field_polynomial(order)
-    index = power_index(order, a)
-    if next(_enlargements(order, mu, index), None) is not None:
+    if next(_enlargements(order, mu), None) is not None:
         raise NotApplicableError("NOT_MAXIMAL: the order is not maximal")
-    if index % p == 0:
+    if not dedekind_p_maximal(mu, p):
         raise IndexDivisibleError(
-            f"{p} divides the equation-order index {index}; profile unavailable at this prime"
+            f"{p} divides the equation-order index {power_index(order, a)}; profile unavailable at this prime"
         )
 
     profile = RamificationProfile(prime=p, pairs=tuple(modp_degrees(mu.integer_numerators, p)))

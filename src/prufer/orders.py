@@ -24,7 +24,8 @@ certificates and the CLI print, and ``coords`` the Fraction view.
 
 An ``EmbeddedOrder`` is an order inside B together with its basis as
 elements of B: a field component A e_i, or an overorder built by round 2.
-``embedded_order`` is the one way to build one.
+``embedded_order`` builds one from generators; ``closure._unchanged`` and
+``closure._enlargements`` pair an order they have with its basis directly.
 """
 
 from __future__ import annotations
@@ -477,7 +478,7 @@ class EmbeddedOrder:
     ``basis[r]`` is the ambient element of basis vector r of ``order``, and
     ``order.table`` multiplies those elements.  A field component A e_i has
     fewer basis elements than the ambient dimension; an overorder has full
-    rank.  Build one with ``embedded_order``.
+    rank.  ``embedded_order`` builds one from generators.
     """
 
     order: ZOrder

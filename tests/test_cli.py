@@ -353,8 +353,7 @@ def test_ramify_index_divisible_names_the_tag_once(capsys):
     # Every power basis of cubic_index2 has even index.
     code, out, err = run(capsys, "ramify", order_path("cubic_index2"), "--prime", "2")
     assert (code, out) == (4, "")
-    assert err.count("INDEX_DIVISIBLE") == 1
-    assert "Traceback" not in err
+    assert err == "error: INDEX_DIVISIBLE: 2 divides the equation-order index 2; profile unavailable at this prime\n"
 
 
 def test_ramify_rejects_composite(capsys):

@@ -362,6 +362,28 @@ def test_verify_runs_round_two_at_a_prime_dividing_the_index(calls_to, z_sqrt5):
     assert multiplier_primes == [2]
 
 
+@pytest.mark.parametrize(
+    "polys, steps",
+    [
+        (((1, 0, 1), (-3, 0, 0, 0, 1)), 2),
+        (((1, 0, 1), (-2, 0, 0, 1), (-3, 0, 0, 0, 1)), 3),
+        (((-2, 0, 0, 1), (-3, 0, 0, 0, 1), (-5, 0, 0, 0, 0, 1)), 4),
+    ],
+    ids=["i-x-3^(1/4)", "i-x-2^(1/3)-x-3^(1/4)", "2^(1/3)-x-3^(1/4)-x-5^(1/5)"],
+)
+def test_decision_settles_each_component_by_dedekind(calls_to, equation_product, polys, steps):
+    # Each component's factor passes Dedekind's criterion at every prime, so
+    # the decision takes no round-2 step.  The verifier tests mu of the whole
+    # algebra only at primes prime to [A : Z[a]], and runs one step at each
+    # of the others.
+    order = equation_product(*polys)
+    multiplier_calls = calls_to(prufer.closure, "ring_of_multipliers")
+    cert = decide_pruefer(order)
+    assert (cert.verdict, len(multiplier_calls)) == ("YES", 0)
+    assert verify_certificate(order, cert)
+    assert len(multiplier_calls) == steps
+
+
 def test_verify_rejects_commuting_pair(m2z, corpus):
     cert = decide_pruefer(m2z)
     doc = cert.to_dict()
@@ -615,6 +637,79 @@ def test_verify_raises_on_a_nilpotency_power_below_two(corpus):
     doc["witness"]["power"] = 1
     with pytest.raises(MalformedCertificateError, match="bad nilpotency power"):
         verify_certificate(corpus["z_x_mod_x2"], PrueferCertificate.from_dict(doc))
+
+
+def _forged_sqrt5(z_sqrt5, edit):
+    doc = decide_pruefer(z_sqrt5).to_dict()
+    edit(doc)
+    return doc
+
+
+def _as_idempotent_escape(doc):
+    doc.update(reason="IDEMPOTENT_ESCAPES", citation="integral-idempotent-outside-order")
+    del doc["witness"]["component"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda doc: doc["witness"].update(min_poly="7 + X^5"), _as_idempotent_escape],
+    ids=["min-poly-not-the-witness-s", "golden-ratio-is-not-idempotent"],
+)
+def test_verify_refuses_a_no_witness_whose_claims_fail(z_sqrt5, edit):
+    # (1 + sqrt5)/2 is integral and outside Z[sqrt5], but its minimal
+    # polynomial is X^2 - X - 1 and it is not an idempotent.
+    doc = _forged_sqrt5(z_sqrt5, edit)
+    assert verify_certificate(z_sqrt5, PrueferCertificate.from_dict(doc)) is False
+
+
+@pytest.mark.parametrize("component", [-1, True, "0", None, 0.0], ids=["negative", "bool", "string", "null", "float"])
+def test_verify_raises_on_a_bad_component_index(z_sqrt5, component):
+    doc = _forged_sqrt5(z_sqrt5, lambda doc: doc["witness"].update(component=component))
+    with pytest.raises(MalformedCertificateError, match="^MALFORMED_CERTIFICATE: bad component index$"):
+        verify_certificate(z_sqrt5, PrueferCertificate.from_dict(doc))
+
+
+def test_certificate_citation_must_match_its_reason(z_sqrt5):
+    doc = _forged_sqrt5(z_sqrt5, lambda doc: doc.update(citation="anything"))
+    with pytest.raises(MalformedCertificateError, match="citation does not match reason COMPONENT_NOT_MAXIMAL"):
+        PrueferCertificate.from_dict(doc)
+
+
+def test_to_dict_leaves_the_certificate_as_it_is(z_sqrt5):
+    cert = decide_pruefer(z_sqrt5)
+    text = cert.to_json()
+    cert.to_dict()["witness"]["element"][0] = "1"
+    assert cert.to_json() == text
+
+
+def test_from_dict_keeps_its_own_witness(z_sqrt5):
+    doc = decide_pruefer(z_sqrt5).to_dict()
+    cert = PrueferCertificate.from_dict(doc)
+    text = cert.to_json()
+    doc["witness"]["element"][0] = "1"
+    assert cert.to_json() == text
+    # Copied without a trip through JSON text: an int past the digit limit
+    # for str() is kept too.
+    doc["witness"]["component"] = 10**5000
+    assert PrueferCertificate.from_dict(doc).witness["component"] == 10**5000
+
+
+def test_a_witness_nested_past_the_recursion_limit_is_malformed():
+    text = '{"verdict": "NO", "reason": "NOT_REDUCED", "witness": ' + "[" * 100_000
+    with pytest.raises(MalformedCertificateError, match="^MALFORMED_CERTIFICATE: invalid JSON"):
+        PrueferCertificate.from_json(text)
+    element = deep = []
+    for _ in range(5000):
+        deep.append([])
+        deep = deep[0]
+    doc = {
+        "verdict": "NO",
+        "reason": "NOT_REDUCED",
+        "witness": {"element": element, "power": 2},
+        "citation": "nilpotents-obstruct-integral-closure",
+    }
+    with pytest.raises(MalformedCertificateError, match="^MALFORMED_CERTIFICATE: witness nested too deeply$"):
+        PrueferCertificate.from_dict(doc)
 
 
 def test_certificate_construction_checks_its_fields():

@@ -6,11 +6,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import prufer
 
-from prufer.closure import maximal_order
+from prufer.closure import field_polynomial, maximal_order, power_index
 from prufer.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -699,7 +699,8 @@ def test_ramification_searches_once(z_i, search_calls):
 
 
 def test_ramification_builds_no_equation_order(z_i, calls_to):
-    # [O : Z[a]] comes from the power basis of a in O, not from disc(Z[mu]).
+    # Dedekind's criterion reads mu alone, and the success path needs no
+    # [O : Z[a]]: nothing builds Z[X]/(mu).
     calls = calls_to(prufer.orders, "equation_order")
     assert ramification_profile(z_i, 5).pairs == ((1, 1), (1, 1))
     assert calls == []
@@ -723,6 +724,41 @@ def test_ramification_essential_index(corpus):
     # no choice of generator avoids index divisible by 2 for this cubic
     with pytest.raises(IndexDivisibleError):
         ramification_profile(corpus["cubic_index2"], 2)
+
+
+@st.composite
+def _ramified_polynomials(draw):
+    """Monic irreducible integer polynomials of degree 2 to 5 with a ramified
+    shape, as in test_closure's Dedekind cases: X^d + p*(...) + p^k*c, or
+    (X - c)^d moved by multiples of p."""
+    d = draw(st.integers(2, 5))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        head = p ** draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1, 2, 3]))
+        coeffs = [head] + [p * draw(st.integers(-2, 2)) for _ in range(d - 1)]
+    else:
+        base = (P(-draw(st.integers(-2, 2)), 1) ** d).integer_numerators
+        coeffs = [c + p ** draw(st.integers(1, 3)) * draw(st.integers(-1, 1)) for c in base[:-1]]
+    mu = RationalPolynomial.from_int_coeffs(coeffs + [1])
+    assume([m for _, m in poly_factor(mu)] == [1])
+    return mu
+
+
+@settings(max_examples=25)
+@given(st.one_of(st.sampled_from(["z", "z_i", "z_golden", "z_sqrt5", "z_3i", "cubic_index2"]), _ramified_polynomials()))
+def test_index_divisible_exactly_where_p_divides_the_power_index(corpus, field):
+    # In a maximal order O, mu_a fails Dedekind's criterion at p exactly when
+    # p divides [O : Z[a]]: the refusal must follow the index rule written out.
+    order = maximal_order(corpus[field] if isinstance(field, str) else equation_order(field)).order
+    a, _ = field_polynomial(order)
+    index = power_index(order, a)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        try:
+            ramification_profile(order, p)
+            refused = False
+        except IndexDivisibleError:
+            refused = True
+        assert refused == (index % p == 0), (str(field), p, index)
 
 
 # -- the transform ------------------------------------------------------------
