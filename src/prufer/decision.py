@@ -269,7 +269,9 @@ def verify_certificate(order: ZOrder, cert: PrueferCertificate) -> bool:
                 raise MalformedCertificateError("MALFORMED_CERTIFICATE: bad nilpotency power")
             if a.is_zero or not a.is_integral_vector:
                 return False
-            return power(order, a, k).is_zero
+            # A nilpotent element of an algebra of dimension n has a^n = 0, so
+            # a^min(k, n) = 0 exactly when a^k = 0, whatever k is claimed.
+            return power(order, a, min(k, order.dim)).is_zero
         # IDEMPOTENT_ESCAPES and COMPONENT_NOT_MAXIMAL share the witness
         # shape: an element integral over Z but outside the lattice, with its
         # minimal polynomial; an escaping idempotent is also idempotent.

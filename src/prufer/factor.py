@@ -14,11 +14,15 @@ Pipeline for a nonzero polynomial F over Q with primitive part P:
 4. Cantor-Zassenhaus equal-degree splitting at the prime with the fewest
    factors, with a generator seeded by that prime (deterministic);
 5. quadratic Hensel lifting of the factor tree until the modulus clears
-   twice the Landau-Mignotte coefficient bound;
-6. subset recombination (Zassenhaus, J. Number Theory 1969): a subset is
-   skipped when its degree is not among the subset sums of step 3, or when
-   its constant term does not divide that of the remaining cofactor, and
-   each other monic candidate is tested by exact division;
+   twice the Landau-Mignotte coefficient bound for the largest subset sum
+   of step 3 that is at most n/2: a proper factorization has a side of
+   degree at most n/2, and the lift recovers exactly the factors of such
+   degrees;
+6. subset recombination (Zassenhaus, J. Number Theory 1969), by subset size,
+   for factors of degree at most half that of the remaining cofactor: a
+   subset is skipped when its degree is larger, or is not among the subset
+   sums of step 3, or when its constant term does not divide that of the
+   cofactor, and each other monic candidate is tested by exact division;
 7. map factors of G back to factors of F as g(l*X), made monic.
 
 Polynomials are dense lists of ints, ascending powers; the exact division
@@ -100,7 +104,7 @@ def _zp_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], lis
 
 def _gp_monic(a: list[int], p: int) -> list[int]:
     a = _trim([c % p for c in a])
-    if not a:
+    if not a or a[-1] == 1:
         return a
     inv = pow(a[-1], p - 2, p)
     return [(c * inv) % p for c in a]
@@ -115,12 +119,25 @@ def _gp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     return _zp_scale(q, inv, p), r
 
 
+def _gp_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over F_p, for b monic and a of any integers; no quotient is
+    formed, and coefficients are reduced once, at the end."""
+    db = len(b) - 1
+    a = list(a)
+    for k in range(len(a) - db - 1, -1, -1):
+        c = a[k + db] % p
+        if c:
+            for j in range(db):
+                a[k + j] -= c * b[j]
+    return _trim([c % p for c in a[:db]])
+
+
 def _gp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd over F_p; each Euclid step divides by a monic divisor and
     keeps only the remainder."""
     a, b = _gp_monic(a, p), _gp_monic(b, p)
     while b:
-        a, b = b, _gp_monic(_zp_divmod_monic(a, b, p)[1], p)
+        a, b = b, _gp_monic(_gp_rem(a, b, p), p)
     return a
 
 
@@ -141,13 +158,13 @@ def _gp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], 
 
 
 def _gp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    return _zp_divmod_monic(_zp_mul(a, b, p), f, p)[1]
+    return _gp_rem(_zp_mul(a, b, p), f, p)
 
 
 def _gp_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     """a^e mod f over F_p, for f monic and e >= 1, square and multiply from
     the top bit down."""
-    result = base = _zp_divmod_monic(a, f, p)[1]
+    result = base = _gp_rem(a, f, p)
     for bit in bin(e)[3:]:
         result = _gp_mulmod(result, result, f, p)
         if bit == "1":
@@ -176,8 +193,8 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
         g = _gp_gcd(f, _zp_sub(h, [0, 1], p), p)
         if len(g) > 1:
             out.append((d, g))
-            f = _gp_divmod(f, g, p)[0]
-            h = _gp_divmod(h, f, p)[1]
+            f = _zp_divmod_monic(f, g, p)[0]
+            h = _gp_rem(h, f, p)
     if len(f) > 1:
         out.append((len(f) - 1, f))
     return out
@@ -199,7 +216,7 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
         a = _trim([rng.randrange(p) for _ in range(n)])
         u = _gp_gcd(g, _zp_sub(_gp_powmod(a, (p**d - 1) // 2, g, p), [1], p), p)
         if 0 < len(u) - 1 < n:
-            return _equal_degree(u, d, p, rng) + _equal_degree(_gp_divmod(g, u, p)[0], d, p, rng)
+            return _equal_degree(u, d, p, rng) + _equal_degree(_zp_divmod_monic(g, u, p)[0], d, p, rng)
     raise PruferError(f"equal-degree splitting mod {p} found no split in {_EQUAL_DEGREE_DRAWS} draws")
 
 
@@ -447,31 +464,41 @@ def _factor_squarefree_monic_int(g_coeffs: list[int], p: int, more_primes) -> li
         (u for d, g in split for u in _equal_degree(g, d, p, rng)),
         key=lambda u: (len(u), tuple(u)),
     )
+    # The largest subset sum at most n/2 (step 5 of the module docstring).
+    top = (sums & ((2 << n // 2) - 1)).bit_length() - 1
     norm2 = isqrt(sum(c * c for c in g_coeffs)) + 1
-    bound = comb(n, n // 2) * norm2 + 1
+    bound = comb(top, top // 2) * norm2 + 1
     target = 2 * bound + 1
     final_mod = p
     while final_mod < target:
         final_mod *= final_mod
     lifted = _hensel_lift_tree(g_coeffs, modular, p, target)
-    # Subset recombination against the remaining cofactor.  Each candidate
-    # is monic, so division by it stays over Z and is exact when it divides;
-    # then its degree is a subset sum and its constant term divides the
-    # cofactor's, and both are tested before the product is formed.
+    # Subset recombination against the remaining cofactor, for its side of
+    # degree at most half its own, which the lift recovers.  The first
+    # candidate that divides is irreducible: a smaller factor has a smaller
+    # subset, tried first.  Candidates are monic, so division stays over Z;
+    # degree and constant term are tested before the product is formed, and
+    # the pool stays sorted by degree, so the sizes stop once the smallest
+    # subset of the next size is too large.
     remaining = RationalPolynomial.from_int_coeffs(g_coeffs)
     pool = lifted
     found: list[list[int]] = []
     size = 1
-    while 2 * size <= len(pool):
+    while size < len(pool):
+        degrees = [len(u) - 1 for u in pool]
+        half = remaining.degree // 2
+        if sum(degrees[:size]) > half:
+            break
+        rest_low = remaining.integer_numerators[0]
         hit = False
         for combo in combinations(range(len(pool)), size):
-            if not sums >> sum(len(pool[i]) - 1 for i in combo) & 1:
+            degree = sum(map(degrees.__getitem__, combo))
+            if degree > half or not sums >> degree & 1:
                 continue
             low = 1
             for i in combo:
                 low = low * pool[i][0] % final_mod
             low = _symmetric(low, final_mod)
-            rest_low = remaining.integer_numerators[0]
             if (rest_low % low if low else rest_low) != 0:
                 continue
             cand = [1]
@@ -550,15 +577,16 @@ def check_factor_degree(f: RationalPolynomial) -> None:
 
 
 def _gp_radical(f: list[int], p: int) -> list[int]:
-    """The product of the distinct irreducible factors of a monic f over F_p:
-    f / gcd(f, f') takes those of multiplicity prime to p, and once they are
-    divided out the rest is r(X^p) = r(X)^p."""
+    """The product of the distinct irreducible factors of a monic f over F_p.
+    s = f / gcd(f, f') takes those of multiplicity prime to p.  s^(deg f)
+    holds each of them at least as often as f does and nothing else, so
+    dividing f by gcd(f, s^(deg f)) removes them all in one step, and the
+    rest is r(X^p) = r(X)^p."""
     df = _gp_deriv(f, p)
     if not df:
         return f if len(f) == 1 else _gp_radical(f[::p], p)
-    s = _gp_divmod(f, _gp_gcd(f, df, p), p)[0]
-    while len(g := _gp_gcd(f, s, p)) > 1:
-        f = _gp_divmod(f, g, p)[0]
+    s = _zp_divmod_monic(f, _gp_gcd(f, df, p), p)[0]
+    f = _zp_divmod_monic(f, _gp_gcd(f, _gp_powmod(s, len(f) - 1, f, p), p), p)[0]
     return _zp_mul(s, _gp_radical(f, p), p)
 
 
@@ -581,8 +609,8 @@ def modp_degrees(coeffs: Sequence[int], p: int) -> list[tuple[int, int]]:
     while len(rest) > 1:
         e += 1
         r = _gp_radical(rest, p)
-        rest = _gp_divmod(rest, r, p)[0]
-        exact = _gp_divmod(r, _gp_gcd(r, rest, p), p)[0]
+        rest = _zp_divmod_monic(rest, r, p)[0]
+        exact = _zp_divmod_monic(r, _gp_gcd(r, rest, p), p)[0]
         out.extend((e, d) for d, g in _distinct_degree(exact, p) for _ in range((len(g) - 1) // d))
     return sorted(out)
 
@@ -596,6 +624,6 @@ def dedekind_p_maximal(mu: RationalPolynomial, p: int) -> bool:
     """
     f = list(mu.integer_numerators)
     g = _gp_radical(_trim([c % p for c in f]), p)
-    h = _gp_divmod(f, g, p)[0]
+    h = _zp_divmod_monic(f, g, p)[0]
     big_f = [c // p for c in _zp_sub(_zp_mul(g, h, p * p), f, p * p)]
     return len(_gp_gcd(big_f, h, p)) == 1

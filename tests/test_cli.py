@@ -330,6 +330,21 @@ def test_ramify_golden(capsys, name, prime, expected):
     assert out == expected
 
 
+# stdout, stderr and exit code of ``ramify --json`` on every commutative corpus
+# order at p = 2, 3, 5 and 7, recorded before the radical over F_p took one
+# gcd for all multiplicities and the mod-p remainders stopped forming
+# quotients.  The profile comes from ``modp_degrees`` and the refusals from
+# Dedekind's criterion, both through ``_gp_radical``.
+RAMIFY_GOLDENS = json.loads((pathlib.Path(__file__).resolve().parent / "ramify_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(RAMIFY_GOLDENS))
+def test_ramify_corpus_golden(capsys, case):
+    name, prime = case.split()
+    out, err, code = RAMIFY_GOLDENS[case]
+    assert run(capsys, "ramify", order_path(name), "--prime", prime, "--json") == (code, out, err)
+
+
 def test_ramify_refuses_an_r_too_long_to_print(capsys, tmp_path):
     # X^8 - 3 is maximal and 5 is inert in it: r = 5^(8!) has 28183 digits.
     doc = order_file(tmp_path, radical_order(8, -3))

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -637,6 +638,26 @@ def test_verify_raises_on_a_nilpotency_power_below_two(corpus):
     doc["witness"]["power"] = 1
     with pytest.raises(MalformedCertificateError, match="bad nilpotency power"):
         verify_certificate(corpus["z_x_mod_x2"], PrueferCertificate.from_dict(doc))
+
+
+def test_verify_refuses_a_huge_nilpotency_power_quickly(corpus):
+    # 1 + i is not nilpotent; squaring it 10^13 times would need terabytes,
+    # but a nilpotent element of Z[i] already has square 0.
+    doc = {
+        "verdict": "NO",
+        "reason": "NOT_REDUCED",
+        "witness": {"element": ["1", "1"], "power": 10**13},
+        "citation": "nilpotents-obstruct-integral-closure",
+    }
+    start = time.perf_counter()
+    assert verify_certificate(corpus["z_i"], PrueferCertificate.from_dict(doc)) is False
+    assert time.perf_counter() - start < 0.5
+
+
+def test_verify_accepts_a_true_nilpotent_with_a_huge_power(corpus):
+    doc = decide_pruefer(corpus["z_x_mod_x2"]).to_dict()
+    doc["witness"]["power"] = 10**13
+    assert verify_certificate(corpus["z_x_mod_x2"], PrueferCertificate.from_dict(doc)) is True
 
 
 def _forged_sqrt5(z_sqrt5, edit):

@@ -7,7 +7,20 @@ from hypothesis import given, strategies as st
 
 import prufer.factor
 from prufer.errors import DiscFactorizationError, FactorDegreeError, ZeroPolynomialError
-from prufer.factor import _pollard_brent, factor_int, is_probable_prime, modp_degrees, poly_factor
+from prufer.factor import (
+    _gp_deriv,
+    _gp_divmod,
+    _gp_gcd,
+    _gp_monic,
+    _gp_radical,
+    _pollard_brent,
+    _zp_mul,
+    dedekind_p_maximal,
+    factor_int,
+    is_probable_prime,
+    modp_degrees,
+    poly_factor,
+)
 from prufer.poly import RationalPolynomial
 
 
@@ -281,6 +294,17 @@ def test_degree_patterns_prove_irreducible_without_lifting(calls_to, f):
     assert lifts == []
 
 
+@pytest.mark.parametrize("n", [7, 11])
+def test_x_to_the_n_minus_2_lifts_one_step(calls_to, n):
+    # X^7 - 2 splits as 1 + 6 mod 3 and X^11 - 2 as 1 + 10 mod 7, so the
+    # lift need only recover a linear factor, whose coefficients are at most
+    # the 2-norm sqrt(5) of X^n - 2; p^2 already clears twice that bound.
+    steps = calls_to(prufer.factor, "_hensel_step")
+    f = P(-2, *[0] * (n - 1), 1)
+    assert poly_factor(f) == [(f, 1)]
+    assert len(steps) <= 1
+
+
 def test_irreducible_without_a_proving_pattern_still_lifts(calls_to):
     # X^4 + 1 has Galois group (Z/2)^2, so mod every odd prime its factors
     # have degree at most 2: only lifting and recombination prove it.
@@ -309,3 +333,60 @@ def test_recombination_divisions(monkeypatch):
     monkeypatch.setattr(RationalPolynomial, "__divmod__", counting)
     assert poly_factor(mu) == [(g, 1) for g in factors]
     assert len(divisions) == 2
+
+
+def _radical_by_peeling(f, p):
+    """``_gp_radical`` as it was first written: one multiplicity of the
+    factors prime to p divided out per gcd."""
+    df = _gp_deriv(f, p)
+    if not df:
+        return f if len(f) == 1 else _radical_by_peeling(f[::p], p)
+    s = _gp_divmod(f, _gp_gcd(f, df, p), p)[0]
+    while len(g := _gp_gcd(f, s, p)) > 1:
+        f = _gp_divmod(f, g, p)[0]
+    return _zp_mul(s, _radical_by_peeling(f, p), p)
+
+
+def _seeded_monic(rng, p):
+    """A monic integer polynomial of degree at most 30 that is a product of
+    small monic factors, some raised to a power of at least p and some in X^p."""
+    f = P(1)
+    for _ in range(rng.randint(1, 3)):
+        g = P(*[rng.randint(-4, 4) for _ in range(rng.randint(1, 3))], 1)
+        if rng.random() < 0.3:
+            spread = [0] * (g.degree * p + 1)
+            spread[::p] = g.integer_numerators
+            g = RationalPolynomial(spread)
+        m = rng.choice([1, 1, 2, p, p + 1])
+        if f.degree + g.degree * m <= 30:
+            f = f * g**m
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_radical_matches_peeling(monkeypatch, p):
+    rng = random.Random(p)
+    cases = [_seeded_monic(rng, p) for _ in range(40)]
+    radicals = [_gp_radical(_gp_monic(list(f.integer_numerators), p), p) for f in cases]
+    verdicts = [dedekind_p_maximal(f, p) for f in cases]
+    degrees = [modp_degrees(f.integer_numerators, p) for f in cases]
+    # Some factor mod p has a multiplicity divisible by p, where the radical
+    # recurses on the p-th root, and Dedekind's criterion goes both ways.
+    assert any(e % p == 0 for pairs in degrees for e, _ in pairs)
+    assert True in verdicts and False in verdicts
+    monkeypatch.setattr(prufer.factor, "_gp_radical", _radical_by_peeling)
+    assert radicals == [_radical_by_peeling(_gp_monic(list(f.integer_numerators), p), p) for f in cases]
+    assert verdicts == [dedekind_p_maximal(f, p) for f in cases]
+    assert degrees == [modp_degrees(f.integer_numerators, p) for f in cases]
+
+
+def test_radical_gcds_do_not_grow_with_multiplicity(calls_to):
+    # X^n - 2 = X^n mod 2: peeling took one gcd per multiplicity, n + 2 in
+    # all; one gcd with X^n removes them together.
+    gcds = calls_to(prufer.factor, "_gp_gcd")
+    counts = []
+    for n in (7, 11, 31):
+        gcds.clear()
+        assert _gp_radical(_gp_monic([-2, *[0] * (n - 1), 1], 2), 2) == [0, 1]
+        counts.append(len(gcds))
+    assert counts == [counts[0]] * 3 and counts[0] <= 2

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import prufer.factor
 from prufer.factor import _distinct_degree, _equal_degree, _gp_monic, factor_int, modp_degrees, poly_factor
 from prufer.poly import RationalPolynomial
 
@@ -63,6 +64,8 @@ X8_PLUS_1 = _monic(1, *[0] * 7)
 X16_PLUS_1 = _monic(1, *[0] * 15)
 SD2 = _monic(1, 0, -10, 0)
 X6_PLUS_108 = _radical(6, 108)
+# Irreducible mod 3, where X^4 + 1 is a product of two quadratics.
+X5_MINUS_X_MINUS_1 = _monic(-1, -1, 0, 0, 0)
 SD4 = _monic(46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0, -141912, 0, 6476, 0, -136, 0)
 KNOWN_FACTOR_LISTS = (
     [[_radical(n, a)] for n in range(1, 33) for a in (-2, 3)]
@@ -75,6 +78,7 @@ KNOWN_FACTOR_LISTS = (
         [_radical(12, -2), _radical(12, 3)],
         [(X4_PLUS_1[0], 1, 2), X8_PLUS_1],
         [(SD2[0], 1, 3), (X6_PLUS_108[0], 1, 2)],
+        [X4_PLUS_1, X5_MINUS_X_MINUS_1],
     ]
 )
 
@@ -94,6 +98,18 @@ def test_poly_factor_matches_sympy(factors, scale):
     _, expected = sympy.Poly(list(reversed(f.integer_numerators)), X).factor_list()
     expected = sorted((tuple(int(c) for c in reversed(g.all_coeffs())), m) for g, m in expected)
     assert sorted((g.integer_numerators, m) for g, m in poly_factor(f)) == expected
+
+
+def test_small_side_can_need_most_modular_factors(calls_to):
+    # (X^4 + 1)(X^5 - X - 1) lifts mod 3 from factors of degrees 2, 2 and 5.
+    # Its side of degree at most 9/2 is X^4 + 1, two of the three, so the
+    # recombination must try subsets of more than half the pool.
+    lifts = calls_to(
+        prufer.factor, "_hensel_lift_tree", lambda f, factors, p, target: (p, [len(u) - 1 for u in factors])
+    )
+    small, large = RationalPolynomial(X4_PLUS_1[0] + [1]), RationalPolynomial(X5_MINUS_X_MINUS_1[0] + [1])
+    assert poly_factor(small * large) == [(small, 1), (large, 1)]
+    assert lifts[0] == (3, [2, 2, 5])
 
 
 # Primes on both sides of the trial-division bound 10^5, so Pollard-Brent
