@@ -5,11 +5,13 @@ finite product of rings of integers of number fields.  ``decide_pruefer``
 walks the obstruction ladder (noncommutativity, nilpotents, idempotents
 escaping the lattice, a component below its maximal order) and emits a
 ``PrueferCertificate`` whose witness ``verify_certificate`` re-checks
-without rerunning the decision.  The solver tries Dedekind's criterion at
-every p; the check of a YES only at p prime to [A : Z[a]], a the primitive
-element, where it shares only ``dedekind_p_maximal``; elsewhere it shares
-``p_radical`` and ``ring_of_multipliers``, and always ``discriminant``,
-``factor_int`` and ``poly_factor``.  Neither guesses: when an
+without rerunning the decision.  Both settle each component A e_i at every p
+with p^2 | disc(A e_i) by Dedekind's criterion on its factor g_i, the minimal
+polynomial of a e_i for the primitive element a.  Where g_i fails, the solver
+takes a round-2 step; the check refuses, or takes one step if p | [A : Z[a]].
+The check shares ``discriminant``, ``factor_int``, ``poly_factor``,
+``dedekind_p_maximal`` and ``embedded_order`` with the solver, and at those p
+also ``p_radical`` and ``ring_of_multipliers``.  Neither guesses: when an
 ``errors.UnansweredError`` stops the work, ``decide_pruefer`` raises
 IndeterminateError with the error's tag as reason, and ``verify_certificate``
 lets the error through instead of returning False.
@@ -318,14 +320,12 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
         dims.append(d)
         bases.append(rows)
 
-    # The primitive element must generate the whole algebra and factor as
-    # claimed: by unique factorisation, mu is squarefree with exactly the
-    # claimed irreducible factors when they are distinct monic irreducibles
-    # whose product is mu.  poly_factor(g) == [(g, 1)] holds only for a
-    # monic irreducible g of degree at least 1.
-    if mu.degree != n or not mu.is_monic:
-        return False
-    if not evaluate_poly(order, mu, primitive).is_zero:
+    # The primitive element must lie in A, and mu must factor as claimed: by
+    # unique factorisation, mu is squarefree with exactly the claimed
+    # irreducible factors when they are distinct monic irreducibles whose
+    # product is mu.  poly_factor(g) == [(g, 1)] holds only for a monic
+    # irreducible g of degree at least 1.
+    if mu.degree != n or not mu.is_monic or not primitive.is_integral_vector:
         return False
     check_factor_degree(mu)
     if len(set(factors)) != len(factors):
@@ -366,14 +366,15 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
     if lat.rank != n or abs(lat.determinant()) != 1:
         return False
 
-    # Each component must close under multiplication, be a ring with identity
-    # the claimed idempotent, and be p-maximal at each p with p^2 | disc.  If
-    # [A : Z[a]] != 0, then mu = mu_a, and at p prime to it A_(p) = Z_(p)[a]:
-    # A, and with it each A e_i, is p-maximal exactly when mu passes Dedekind.
+    # Each component must close under multiplication with identity e_i, and
+    # g_i(a) e_i = 0, so that a e_i in A e_i has minimal polynomial g_i.  As
+    # sum e_i = 1 and g_i | mu, then mu(a) = sum (mu/g_i)(a) g_i(a) e_i = 0.
     index = power_index(order, primitive)
     try:
-        for ei, rows in zip(idems, bases):
-            if not _component_is_maximal(embedded_order(order, rows, ei).order, mu, index):
+        for g, ei, rows in zip(factors, idems, bases):
+            if not mul(order, evaluate_poly(order, g, primitive), ei).is_zero:
+                return False
+            if not _component_is_maximal(embedded_order(order, rows, ei).order, g, index):
                 return False
     except UnansweredError:
         raise
@@ -382,16 +383,17 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
     return True
 
 
-def _component_is_maximal(component: ZOrder, mu: RationalPolynomial, index: int) -> bool:
+def _component_is_maximal(component: ZOrder, g: RationalPolynomial, index: int) -> bool:
+    """Whether A e_i is p-maximal wherever p^2 | disc, for g = mu of a e_i and
+    index = [A : Z[a]]: Z[a e_i] is p-maximal where g passes Dedekind, and as
+    [A e_i : Z[a e_i]] divides [A : Z[a]], a failure at p prime to the index
+    is conclusive; only at p | index does one round-2 step decide."""
     disc = discriminant(component)
     if disc == 0:
         return False
     for p, v in sorted(factor_int(abs(disc)).items()):
-        if v < 2:
+        if v < 2 or dedekind_p_maximal(g, p):
             continue
-        if index % p:
-            if not dedekind_p_maximal(mu, p):
-                return False
-        elif ring_of_multipliers(component, p_radical(component, p), p).index != 1:
+        if index % p or ring_of_multipliers(component, p_radical(component, p), p).index != 1:
             return False
     return True

@@ -68,10 +68,9 @@ class FactorDegreeError(UnansweredError):
 class SearchExhaustedError(UnansweredError):
     """A bounded deterministic search ran out of candidates.
 
-    Raised by the primitive-element search; for the algebras accepted by
-    ``decompose`` (commutative, reduced, dimension <= 32) small coefficient
-    vectors always work, so hitting this indicates a bug or a precondition
-    violation rather than a mathematical obstruction.
+    Raised by the primitive-element search when its shell walk reaches
+    ``SEARCH_CAP``: a resource limit of the walk, not a fault.  A YES can lie
+    past it, as for Z[i] x Z[sqrt 2] x Z[2^(1/3)] x Z[3^(1/4)] x Z[5^(1/5)].
     """
 
     tag = "SEARCH_EXHAUSTED"

@@ -20,9 +20,8 @@ Pipeline for a nonzero polynomial F over Q with primitive part P:
    degrees;
 6. subset recombination (Zassenhaus, J. Number Theory 1969), by subset size,
    for factors of degree at most half that of the remaining cofactor: a
-   subset is skipped when its degree is larger, or is not among the subset
-   sums of step 3, or when its constant term does not divide that of the
-   cofactor, and each other monic candidate is tested by exact division;
+   subset is skipped when its degree is larger or its constant term does
+   not divide the cofactor's; other monic candidates go to exact division;
 7. map factors of G back to factors of F as g(l*X), made monic.
 
 Polynomials are dense lists of ints, ascending powers; the exact division
@@ -493,7 +492,7 @@ def _factor_squarefree_monic_int(g_coeffs: list[int], p: int, more_primes) -> li
         hit = False
         for combo in combinations(range(len(pool)), size):
             degree = sum(map(degrees.__getitem__, combo))
-            if degree > half or not sums >> degree & 1:
+            if degree > half:
                 continue
             low = 1
             for i in combo:

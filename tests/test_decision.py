@@ -364,25 +364,23 @@ def test_verify_runs_round_two_at_a_prime_dividing_the_index(calls_to, z_sqrt5):
 
 
 @pytest.mark.parametrize(
-    "polys, steps",
+    "polys",
     [
-        (((1, 0, 1), (-3, 0, 0, 0, 1)), 2),
-        (((1, 0, 1), (-2, 0, 0, 1), (-3, 0, 0, 0, 1)), 3),
-        (((-2, 0, 0, 1), (-3, 0, 0, 0, 1), (-5, 0, 0, 0, 0, 1)), 4),
+        ((1, 0, 1), (-3, 0, 0, 0, 1)),
+        ((1, 0, 1), (-2, 0, 0, 1), (-3, 0, 0, 0, 1)),
+        ((-2, 0, 0, 1), (-3, 0, 0, 0, 1), (-5, 0, 0, 0, 0, 1)),
     ],
     ids=["i-x-3^(1/4)", "i-x-2^(1/3)-x-3^(1/4)", "2^(1/3)-x-3^(1/4)-x-5^(1/5)"],
 )
-def test_decision_settles_each_component_by_dedekind(calls_to, equation_product, polys, steps):
+def test_decision_settles_each_component_by_dedekind(calls_to, equation_product, polys):
     # Each component's factor passes Dedekind's criterion at every prime, so
-    # the decision takes no round-2 step.  The verifier tests mu of the whole
-    # algebra only at primes prime to [A : Z[a]], and runs one step at each
-    # of the others.
+    # neither the decision nor the verifier takes a round-2 step.
     order = equation_product(*polys)
     multiplier_calls = calls_to(prufer.closure, "ring_of_multipliers")
     cert = decide_pruefer(order)
     assert (cert.verdict, len(multiplier_calls)) == ("YES", 0)
     assert verify_certificate(order, cert)
-    assert len(multiplier_calls) == steps
+    assert len(multiplier_calls) == 0
 
 
 def test_verify_rejects_commuting_pair(m2z, corpus):
@@ -508,6 +506,13 @@ FORGED_YES = {
         _yes_doc(["1", "1"], "-1 + X", [["1", "1"]], [("-1 + X", 1, [["1", "1"]])]),
         "evaluate_poly",
     ),
+    # (1 + sqrt5)/2 has minimal polynomial X^2 - X - 1, which passes Dedekind's
+    # criterion at 2, but it lies outside Z[sqrt5], which is not 2-maximal.
+    "primitive-not-integral": (
+        "z_sqrt5",
+        _yes_doc(["1/2", "1/2"], "-1 - X + X^2", [["1", "0"]], [("-1 - X + X^2", 2, ZI_COMPONENT[2])]),
+        "check_factor_degree",
+    ),
     "min-poly-not-monic": (
         "zxz",
         _yes_doc(["1", "0"], "-2*X + 2*X^2", [["1", "0"], ["0", "1"]], ZXZ_COMPONENTS),
@@ -575,6 +580,92 @@ def test_verify_refuses_a_forged_yes_at_its_claim(calls_to, corpus, claim):
     calls = calls_to(prufer.decision, stage)
     assert verify_certificate(order, PrueferCertificate.from_dict(doc)) is False
     assert calls == []
+
+
+# Products with two components of the same degree, and the YES entries of
+# PRODUCT_CERTIFICATES.
+SAME_DEGREE_PRODUCTS = {
+    "i-x-sqrt2": ((1, 0, 1), (-2, 0, 1)),
+    "2^(1/3)-x-3^(1/3)": ((-2, 0, 0, 1), (-3, 0, 0, 1)),
+}
+YES_PRODUCTS = [*SAME_DEGREE_PRODUCTS.values()] + [
+    polys for polys, expected in PRODUCT_CERTIFICATES if '"verdict": "YES"' in expected
+]
+
+
+@pytest.mark.parametrize("name", sorted(SAME_DEGREE_PRODUCTS))
+def test_verify_refuses_swapped_factors(equation_product, name):
+    # The factor list, mu and the tiles stay true; only g_i(a) e_i = 0 sees
+    # that a e_0 is not a root of the factor now claimed for component 0.
+    order = equation_product(*SAME_DEGREE_PRODUCTS[name])
+    doc = decide_pruefer(order).to_dict()
+    first, second = doc["witness"]["components"]
+    first["factor"], second["factor"] = second["factor"], first["factor"]
+    assert verify_certificate(order, PrueferCertificate.from_dict(doc)) is False
+
+
+@pytest.mark.parametrize("polys", YES_PRODUCTS)
+def test_verify_accepts_the_components_in_another_order(equation_product, polys):
+    order = equation_product(*polys)
+    doc = decide_pruefer(order).to_dict()
+    doc["witness"]["components"].reverse()
+    doc["witness"]["idempotents"].reverse()
+    assert verify_certificate(order, PrueferCertificate.from_dict(doc))
+
+
+def _swap_same_degree_factors(witness, draw):
+    comps = witness["components"]
+    pairs = [(i, j) for j in range(len(comps)) for i in range(j) if comps[i]["dim"] == comps[j]["dim"]]
+    assume(pairs)
+    i, j = draw(st.sampled_from(pairs))
+    comps[i]["factor"], comps[j]["factor"] = comps[j]["factor"], comps[i]["factor"]
+
+
+def _shift_a_factor(witness, draw):
+    # g(X + t), t != 0, is another monic irreducible of the same degree.  With
+    # min_poly following it, the factor claim itself holds.
+    comps = witness["components"]
+    i = draw(st.integers(0, len(comps) - 1))
+    t = draw(st.integers(-3, 3).filter(bool))
+    shifted = RationalPolynomial(())
+    for c in reversed(RationalPolynomial.parse(comps[i]["factor"]).coefficients):
+        shifted = shifted * P(t, 1) + c
+    comps[i]["factor"] = str(shifted)
+    if draw(st.booleans()):
+        product = P(1)
+        for comp in comps:
+            product = product * RationalPolynomial.parse(comp["factor"])
+        witness["min_poly"] = str(product)
+
+
+def _drop_an_idempotent(witness, draw):
+    del witness["idempotents"][draw(st.integers(0, len(witness["idempotents"]) - 1))]
+
+
+def _duplicate_an_idempotent(witness, draw):
+    idems = witness["idempotents"]
+    i = draw(st.integers(0, len(idems) - 1))
+    if draw(st.booleans()):
+        idems.append(idems[i])
+    else:
+        idems[i - 1] = idems[i]
+
+
+@given(
+    st.sampled_from(YES_PRODUCTS),
+    st.sampled_from([_swap_same_degree_factors, _shift_a_factor, _drop_an_idempotent, _duplicate_an_idempotent]),
+    st.data(),
+)
+def test_verify_refuses_every_mutant_of_a_yes(equation_product, polys, mutate, data):
+    order = equation_product(*polys)
+    doc = decide_pruefer(order).to_dict()
+    mutate(doc["witness"], data.draw)
+    start = time.perf_counter()
+    try:
+        accepted = verify_certificate(order, PrueferCertificate.from_dict(doc))
+    except MalformedCertificateError:
+        accepted = False
+    assert accepted is False and time.perf_counter() - start < 0.5
 
 
 def test_verify_refuses_to_factor_past_the_degree_cap():
