@@ -155,7 +155,7 @@ def field_polynomial(order: ZOrder) -> tuple[AlgebraElement, RationalPolynomial]
     commutative, _ = is_commutative(order)
     if not commutative:
         raise NotApplicableError("NOT_COMMUTATIVE: maximal orders are computed for number fields only")
-    a, mu = find_primitive_element(order)
+    a, mu, _ = find_primitive_element(order)
     factors = poly_factor(mu)
     if len(factors) != 1 or factors[0][1] != 1:
         raise NotApplicableError("NOT_A_FIELD: the ambient algebra splits or is not reduced")

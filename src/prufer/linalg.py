@@ -51,8 +51,8 @@ class EchelonSpan:
     f_j = den e_j - sum_r rows[r][j] e_(pivots[r]), one per free column j,
     has f_j . v = 0.  The annihilators are built once per span, on the first
     membership question after it grows; a vector outside usually fails at
-    the first one.  The vectors kept so far are stored as given; a relation
-    among them is solved for only when a dependent vector arrives.
+    the first one.  ``kept`` holds the vectors kept so far as given; a
+    relation among them is solved for only when a dependent vector arrives.
     """
 
     def __init__(self, width: int):
@@ -60,7 +60,7 @@ class EchelonSpan:
         self.den = 1
         self.pivots: list[int] = []
         self.rows: list[list[int]] = []
-        self._kept: list[list[int]] = []
+        self.kept: list[list[int]] = []
         self._free = list(range(width))
         self._annihilators: list[list[int]] | None = None
 
@@ -122,7 +122,7 @@ class EchelonSpan:
         self.rows = [[x // content for x in row] for row in rows]
         self.pivots.append(q)
         self._free.remove(q)
-        self._kept.append(list(v))
+        self.kept.append(list(v))
         self._annihilators = None
         return None
 
@@ -131,8 +131,8 @@ class EchelonSpan:
         the kept vectors form an invertible k x k matrix A, and Bareiss
         elimination of (A | v) there, then back-substitution from
         c_k = +-det A, gives the integer kernel vector, each division exact."""
-        k = len(self._kept)
-        m = [[u[p] for u in self._kept] + [v[p]] for p in self.pivots]
+        k = len(self.kept)
+        m = [[u[p] for u in self.kept] + [v[p]] for p in self.pivots]
         _bareiss(m)
         relation = [0] * k + [m[-1][-2] if k else 1]
         for i in reversed(range(k)):

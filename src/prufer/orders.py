@@ -388,11 +388,12 @@ def trace_gram_matrix(order: ZOrder) -> list[list[int]]:
 
     The trace is linear, so with the trace vector t_k = Tr(b_k), the trace
     of left multiplication by b_k, each entry is sum_k table[i][j][k] * t_k
-    (Cohen, GTM 138, 4.1).
+    (Cohen, GTM 138, 4.1), over the k with t_k != 0 only: for X^n + c that
+    is k = 0, and in a product order one k per block.
     """
     n = order.dim
-    t = [sum(order.table[k][j][j] for j in range(n)) for k in range(n)]
-    return [[sum(c * tk for c, tk in zip(order.table[i][j], t)) for j in range(n)] for i in range(n)]
+    t = [(k, tk) for k in range(n) if (tk := sum(order.table[k][j][j] for j in range(n)))]
+    return [[sum(cell[k] * tk for k, tk in t) for cell in row] for row in order.table]
 
 
 def is_commutative(order: ZOrder) -> tuple[bool, tuple[AlgebraElement, AlgebraElement] | None]:

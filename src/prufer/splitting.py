@@ -19,11 +19,14 @@ rejected a, so each kept span costs a candidate a few integer dot products
 of length n, most often one.  The argument uses only the identity element,
 so it holds in non-reduced algebras too, and the element chosen is the same
 as testing every candidate.
-``crt_idempotents`` is the one CRT split of Q[a]; ``ivp``'s pointwise test
-uses it too.  Everything is deterministic: the factors are sorted
-canonically, so component numbering is reproducible.  A component A e_i
-comes back as an ``orders.EmbeddedOrder``, the same type round 2 uses for
-overorders.
+
+The split does not factor mu_a whole: a rejected b with mu_b = X h(X),
+h(0) != 0, gives the idempotent h(b)/h(0) from its span, these cuts split B
+into blocks, and each block factors its own minimal polynomial.  A block of
+several fields is split by ``crt_idempotents``, the CRT split of Q[a] that
+``ivp``'s pointwise test uses too.  Everything is deterministic: the factors
+are sorted canonically, so component numbering is reproducible.  A component
+A e_i comes back as an ``orders.EmbeddedOrder``, as round 2's overorders do.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import NotApplicableError, PruferError, SearchExhaustedError
-from .factor import poly_factor
+from .factor import check_factor_degree, poly_factor
+from .linalg import EchelonSpan
 from .orders import (
     AlgebraElement,
     EmbeddedOrder,
@@ -73,28 +77,32 @@ def shell_vectors(dim: int, shell_max: int) -> Iterator[tuple[int, ...]]:
                 return
 
 
-def find_primitive_element(order: ZOrder) -> tuple[AlgebraElement, RationalPolynomial]:
+def find_primitive_element(order: ZOrder) -> tuple[AlgebraElement, RationalPolynomial, tuple[AlgebraElement, ...]]:
     """Deterministic search for a in A with deg(minimal polynomial) = dim.
 
-    Returns (a, mu_a) for the first candidate a from ``shell_vectors`` whose
-    powers 1, a, ..., a^(dim-1) are independent, mu_a from the relation that
-    closes a's power span.  Each rejected candidate b leaves its span Q[b], a
-    proper subalgebra; a later candidate c in Q[b] has Q[c] <= Q[b] and is
-    skipped untested.  c lies in Q[b] exactly when every annihilator f of
-    Q[b] has f . c = 0; outside it, the first f usually shows a nonzero, so a
-    candidate costs about one dot product of length dim per kept span before
+    Returns (a, mu_a, cuts) for the first candidate a from ``shell_vectors``
+    whose powers 1, a, ..., a^(dim-1) are independent, mu_a from the relation
+    that closes a's power span.  Each rejected candidate b leaves its span
+    Q[b], a proper subalgebra; a later candidate c in Q[b] has Q[c] <= Q[b]
+    and is skipped untested.  c lies in Q[b] exactly when every annihilator f
+    of Q[b] has f . c = 0; outside it, the first f usually shows a nonzero, so
+    a candidate costs about one dot product of length dim per kept span before
     it is skipped or tested.  A span inside a newer one is dropped, as the
-    newer one rejects everything it would.  Requires the ambient algebra to be
-    commutative; in a reduced (etale) algebra primitive elements exist and
-    small integer combinations of the basis hit one quickly.
+    newer one rejects everything it would.  A rejected b whose relation has
+    c_0 = 0 != c_1 has mu_b = X h(X) with h(0) = c_1, and h(b)/h(0), 1 mod X
+    and 0 mod h, is an idempotent summed from the powers the span kept;
+    ``cuts`` holds the distinct ones in the order found.  Requires the
+    ambient algebra to be commutative; in a reduced (etale) algebra primitive
+    elements exist and small integer combinations of the basis hit one quickly.
     """
     commutative, _ = is_commutative(order)
     if not commutative:
         raise NotApplicableError("NOT_COMMUTATIVE: primitive element search needs a commutative algebra")
     n = order.dim
     if n == 1:
-        return order.identity(), RationalPolynomial((-1, 1))
+        return order.identity(), RationalPolynomial((-1, 1)), ()
     rejected: list[tuple[tuple[int, ...], list[list[int]]]] = []  # (b, annihilators of Q[b])
+    cuts: dict[AlgebraElement, None] = {}
     for vec in shell_vectors(n, shell_max=max(4, n)):
         for _, annihilators in rejected:
             for f in annihilators:
@@ -105,7 +113,10 @@ def find_primitive_element(order: ZOrder) -> tuple[AlgebraElement, RationalPolyn
         else:
             span, relation = power_span(order, vec)
             if span.rank == n:
-                return AlgebraElement(vec), RationalPolynomial.from_int_coeffs(relation, relation[-1])
+                return AlgebraElement(vec), RationalPolynomial.from_int_coeffs(relation, relation[-1]), tuple(cuts)
+            if relation[0] == 0 != relation[1]:
+                h_b = tuple(sum(map(operator.mul, relation[1:], column)) for column in zip(*span.kept))
+                cuts[AlgebraElement(h_b, relation[1])] = None
             rejected = [(b, kept) for b, kept in rejected if b not in span]
             rejected.append((vec, span.annihilators))
     raise SearchExhaustedError("no primitive element found within the search budget")
@@ -141,25 +152,46 @@ def decompose(order: ZOrder) -> Decomposition:
 
 def _split_reduced(order: ZOrder) -> Decomposition:
     """The work of ``decompose`` on an order already known to be commutative
-    and reduced; ``decide_pruefer`` calls it after its own reducedness test."""
-    a, mu = find_primitive_element(order)
-    factor_pairs = poly_factor(mu)
-    if any(mult != 1 for _, mult in factor_pairs):
-        raise PruferError("minimal polynomial of a primitive element is not squarefree in a reduced algebra")
-    factors = tuple(g for g, _ in factor_pairs)
-    idempotents = crt_idempotents(order, a, mu, factors)
+    and reduced; ``decide_pruefer`` calls it after its own reducedness test.
+
+    The search's cuts refine {1} into orthogonal blocks E (f -> fE, f - fE);
+    mu_(aE) in A E is the product of the factors of mu_a there.  Irreducible,
+    it makes E a component's idempotent; reducible, ``crt_idempotents`` splits
+    it, each result times E.  As primitive idempotents are unique, the pairs
+    sorted by factor are those of factoring mu_a whole, which one block does.
+    """
+    a, mu, cuts = find_primitive_element(order)
+    check_factor_degree(mu)  # the cap is on mu_a, though no block may reach it
+    blocks = [order.identity()]
+    for e in cuts:
+        products = [(f, mul(order, f, e)) for f in blocks]
+        blocks = [part for f, fe in products for part in (fe, f - fe) if not part.is_zero]
+    pairs = []
+    for block in blocks:
+        block_mu = mu if len(blocks) == 1 else _block_polynomial(order, a, block)
+        factor_pairs = poly_factor(block_mu)
+        if any(mult != 1 for _, mult in factor_pairs):
+            raise PruferError("minimal polynomial of a primitive element is not squarefree in a reduced algebra")
+        block_factors = [g for g, _ in factor_pairs]
+        split = crt_idempotents(order, a, block_mu, block_factors) if len(block_factors) > 1 else [order.identity()]
+        pairs += zip(block_factors, (mul(order, e, block) for e in split))
+    pairs.sort(key=lambda pair: pair[0].sort_key())
+    factors, idempotents = map(tuple, zip(*pairs))
     if sum(idempotents, order.zero()) != order.identity():
         raise PruferError("idempotents do not sum to the identity")
     for i, ei in enumerate(idempotents):
         for j, ej in enumerate(idempotents):
             if mul(order, ei, ej) != (ei if i == j else order.zero()):
                 raise PruferError("idempotents are not orthogonal")
-    return Decomposition(
-        primitive=a,
-        min_poly=mu,
-        factors=factors,
-        idempotents=idempotents,
-    )
+    return Decomposition(primitive=a, min_poly=mu, factors=factors, idempotents=idempotents)
+
+
+def _block_polynomial(order: ZOrder, a: AlgebraElement, block: AlgebraElement) -> RationalPolynomial:
+    """mu_(aE) in the block A E: the first relation among E, aE, a^2 E, ..."""
+    span, current = EchelonSpan(order.dim), list(block.integer_numerators)
+    while (relation := span.add(current)) is None:
+        current = order._mul_coords(current, a.integer_numerators)
+    return RationalPolynomial.from_int_coeffs(relation, relation[-1])
 
 
 def crt_idempotents(
@@ -167,7 +199,8 @@ def crt_idempotents(
 ) -> tuple[AlgebraElement, ...]:
     """The idempotents e_i = (1 - s_i g_i)(a) of Q[a] for the irreducible
     factors g_i of a squarefree mu = mu_a: s_i g_i + t_i (mu/g_i) = 1, so
-    1 - s_i g_i is 1 mod g_i and 0 mod every other factor (CRT)."""
+    1 - s_i g_i is 1 mod g_i and 0 mod every other factor (CRT).  For mu =
+    mu_(aE) of a block E, the e_i E are that block's."""
     idempotents = []
     for g in factors:
         gcd_poly, s, _ = poly_xgcd(g, mu // g)

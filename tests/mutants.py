@@ -1,0 +1,167 @@
+#!/usr/bin/env python3
+"""A table of mutants of the program, and a runner that checks the tests
+treat each one as the table says.
+
+    python3 tests/mutants.py              # every entry
+    python3 tests/mutants.py NAME ...     # the named entries
+
+Each entry replaces one exact snippet of one file and names the tests to run
+against the result.  Its status says what must happen:
+
+- ``kill``: some named test fails;
+- ``equivalent``: the change cannot alter any output, and the named tests,
+  which compare outputs, all pass;
+- ``survivor``: a known gap, a change the tests should catch and do not yet.
+
+For each entry the runner copies the repository, without ``.git`` and
+caches, into a temporary directory, applies the entry there and runs its
+tests with ``pytest -x`` on that copy's ``src``; the repository itself is
+never edited.  The tests of all the chosen entries run once first on an
+unchanged copy, so a failure under a mutant is the mutant's doing.
+
+It exits 1 if a snippet does not occur exactly once in its file, or if an
+entry's outcome is not its status: a ``kill`` that survives, and also an
+``equivalent`` or ``survivor`` that is killed, so the table stays true as
+the code and the tests change.  Standard library and pytest only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    status: str
+    reason: str
+
+
+PRODUCT_BYTES = "tests/test_decision.py::test_product_certificate_bytes"
+# Outputs only: the skew-basis test also pins which blocks reach the CRT.
+EQUIVALENCE = (
+    "tests/test_splitting.py::test_decompose_matches_factoring_mu_whole",
+    "tests/test_splitting.py::test_decompose_of_z_power_matches_factoring_mu_whole",
+    "tests/test_splitting.py::test_decompose_of_corpus_matches_factoring_mu_whole",
+)
+
+MUTANTS = (
+    Mutant(
+        name="cut-not-normalised",
+        path="src/prufer/splitting.py",
+        snippet="cuts[AlgebraElement(h_b, relation[1])] = None",
+        replacement="cuts[AlgebraElement(h_b)] = None",
+        tests=(PRODUCT_BYTES, *EQUIVALENCE),
+        status="kill",
+        reason="h(b) without the division by h(0) = c_1 is an idempotent only "
+        "when c_1 = 1; for mu_b = X^2 - X it is -(1 - b), and the blocks cut by "
+        "it are not idempotents",
+    ),
+    Mutant(
+        name="pairs-unsorted",
+        path="src/prufer/splitting.py",
+        snippet="    pairs.sort(key=lambda pair: pair[0].sort_key())\n",
+        replacement="",
+        tests=(PRODUCT_BYTES,),
+        status="kill",
+        reason="the blocks come out in the order the cuts refine them, not by "
+        "factor, so component numbering and the certificate bytes would change",
+    ),
+    Mutant(
+        name="one-block",
+        path="src/prufer/splitting.py",
+        snippet="    for e in cuts:\n",
+        replacement="    for e in ():\n",
+        tests=(PRODUCT_BYTES, *EQUIVALENCE),
+        status="equivalent",
+        reason="without cuts the one block is all of A, which factors mu_a whole "
+        "and splits it by one CRT: primitive idempotents are unique, so the "
+        "factors, idempotents and certificates are the same; only the work grows",
+    ),
+    Mutant(
+        name="linear-factor-lifting-bound",
+        path="src/prufer/factor.py",
+        snippet="bound = comb(top, top // 2) * norm2 + 1",
+        replacement="bound = norm2 + 1",
+        tests=("tests/test_factor.py", "tests/test_oracle.py", "tests/test_decision.py"),
+        status="survivor",
+        reason="the bound of a linear factor is too small for a factor of higher "
+        "degree, but the modulus p^(2^k) overshoots the bound on every input the "
+        "tests use; a factor whose coefficients exceed a too-small modulus would "
+        "be missed and its product reported irreducible",
+    ),
+)
+
+
+def check_snippets(mutants) -> list[str]:
+    """A message for each entry whose snippet does not occur exactly once."""
+    problems = []
+    for m in mutants:
+        count = (ROOT / m.path).read_text(encoding="utf-8").count(m.snippet)
+        if count != 1:
+            problems.append(f"{m.name}: snippet occurs {count} times in {m.path}")
+    return problems
+
+
+def run_tests(tests, mutant: Mutant | None = None) -> int:
+    """pytest's exit status for ``tests`` on a fresh copy, with the mutant
+    applied if one is given."""
+    with tempfile.TemporaryDirectory(prefix="prufer-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORED)
+        if mutant is not None:
+            target = copy / mutant.path
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+        return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown entries: {', '.join(sorted(unknown))}")
+        return 1
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    problems = check_snippets(chosen)
+    if problems:
+        print("\n".join(problems))
+        return 1
+    tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+    if run_tests(tests) != 0:
+        print("the named tests fail on the unchanged program")
+        return 1
+    failed = False
+    for m in chosen:
+        start = time.perf_counter()
+        code = run_tests(m.tests, m)
+        # pytest exits 1 on a failed test and 2 on a collection error (a
+        # mutant that breaks an import); anything else is a usage error.
+        if code not in (0, 1, 2):
+            outcome, ok = f"error (pytest exit {code})", False
+        else:
+            outcome = "survived" if code == 0 else "killed"
+            ok = (outcome == "killed") == (m.status == "kill")
+        failed |= not ok
+        mismatch = "" if ok else " -- MISMATCH"
+        print(f"{m.name}: {outcome}, listed as {m.status}{mismatch} ({time.perf_counter() - start:.1f} s)")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

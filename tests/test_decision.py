@@ -118,8 +118,9 @@ def test_derived_orders_skip_the_associativity_proof(monkeypatch):
     assert calls == [12]
 
 
-# Certificates of products of equation orders, byte for byte as the
-# minimal-polynomial primitive-element search produced them.
+# Certificates of the eight products of equation orders in the benchmark's
+# `products` workload, byte for byte as the minimal-polynomial primitive-element
+# search produced them when mu_a was factored whole.
 PRODUCT_CERTIFICATES = [
     (
         ((1, 0, 1), (-2, 0, 0, 1), (-3, 0, 0, 0, 1)),
@@ -135,6 +136,54 @@ PRODUCT_CERTIFICATES = [
         ((-2, 0, 1), (9, 0, 1), (-2, 0, 0, 1)),
         '{"verdict": "NO", "reason": "COMPONENT_NOT_MAXIMAL", "witness": {"element": ["0", "0", "0", "1/3", "0", "0", "0"], '
         '"min_poly": "X + X^3", "component": 1}, "citation": "component-not-integrally-closed"}',
+    ),
+    (
+        ((1, 0, 1), (-2, 0, 1)),
+        '{"verdict": "YES", "reason": "ALL_COMPONENTS_MAXIMAL", "witness": {"primitive": ["0", "1", "0", "1"], '
+        '"min_poly": "-2 - X^2 + X^4", '
+        '"idempotents": [["0", "0", "1", "0"], ["1", "0", "0", "0"]], "components": ['
+        '{"factor": "-2 + X^2", "dim": 2, "basis": [["0", "0", "1", "0"], ["0", "0", "0", "1"]]}, '
+        '{"factor": "1 + X^2", "dim": 2, "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}]}, '
+        '"citation": "product-of-maximal-orders"}',
+    ),
+    (
+        ((-5, 0, 1), (-2, 0, 0, 1)),
+        '{"verdict": "NO", "reason": "COMPONENT_NOT_MAXIMAL", "witness": {"element": ["1/2", "1/2", "0", "0", "0"], '
+        '"min_poly": "-X - X^2 + X^3", "component": 0}, '
+        '"citation": "component-not-integrally-closed"}',
+    ),
+    (
+        ((1, 0, 1), (-3, 0, 0, 0, 1)),
+        '{"verdict": "YES", "reason": "ALL_COMPONENTS_MAXIMAL", "witness": {"primitive": ["0", "1", "0", "1", "0", "0"], '
+        '"min_poly": "-3 - 3*X^2 + X^4 + X^6", '
+        '"idempotents": [["1", "0", "0", "0", "0", "0"], ["0", "0", "1", "0", "0", "0"]], "components": ['
+        '{"factor": "1 + X^2", "dim": 2, "basis": [["1", "0", "0", "0", "0", "0"], ["0", "1", "0", "0", "0", "0"]]}, '
+        '{"factor": "-3 + X^4", "dim": 4, "basis": [["0", "0", "1", "0", "0", "0"], ["0", "0", "0", "1", "0", "0"], ["0", "0", "0", "0", "1", "0"], ["0", "0", "0", "0", "0", "1"]]}]}, '
+        '"citation": "product-of-maximal-orders"}',
+    ),
+    (
+        ((-2, 0, 0, 1), (-3, 0, 0, 1)),
+        '{"verdict": "YES", "reason": "ALL_COMPONENTS_MAXIMAL", "witness": {"primitive": ["0", "1", "0", "0", "1", "0"], '
+        '"min_poly": "6 - 5*X^3 + X^6", '
+        '"idempotents": [["0", "0", "0", "1", "0", "0"], ["1", "0", "0", "0", "0", "0"]], "components": ['
+        '{"factor": "-3 + X^3", "dim": 3, "basis": [["0", "0", "0", "1", "0", "0"], ["0", "0", "0", "0", "1", "0"], ["0", "0", "0", "0", "0", "1"]]}, '
+        '{"factor": "-2 + X^3", "dim": 3, "basis": [["1", "0", "0", "0", "0", "0"], ["0", "1", "0", "0", "0", "0"], ["0", "0", "1", "0", "0", "0"]]}]}, '
+        '"citation": "product-of-maximal-orders"}',
+    ),
+    (
+        ((-3, 0, 0, 0, 1), (-2, 0, 0, 1)),
+        '{"verdict": "YES", "reason": "ALL_COMPONENTS_MAXIMAL", "witness": {"primitive": ["0", "1", "0", "0", "0", "1", "0"], '
+        '"min_poly": "6 - 3*X^3 - 2*X^4 + X^7", '
+        '"idempotents": [["0", "0", "0", "0", "1", "0", "0"], ["1", "0", "0", "0", "0", "0", "0"]], "components": ['
+        '{"factor": "-2 + X^3", "dim": 3, "basis": [["0", "0", "0", "0", "1", "0", "0"], ["0", "0", "0", "0", "0", "1", "0"], ["0", "0", "0", "0", "0", "0", "1"]]}, '
+        '{"factor": "-3 + X^4", "dim": 4, "basis": [["1", "0", "0", "0", "0", "0", "0"], ["0", "1", "0", "0", "0", "0", "0"], ["0", "0", "1", "0", "0", "0", "0"], ["0", "0", "0", "1", "0", "0", "0"]]}]}, '
+        '"citation": "product-of-maximal-orders"}',
+    ),
+    (
+        ((1, 0, 1), (-5, 0, 1), (-2, 0, 0, 1)),
+        '{"verdict": "NO", "reason": "COMPONENT_NOT_MAXIMAL", "witness": {"element": ["0", "0", "1/2", "1/2", "0", "0", "0"], '
+        '"min_poly": "-X - X^2 + X^3", "component": 0}, '
+        '"citation": "component-not-integrally-closed"}',
     ),
 ]
 

@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 from itertools import islice, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import prufer.splitting
 from prufer.decision import decide_pruefer
 from prufer.errors import NotApplicableError, SearchExhaustedError
+from prufer.factor import poly_factor
 from prufer.linalg import bareiss_det
 from prufer.orders import (
     AlgebraElement,
@@ -21,7 +23,9 @@ from prufer.orders import (
 )
 from prufer.poly import RationalPolynomial
 from prufer.splitting import (
+    Decomposition,
     component_order,
+    crt_idempotents,
     decompose,
     find_primitive_element,
     shell_vectors,
@@ -66,9 +70,9 @@ def test_shell_vectors_stop_at_the_cap(monkeypatch):
 
 
 def test_find_primitive_element(z_i, zxz):
-    a, mu_a = find_primitive_element(z_i)
+    a, mu_a, _ = find_primitive_element(z_i)
     assert minimal_polynomial(z_i, a) == mu_a == P(1, 0, 1)
-    b, mu_b = find_primitive_element(zxz)
+    b, mu_b, _ = find_primitive_element(zxz)
     assert minimal_polynomial(zxz, b) == mu_b and mu_b.degree == 2
 
 
@@ -101,7 +105,7 @@ PRODUCT_PRIMITIVES = [
 
 @pytest.mark.parametrize("polys, expected", PRODUCT_PRIMITIVES)
 def test_find_primitive_element_on_products(equation_product, polys, expected):
-    a, _ = find_primitive_element(equation_product(*polys))
+    a, _, _ = find_primitive_element(equation_product(*polys))
     assert a.coords == expected
 
 
@@ -146,7 +150,7 @@ def test_search_matches_reference(corpus, equation_product, kind, spec):
         order = equation_order(RationalPolynomial.parse(spec))
     else:
         order = product_order(corpus["z_x_mod_x2"], corpus["z_i"])
-    a, mu = find_primitive_element(order)
+    a, mu, _ = find_primitive_element(order)
     assert a == _reference_primitive(order)
     # The search returns the minimal polynomial it eliminated on the way.
     assert mu == minimal_polynomial(order, a)
@@ -157,7 +161,7 @@ def test_dimension_12_product_tests_few_candidates(calls_to, equation_product):
     # candidate 6645; the candidates before it lie in few subalgebras.
     order = equation_product(CBRT2, QRT3, (-5, 0, 0, 0, 0, 1))
     calls = calls_to(prufer.splitting, "power_span")
-    a, _ = find_primitive_element(order)
+    a, _, _ = find_primitive_element(order)
     assert a.coords == (0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0)
     assert len(calls) == 14
 
@@ -170,7 +174,7 @@ def test_z6_search_tests_one_candidate_per_rejected_subalgebra(calls_to, corpus)
     for _ in range(5):
         order = product_order(order, corpus["z"])
     calls = calls_to(prufer.splitting, "power_span")
-    a, mu = find_primitive_element(order)
+    a, mu, _ = find_primitive_element(order)
     assert a.coords == (3, -2, 2, -1, 1, 0)
     assert len(calls) == 202
     assert mu == minimal_polynomial(order, a)
@@ -322,3 +326,86 @@ def test_idempotents_kill_complementary_factors(f):
         x = element(tuple([0, 1] + [0] * (eo.dim - 2)))
         gx = evaluate_poly(eo, g, x)
         assert mul(eo, gx, e).is_zero
+
+
+def _reference_decomposition(order):
+    """The split made by factoring the whole mu_a and taking every idempotent
+    from one CRT over Q[a]."""
+    a, mu, _ = find_primitive_element(order)
+    factors = tuple(g for g, _ in poly_factor(mu))
+    return Decomposition(a, mu, factors, crt_idempotents(order, a, mu, factors))
+
+
+def _base_change(order, seed):
+    """The order on the basis c = U b for a seeded unimodular U, made of 3n
+    moves row_i += s row_j with s in {-1, 0, 1}; V = U^-1 takes coordinates
+    on b to coordinates on c."""
+    n, rng = order.dim, random.Random(seed)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [row[:] for row in u]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((-1, 0, 1))
+        u[i] = [x + s * y for x, y in zip(u[i], u[j])]
+        for row in v:
+            row[j] -= s * row[i]
+
+    def to_c(w):
+        return tuple(sum(w[k] * v[k][m] for k in range(n)) for m in range(n))
+
+    def product_on_b(x, y):
+        return [sum(x[p] * y[q] * order.table[p][q][k] for p in range(n) for q in range(n)) for k in range(n)]
+
+    table = tuple(tuple(to_c(product_on_b(u[i], u[j])) for j in range(n)) for i in range(n))
+    return ZOrder(dim=n, table=table, one=to_c(order.one))
+
+
+PRODUCT_POOL = (GAUSS, SQRT2, SQRT5, THREE_I, CBRT2, CBRT3, QRT3)
+
+
+@settings(max_examples=25)
+@given(st.lists(st.sampled_from(PRODUCT_POOL), min_size=2, max_size=4))
+def test_decompose_matches_factoring_mu_whole(equation_product, polys):
+    # Repeats and equal degrees included: Z[i] x Z[sqrt 2], Z[i] x Z[i], ...
+    assume(sum(len(f) - 1 for f in polys) <= 12)
+    order = equation_product(*polys)
+    assert decompose(order) == _reference_decomposition(order)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_decompose_of_z_power_matches_factoring_mu_whole(corpus, k):
+    order = corpus["z"]
+    for _ in range(k - 1):
+        order = product_order(order, corpus["z"])
+    assert decompose(order) == _reference_decomposition(order)
+
+
+@pytest.mark.parametrize("name", [name for name in COMMUTATIVE_CORPUS if name != "z_x_mod_x2"])
+def test_decompose_of_corpus_matches_factoring_mu_whole(corpus, name):
+    assert decompose(corpus[name]) == _reference_decomposition(corpus[name])
+
+
+@pytest.mark.parametrize(
+    "polys, seed, crt_degrees",
+    [((GAUSS, SQRT2, CBRT2), 1, [5]), ((SQRT5, CBRT2, QRT3), 2, [7]), ((GAUSS, THREE_I, CBRT3), 3, [7])],
+)
+def test_decompose_in_a_skew_basis_matches_factoring_mu_whole(calls_to, equation_product, polys, seed, crt_degrees):
+    # No idempotent is a shell vector here.  In the first two the search's one
+    # cut leaves a block of two components, of dimension 5 in 7 and 7 in 9,
+    # which the CRT splits; the third has no cut and one CRT over all of Q[a].
+    order = _base_change(equation_product(*polys), seed)
+    crt = calls_to(prufer.splitting, "crt_idempotents", lambda order, a, mu, factors: mu.degree)
+    dec = decompose(order)
+    assert crt == crt_degrees
+    assert dec == _reference_decomposition(order)
+
+
+def test_product_splits_along_rejected_zero_divisors(calls_to, equation_product):
+    # Z[i] x Z[2^(1/3)] x Z[3^(1/4)]: the search rejects the zero divisors
+    # that cut out all three blocks, so each block's mu is already a factor.
+    order = equation_product(GAUSS, CBRT2, QRT3)
+    degrees = calls_to(prufer.splitting, "poly_factor", lambda f: f.degree)
+    crt = calls_to(prufer.splitting, "crt_idempotents")
+    assert decide_pruefer(order).verdict == "YES"
+    assert sorted(degrees) == [2, 3, 4]
+    assert crt == []
