@@ -2,7 +2,11 @@
 
 Pipeline for a nonzero polynomial F over Q with primitive part P:
 
-1. scale to a monic integer polynomial G(X) = l^(n-1) * P(X/l), l = lc(P);
+1. a P of degree 1, or Eisenstein at a prime p below 100 (p divides every
+   coefficient but the leading one, and p^2 does not divide the constant
+   term), is irreducible (Eisenstein, J. reine angew. Math. 1850), and
+   nothing below is needed; otherwise scale to a monic integer polynomial
+   G(X) = l^(n-1) * P(X/l), l = lc(P);
 2. look for a small odd prime p at which G stays squarefree; one among the
    first few odd primes proves F squarefree, and only when there is none does
    F go through Yun's algorithm over Q, part by part;
@@ -416,6 +420,8 @@ def _small_primes():
 _SQUAREFREE_PRIMES = 20
 _DEGREE_PRIMES = 3
 _MANY_FACTORS = 3
+# The primes below 100, at which poly_factor tries Eisenstein's criterion.
+_EISENSTEIN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
 def _separable_mod(g: list[int], p: int) -> bool:
@@ -526,7 +532,12 @@ def _factor_primitive(prim: Sequence[int], limit: int | None = None) -> list[Rat
     primes (by default, none below the trial-division bound).  One such
     prime proves P squarefree; a P that is not squarefree has none."""
     n = len(prim) - 1
-    if n == 1:
+    # Degree 1, or Eisenstein at a prime p below 100 (step 1 of the module
+    # docstring): p divides the gcd of the coefficients below the leading
+    # one and p^2 does not divide the constant term; p cannot divide the
+    # leading one, since P is primitive.
+    low = gcd(*prim[:-1])
+    if n == 1 or low > 1 and any(low % p == 0 and prim[0] % (p * p) for p in _EISENSTEIN_PRIMES):
         return [RationalPolynomial.from_int_coeffs(prim).monic()]
     lead = prim[-1]
     # G(X) = lead^(n-1) * P(X/lead) is monic with integer coefficients, and
@@ -548,7 +559,9 @@ def poly_factor(f: RationalPolynomial) -> list[tuple[RationalPolynomial, int]]:
 
     The factors are sorted by (degree, coefficient tuple) so the output is
     reproducible; f equals its leading coefficient times the product of
-    factor^multiplicity.  Degree is capped at FACTOR_DEGREE_CAP.
+    factor^multiplicity.  Degree is capped at FACTOR_DEGREE_CAP, also for an
+    f that Eisenstein's criterion at a prime below 100 proves irreducible,
+    which is returned with no modular work.
     """
     check_factor_degree(f)
     if f.degree == 0:

@@ -51,6 +51,8 @@ class Mutant(NamedTuple):
 
 
 PRODUCT_BYTES = "tests/test_decision.py::test_product_certificate_bytes"
+FACTOR_GOLDENS = "tests/test_factor_goldens.py::test_factor_goldens"
+SYMPY_FACTORS = "tests/test_oracle.py::test_poly_factor_matches_sympy"
 # Outputs only: the skew-basis test also pins which blocks reach the CRT.
 EQUIVALENCE = (
     "tests/test_splitting.py::test_decompose_matches_factoring_mu_whole",
@@ -102,6 +104,39 @@ MUTANTS = (
         "degree, but the modulus p^(2^k) overshoots the bound on every input the "
         "tests use; a factor whose coefficients exceed a too-small modulus would "
         "be missed and its product reported irreducible",
+    ),
+    Mutant(
+        name="eisenstein-square-test-dropped",
+        path="src/prufer/factor.py",
+        snippet="low % p == 0 and prim[0] % (p * p)",
+        replacement="low % p == 0",
+        tests=(FACTOR_GOLDENS, SYMPY_FACTORS),
+        status="kill",
+        reason="without p^2 not dividing the constant term, every P whose lower "
+        "coefficients share a prime below 100 is called irreducible: "
+        "X^4 + 4 = (X^2 + 2X + 2)(X^2 - 2X + 2) among them",
+    ),
+    Mutant(
+        name="eisenstein-constant-only",
+        path="src/prufer/factor.py",
+        snippet="low = gcd(*prim[:-1])",
+        replacement="low = abs(prim[0])",
+        tests=(FACTOR_GOLDENS, SYMPY_FACTORS),
+        status="kill",
+        reason="a prime that divides the constant term once need not divide the "
+        "other lower coefficients: X^2 + 3X + 2 = (X + 1)(X + 2) would be called "
+        "irreducible",
+    ),
+    Mutant(
+        name="no-eisenstein",
+        path="src/prufer/factor.py",
+        snippet="low > 1 and any(",
+        replacement="False and any(",
+        tests=(FACTOR_GOLDENS, SYMPY_FACTORS),
+        status="equivalent",
+        reason="Eisenstein's criterion only proves irreducible what the modular "
+        "path also proves irreducible, and the factor is P made monic either "
+        "way; only the work grows",
     ),
 )
 

@@ -281,28 +281,46 @@ def test_factor_int_over_primes_matches_every_integer(monkeypatch):
 
 @pytest.mark.parametrize(
     "f",
-    [P(-2, *[0] * 11, 1), P(108, *[0] * 5, 1)],
-    ids=["x12-2", "x6+108"],
+    [P(-2, *[0] * 11, 1), P(108, *[0] * 5, 1), P(-72, *[0] * 11, 1)],
+    ids=["x12-2", "x6+108", "x12-72"],
 )
 def test_degree_patterns_prove_irreducible_without_lifting(calls_to, f):
-    # Mod 5 and mod 7, X^12 - 2 has factors of degrees 4, 4, 4 and 3, 3, 6,
-    # and X^6 + 108 of degrees 2, 2, 2 and 3, 3: no degree strictly between 0
-    # and n is a sum of factor degrees at both primes, so neither has a
-    # proper factor over Q.
+    # Mod 5 and mod 7, X^12 - 2 and X^12 - 72 have factors of degrees 4, 4, 4
+    # and 3, 3, 6, and X^6 + 108 of degrees 2, 2, 2 and 3, 3: no degree
+    # strictly between 0 and n is a sum of factor degrees at both primes, so
+    # none has a proper factor over Q.  X^12 - 2 is Eisenstein at 2 and is
+    # proven before the patterns; 72 = 2^3 * 3^2 keeps X^12 - 72 from being
+    # Eisenstein, so it takes the patterns.
     lifts = calls_to(prufer.factor, "_hensel_lift_tree")
     assert poly_factor(f) == [(f, 1)]
     assert lifts == []
 
 
-@pytest.mark.parametrize("n", [7, 11])
-def test_x_to_the_n_minus_2_lifts_one_step(calls_to, n):
-    # X^7 - 2 splits as 1 + 6 mod 3 and X^11 - 2 as 1 + 10 mod 7, so the
+@pytest.mark.parametrize(("n", "a"), [(7, -2), (11, -2), (11, -4)], ids=["7", "11", "x11-4"])
+def test_x_to_the_n_minus_2_lifts_one_step(calls_to, n, a):
+    # X^7 - 2 splits as 1 + 6 mod 3 and X^11 - 4 as 1 + 10 mod 7, so the
     # lift need only recover a linear factor, whose coefficients are at most
-    # the 2-norm sqrt(5) of X^n - 2; p^2 already clears twice that bound.
+    # the 2-norm sqrt(17) of X^11 - 4; p^2 already clears twice that bound.
+    # X^n - 2 is Eisenstein at 2 and is proven with no lift at all; X^11 - 4
+    # is not Eisenstein at 2, as 4 = 2^2, and lifts.
     steps = calls_to(prufer.factor, "_hensel_step")
-    f = P(-2, *[0] * (n - 1), 1)
+    f = P(a, *[0] * (n - 1), 1)
     assert poly_factor(f) == [(f, 1)]
     assert len(steps) <= 1
+
+
+@pytest.mark.parametrize(
+    "f",
+    [P(-2, *[0] * (n - 1), 1) for n in range(3, 13)] + [P(-3, *[0] * 8, 1), P(-162, *[0] * 7, 1)],
+    ids=[f"x{n}-2" for n in range(3, 13)] + ["x9-3", "x8-162"],
+)
+def test_eisenstein_polynomials_need_no_modular_work(calls_to, f):
+    # X^n - 2 and X^9 - 3 are Eisenstein at 2 and 3, and X^8 - 162 at 2, as
+    # 162 = 2 * 3^4: none is reduced mod any prime.
+    separable = calls_to(prufer.factor, "_separable_mod")
+    splits = calls_to(prufer.factor, "_distinct_degree")
+    assert poly_factor(f) == [(f, 1)]
+    assert separable == [] and splits == []
 
 
 def test_irreducible_without_a_proving_pattern_still_lifts(calls_to):

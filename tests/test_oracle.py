@@ -67,6 +67,27 @@ X6_PLUS_108 = _radical(6, 108)
 # Irreducible mod 3, where X^4 + 1 is a product of two quadratics.
 X5_MINUS_X_MINUS_1 = _monic(-1, -1, 0, 0, 0)
 SD4 = _monic(46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0, -141912, 0, 6476, 0, -136, 0)
+# Near-misses of Eisenstein's criterion.  X^4 + 4 = (X^2 + 2X + 2)(X^2 - 2X + 2)
+# and X^2 - 4 fail it at 2 only because 4 divides the constant term;
+# X^2 + 3X + 2 = (X + 1)(X + 2) fails it only because 2 does not divide 3;
+# X^2 + 6X + 8 = (X + 2)(X + 4) fails both ways, and X^6 + 108, above, fails
+# at 2 and at 3, as 4 and 9 divide 108.  3X^2 + 2X + 2 is Eisenstein
+# at 2 but not monic; with X replaced by X/3, X/2 and 2X it becomes
+# X^2 + 2X + 6, Eisenstein at 2, and 3X^2 + 4X + 8 and 6X^2 + 2X + 1, which
+# are not Eisenstein at any prime.
+NON_MONIC_EISENSTEIN = ([2, 2], 3, 1)
+EISENSTEIN_NEAR_MISSES = (
+    _radical(4, 4),
+    _radical(2, -4),
+    _monic(2, 3),
+    _monic(8, 6),
+    NON_MONIC_EISENSTEIN,
+    _monic(6, 2),
+    ([8, 4], 3, 1),
+    ([1, 2], 6, 1),
+)
+# 3X^2 + 2X + 2 is also tried times these rationals.
+NON_MONIC_EISENSTEIN_SCALES = ((-5, 7), (1, 3), (6, 1), (2, 9))
 KNOWN_FACTOR_LISTS = (
     [[_radical(n, a)] for n in range(1, 33) for a in (-2, 3)]
     + [[g] for g in (X4_PLUS_1, X8_PLUS_1, X16_PLUS_1, SD2, X6_PLUS_108, SD4)]
@@ -80,12 +101,16 @@ KNOWN_FACTOR_LISTS = (
         [(SD2[0], 1, 3), (X6_PLUS_108[0], 1, 2)],
         [X4_PLUS_1, X5_MINUS_X_MINUS_1],
     ]
+    + [[g] for g in EISENSTEIN_NEAR_MISSES]
+    + [[_radical(4, 4), _monic(2, 3)], [(NON_MONIC_EISENSTEIN[0], 3, 2), _radical(2, -4)]]
 )
 
 
 def _with_known_factor_lists(test):
     for factors in KNOWN_FACTOR_LISTS:
         test = example(factors, (1, 1))(test)
+    for scale in NON_MONIC_EISENSTEIN_SCALES:
+        test = example([NON_MONIC_EISENSTEIN], scale)(test)
     return test
 
 
