@@ -26,8 +26,8 @@ that need the maximal order itself: ``maximal_order`` (and through it
 
 Everything works in the coordinates of the *original* order: each result is
 an ``orders.EmbeddedOrder``, the new order's structure constants together
-with its basis as elements of the input order's ambient algebra (integer
-coordinates over one denominator).
+with its basis as elements of the input order's ambient algebra, or the
+input order itself on the unit basis where round 2 leaves it as it is.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .orders import (
     ZOrder,
     embedded_order,
     is_commutative,
-    trace_gram_matrix,
 )
 from .poly import RationalPolynomial
 from .splitting import find_primitive_element
@@ -51,8 +50,8 @@ from .factor import dedekind_p_maximal, factor_int, poly_factor
 
 
 def discriminant(order: ZOrder) -> int:
-    """Determinant of the trace-form Gram matrix on the given basis."""
-    return bareiss_det(trace_gram_matrix(order))
+    """Determinant of the trace-form Gram matrix, once per order."""
+    return order.discriminant
 
 
 # -- radical and multiplier ring --------------------------------------------
@@ -130,15 +129,9 @@ def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice, p: int) -> Embedde
                 raise NotApplicableError("multiplier ring needs an ideal of the order")
             row.extend(c % p for c in coords)
         matrix.append(row)
+    # Where U = pO the step is stable, and embedded_order returns O itself.
     u = _modp_kernel_lattice(matrix, p)
-    if u.determinant() == p**n:  # U = pO: the step is stable, O' = O
-        return _unchanged(order)
     return embedded_order(order, [AlgebraElement(row, p) for row in u.basis], order.identity())
-
-
-def _unchanged(order: ZOrder) -> EmbeddedOrder:
-    """The order as an overorder of itself: identity basis, index 1."""
-    return EmbeddedOrder(order, tuple(order.basis_element(i) for i in range(order.dim)))
 
 
 # -- the maximality loop ----------------------------------------------------
@@ -192,7 +185,7 @@ def _enlargements(order: ZOrder, mu: RationalPolynomial) -> Iterator[EmbeddedOrd
     O is integral over Z (Cohen, GTM 138, Thm 6.1.3)."""
     # ``running.order`` is the current overorder and ``running`` maps its
     # coordinates into the input order's; each step is composed through it.
-    running = _unchanged(order)
+    running = embedded_order(order, [order.basis_element(i) for i in range(order.dim)], order.identity())
     total_index = 1
     disc = discriminant(order)
     for p, v in sorted(factor_int(disc).items()):
@@ -213,7 +206,7 @@ def _enlargements(order: ZOrder, mu: RationalPolynomial) -> Iterator[EmbeddedOrd
 def _round_two(order: ZOrder, mu: RationalPolynomial) -> EmbeddedOrder:
     """The maximal order: ``_enlargements`` run to its end, on the same
     inputs, with the last overorder's basis put in Hermite form."""
-    basis = _unchanged(order).basis
+    basis = [order.basis_element(i) for i in range(order.dim)]
     for running in _enlargements(order, mu):
         basis = running.basis
     return embedded_order(order, basis, order.identity())

@@ -8,13 +8,13 @@ escaping the lattice, a component below its maximal order) and emits a
 without rerunning the decision.  Both settle each component A e_i at every p
 with p^2 | disc(A e_i) by Dedekind's criterion on its factor g_i, the minimal
 polynomial of a e_i for the primitive element a.  Where g_i fails, the solver
-takes a round-2 step; the check refuses, or takes one step if p | [A : Z[a]].
-The check shares ``discriminant``, ``factor_int``, ``poly_factor``,
-``dedekind_p_maximal`` and ``embedded_order`` with the solver, and at those p
-also ``p_radical`` and ``ring_of_multipliers``.  Neither guesses: when an
-``errors.UnansweredError`` stops the work, ``decide_pruefer`` raises
-IndeterminateError with the error's tag as reason, and ``verify_certificate``
-lets the error through instead of returning False.
+takes a round-2 step; the check refuses, or takes one step if p | [A : Z[a]],
+an index read only there.  The check shares ``discriminant``, ``factor_int``,
+``poly_factor``, ``dedekind_p_maximal`` and ``embedded_order`` with the solver,
+and at those p also ``p_radical`` and ``ring_of_multipliers``.  Neither
+guesses: when an ``errors.UnansweredError`` stops the work, ``decide_pruefer``
+raises IndeterminateError with the error's tag as reason, and
+``verify_certificate`` lets the error through instead of returning False.
 
 Certificates serialize to JSON with a fixed field order (verdict, reason,
 witness, citation) so output files are byte-stable.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import takewhile
 
 from .closure import (
@@ -369,7 +370,7 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
     # Each component must close under multiplication with identity e_i, and
     # g_i(a) e_i = 0, so that a e_i in A e_i has minimal polynomial g_i.  As
     # sum e_i = 1 and g_i | mu, then mu(a) = sum (mu/g_i)(a) g_i(a) e_i = 0.
-    index = power_index(order, primitive)
+    index = cache(lambda: power_index(order, primitive))
     try:
         for g, ei, rows in zip(factors, idems, bases):
             if not mul(order, evaluate_poly(order, g, primitive), ei).is_zero:
@@ -383,17 +384,18 @@ def _verify_yes(order: ZOrder, witness: dict) -> bool:
     return True
 
 
-def _component_is_maximal(component: ZOrder, g: RationalPolynomial, index: int) -> bool:
+def _component_is_maximal(component: ZOrder, g: RationalPolynomial, index) -> bool:
     """Whether A e_i is p-maximal wherever p^2 | disc, for g = mu of a e_i and
-    index = [A : Z[a]]: Z[a e_i] is p-maximal where g passes Dedekind, and as
-    [A e_i : Z[a e_i]] divides [A : Z[a]], a failure at p prime to the index
-    is conclusive; only at p | index does one round-2 step decide."""
+    index() = [A : Z[a]], read only where g fails Dedekind's criterion:
+    Z[a e_i] is p-maximal where g passes, and as [A e_i : Z[a e_i]] divides
+    [A : Z[a]], a failure at p prime to the index is conclusive; only at
+    p | index does one round-2 step decide."""
     disc = discriminant(component)
     if disc == 0:
         return False
     for p, v in sorted(factor_int(abs(disc)).items()):
         if v < 2 or dedekind_p_maximal(g, p):
             continue
-        if index % p or ring_of_multipliers(component, p_radical(component, p), p).index != 1:
+        if index() % p or ring_of_multipliers(component, p_radical(component, p), p).index != 1:
             return False
     return True

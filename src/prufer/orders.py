@@ -24,8 +24,8 @@ certificates and the CLI print, and ``coords`` the Fraction view.
 
 An ``EmbeddedOrder`` is an order inside B together with its basis as
 elements of B: a field component A e_i, or an overorder built by round 2.
-``embedded_order`` builds one from generators; ``closure._unchanged`` and
-``closure._enlargements`` pair an order they have with its basis directly.
+``embedded_order`` builds one from generators, and returns the order itself
+when they span its own lattice; ``closure._enlargements`` composes its steps.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
     UnitLineError,
 )
 from .lattice import hnf_reduce
-from .linalg import EchelonSpan
+from .linalg import EchelonSpan, bareiss_det
 from .poly import RationalPolynomial, parse_rational, rational_text
 
 
@@ -136,7 +136,8 @@ def _int_vector(v) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class ZOrder:
-    """A torsion-free Z-order given by structure constants."""
+    """A torsion-free Z-order given by structure constants; the Gram matrix
+    of its trace form and its discriminant are computed once, on first use."""
 
     dim: int
     table: tuple[tuple[tuple[int, ...], ...], ...]
@@ -160,6 +161,15 @@ class ZOrder:
             object.__setattr__(order, name, value)
         order._check_structure()
         return order
+
+    @cached_property
+    def _gram(self) -> list[list[int]]:
+        return trace_gram_matrix(self)
+
+    @cached_property
+    def discriminant(self) -> int:
+        """disc(A), the determinant of the trace form on the basis."""
+        return bareiss_det(self._gram)
 
     def _check_types(self):
         """The one type check of the fields, for an order file and a
@@ -410,28 +420,25 @@ def is_reduced(order: ZOrder) -> tuple[bool, tuple[AlgebraElement, int] | None]:
 
     In characteristic zero the radical of the trace form is the Jacobson
     radical, and any nonzero radical element of a finite-dimensional algebra
-    is nilpotent, so a nonzero kernel always yields an honest witness, on
-    any order.  A zero kernel proves reducedness only for a commutative
-    order; a noncommutative one (M_2(Q) has a nondegenerate trace form and
-    nilpotents) raises NotApplicableError.
+    is nilpotent, so a commutative order is reduced exactly when disc != 0
+    (Cohen, GTM 138, 4.1), and at disc = 0 a kernel vector of the trace form
+    is a witness on any order.  A noncommutative order with disc != 0 raises
+    NotApplicableError: M_2(Q) has nilpotents and a nondegenerate trace form.
     """
+    if order.discriminant:
+        if not is_commutative(order)[0]:
+            raise NotApplicableError("NOT_COMMUTATIVE: the reducedness test needs a commutative algebra")
+        return True, None
+    # G is symmetric: a relation among its rows, padded, is a kernel vector.
     span = EchelonSpan(order.dim)
-    for row in trace_gram_matrix(order):
-        relation = span.add(row)
-        if relation is None:
-            continue
-        # The Gram matrix is symmetric, so a relation among its first k+1
-        # rows is a kernel vector of the trace form, padded with zeros.
-        witness = AlgebraElement(tuple(relation) + (0,) * (order.dim - len(relation)))
-        current = witness
-        for k in range(2, order.dim + 2):
-            current = mul(order, current, witness)
-            if current.is_zero:
-                return False, (witness, k)
-        raise PruferError("radical element is not nilpotent; invalid order")
-    if not is_commutative(order)[0]:
-        raise NotApplicableError("NOT_COMMUTATIVE: the reducedness test needs a commutative algebra")
-    return True, None
+    relation = next(rel for row in order._gram if (rel := span.add(row)) is not None)
+    witness = AlgebraElement(tuple(relation) + (0,) * (order.dim - len(relation)))
+    current = witness
+    for k in range(2, order.dim + 2):
+        current = mul(order, current, witness)
+        if current.is_zero:
+            return False, (witness, k)
+    raise PruferError("radical element is not nilpotent; invalid order")
 
 
 def product_order(a: ZOrder, b: ZOrder) -> ZOrder:
@@ -532,33 +539,31 @@ def embedded_order(order: ZOrder, rows: Sequence[AlgebraElement], one: AlgebraEl
     basis.  Raises PruferError when the span is not closed under
     multiplication or does not contain ``one``, the suborder's identity.
 
-    The table is ``order``'s product restricted to a closed lattice, so it is
-    associative because ``order`` is; the new order runs the shape, unit-line
-    and identity-law checks but not the associativity proof.
+    The span Z^n with ``order``'s identity is ``order`` itself, on the unit
+    basis.  Any other table is ``order``'s product restricted to a closed
+    lattice, associative as ``order`` is, so ``ZOrder._derived`` builds it.
     """
     ints, den = _over_common_denominator(rows)
     lat = hnf_reduce(ints)
+    basis = tuple(AlgebraElement(row, den) for row in lat.basis)
+    if den == 1 and lat.rank == order.dim and lat.determinant() == 1 and one == order.identity():
+        return EmbeddedOrder(order, basis)
     # Basis row r is y_r / den, so (y_r / den)(y_s / den) is in the span
-    # exactly when y_r y_s / den is an integer combination of the y's.  The
-    # span Z^n itself has the unit basis, and its table is order's.
-    if den == 1 and lat.rank == order.dim and lat.determinant() == 1:
-        table = order.table
-    else:
-        table = []
-        for yr in lat.basis:
-            row = []
-            for ys in lat.basis:
-                product = order._mul_coords(yr, ys)
-                coords = None if any(c % den for c in product) else lat.coordinates([c // den for c in product])
-                if coords is None:
-                    raise PruferError("embedded order basis is not closed under multiplication")
-                row.append(coords)
-            table.append(tuple(row))
+    # exactly when y_r y_s / den is an integer combination of the y's.
+    table = []
+    for yr in lat.basis:
+        row = []
+        for ys in lat.basis:
+            product = order._mul_coords(yr, ys)
+            coords = None if any(c % den for c in product) else lat.coordinates([c // den for c in product])
+            if coords is None:
+                raise PruferError("embedded order basis is not closed under multiplication")
+            row.append(coords)
+        table.append(tuple(row))
     # one = u/e is in the span L/den exactly when e divides den and u*den/e is in L.
     one_coords = None
     if den % one.denominator == 0:
         one_coords = lat.coordinates([c * (den // one.denominator) for c in one.integer_numerators])
     if one_coords is None:
         raise PruferError("the identity does not lie in the embedded order")
-    basis = tuple(AlgebraElement(row, den) for row in lat.basis)
     return EmbeddedOrder(ZOrder._derived(lat.rank, tuple(table), one_coords), basis)

@@ -138,6 +138,27 @@ MUTANTS = (
         "path also proves irreducible, and the factor is P made monic either "
         "way; only the work grows",
     ),
+    Mutant(
+        name="own-lattice-any-determinant",
+        path="src/prufer/orders.py",
+        snippet="lat.determinant() == 1 and ",
+        replacement="",
+        tests=("tests/test_orders.py::test_embedded_order_of_a_sublattice_is_a_new_order",),
+        status="kill",
+        reason="any full-rank integral span with the identity would be taken "
+        "for the order's own lattice: Z[2i] would come back as Z[i]",
+    ),
+    Mutant(
+        name="own-lattice-any-identity",
+        path="src/prufer/orders.py",
+        snippet=" and one == order.identity():",
+        replacement=":",
+        tests=("tests/test_orders.py::test_embedded_order_of_the_own_lattice_needs_the_identity",),
+        status="kill",
+        reason="the order's own lattice would be returned with the order's "
+        "identity whatever identity was asked for: Z x Z's lattice with "
+        "identity (1, 0) would be accepted",
+    ),
 )
 
 

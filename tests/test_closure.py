@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import prufer.closure
 import prufer.factor
@@ -25,6 +27,7 @@ from prufer.orders import (
     load_order,
     minimal_polynomial,
     mul,
+    product_order,
 )
 from prufer.poly import RationalPolynomial
 from prufer.splitting import component_order, decompose
@@ -389,3 +392,51 @@ def test_decision_stops_early_yet_agrees_with_the_maximal_order():
             assert mu_w.is_monic and mu_w.has_integer_coefficients, str(mu)
             assert cert.witness["min_poly"] == str(mu_w)
     assert verdicts.count("NO") >= 80 and verdicts.count("YES") >= 140
+
+
+# Monic polynomials of degree 2-6 with coefficients in [-20, 20].
+monic_sextics = st.integers(2, 6).flatmap(lambda n: st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+
+
+@given(monic_sextics, monic_sextics)
+def test_maximal_order_discriminant_invariants(f_low, g_low):
+    # For A = Z[X]/(f) and its maximal order O, disc(f) = [O : A]^2 disc(O),
+    # disc(O) = 0 or 1 mod 4 (Stickelberger), and the trace form of a product
+    # is the orthogonal sum of its factors' forms.  A refusal fails the test.
+    f, g = P(*f_low, 1), P(*g_low, 1)
+    assume(poly_factor(f) == [(f, 1)] and poly_factor(g) == [(g, 1)])
+    maximal = []
+    for h in (f, g):
+        emb = maximal_order(equation_order(h))
+        d = discriminant(emb.order)
+        square, rest = divmod(discriminant(equation_order(h)), d)
+        assert rest == 0 and square == emb.index**2
+        assert d % 4 in (0, 1)
+        maximal.append(emb.order)
+    a, b = maximal
+    assert discriminant(product_order(a, b)) == discriminant(a) * discriminant(b)
+
+
+def _prime_divisors(m):
+    return [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _phi(m):
+    return m * prod(p - 1 for p in _prime_divisors(m)) // prod(_prime_divisors(m))
+
+
+def _cyclotomic(m):
+    f = RationalPolynomial.x_power(m) - RationalPolynomial.one_poly
+    for d in range(1, m):
+        if m % d == 0:
+            f = f // _cyclotomic(d)
+    return f
+
+
+@pytest.mark.parametrize("m", [m for m in range(3, 31) if m % 4 != 2 and _phi(m) <= 8])
+def test_cyclotomic_discriminant_closed_form(m):
+    # disc Q(zeta_m) = (-1)^(phi/2) m^phi / prod_{p | m} p^(phi/(p-1)) for
+    # m != 2 mod 4; phi(m) <= 8 bounds m by 30.
+    phi, primes = _phi(m), _prime_divisors(m)
+    expected = (-1) ** (phi // 2) * m**phi // prod(p ** (phi // (p - 1)) for p in primes)
+    assert discriminant(maximal_order(equation_order(_cyclotomic(m))).order) == expected

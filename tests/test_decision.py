@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 import prufer.closure
 import prufer.decision
+import prufer.linalg
 import prufer.orders
 import prufer.splitting
 from prufer.decision import PrueferCertificate, decide_pruefer, verify_certificate
@@ -116,6 +117,53 @@ def test_derived_orders_skip_the_associativity_proof(monkeypatch):
     # A table from outside the program is still proved associative.
     ZOrder(dim=order.dim, table=order.table, one=order.one)
     assert calls == [12]
+
+
+@pytest.fixture
+def order_work(monkeypatch, calls_to):
+    """The trace Gram matrices built, the determinants taken, the orders
+    ``ZOrder._derived`` copies and the ``power_index`` calls, each as a list
+    with one entry per call."""
+    derived = []
+    original = ZOrder._derived
+
+    def counting(cls, dim, table, one):
+        derived.append(dim)
+        return original(dim, table, one)
+
+    monkeypatch.setattr(ZOrder, "_derived", classmethod(counting))
+    return {
+        "gram": calls_to(prufer.orders, "trace_gram_matrix", lambda order: order.dim),
+        "det": calls_to(prufer.linalg, "bareiss_det", len),
+        "derived": derived,
+        "index": calls_to(prufer.closure, "power_index"),
+    }
+
+
+def _work(order_work):
+    return {name: len(calls) for name, calls in order_work.items()}
+
+
+def test_a_field_is_its_own_component_and_keeps_its_discriminant(order_work):
+    # X^12 - 2 spans a field: its one component is the order itself, whose
+    # discriminant is_reduced computes once for the decision and the
+    # verifier alike, and Dedekind's criterion settles every prime, so the
+    # verifier never needs [A : Z[a]].
+    order = equation_order(P(-2, *[0] * 11, 1))
+    cert = decide_pruefer(order)
+    assert verify_certificate(order, cert)
+    assert _work(order_work) == {"gram": 1, "det": 1, "derived": 0, "index": 0}
+
+
+def test_a_product_computes_each_component_discriminant_once_per_order(order_work, equation_product):
+    # Z[i] x Z[2^(1/3)] x Z[3^(1/4)]: one Gram matrix and determinant for the
+    # product, and one for each of the three components the decision derives
+    # and the three the verifier derives from the certificate.
+    order = equation_product((1, 0, 1), (-2, 0, 0, 1), (-3, 0, 0, 0, 1))
+    cert = decide_pruefer(order)
+    assert verify_certificate(order, cert)
+    assert _work(order_work) == {"gram": 7, "det": 7, "derived": 6, "index": 0}
+    assert order_work["gram"] == [9, 2, 3, 4, 2, 3, 4]
 
 
 # Certificates of the eight products of equation orders in the benchmark's
@@ -430,6 +478,25 @@ def test_decision_settles_each_component_by_dedekind(calls_to, equation_product,
     assert (cert.verdict, len(multiplier_calls)) == ("YES", 0)
     assert verify_certificate(order, cert)
     assert len(multiplier_calls) == 0
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [
+        ((1, 0, 1), (-3, 0, 0, 0, 1)),
+        ((1, 0, 1), (-2, 0, 0, 1), (-3, 0, 0, 0, 1)),
+        ((-2, 0, 0, 1), (-3, 0, 0, 0, 1), (-5, 0, 0, 0, 0, 1)),
+    ],
+    ids=["i-x-3^(1/4)", "i-x-2^(1/3)-x-3^(1/4)", "2^(1/3)-x-3^(1/4)-x-5^(1/5)"],
+)
+def test_verify_reads_the_index_only_where_dedekind_fails(calls_to, equation_product, polys):
+    # Every factor passes Dedekind's criterion at every prime, so the
+    # verifier never needs [A : Z[a]].
+    order = equation_product(*polys)
+    cert = decide_pruefer(order)
+    index_calls = calls_to(prufer.closure, "power_index")
+    assert verify_certificate(order, cert)
+    assert index_calls == []
 
 
 def test_verify_rejects_commuting_pair(m2z, corpus):

@@ -330,11 +330,29 @@ def test_embedded_order_rejects_bad_spans(z_i):
         embedded_order(z_i, [element((2, 0)), element((0, 2))], z_i.identity())
 
 
-def test_embedded_order_equals_the_validated_order(z_i):
-    # The derived order skips only the associativity proof; it is the same
+def test_embedded_order_of_a_sublattice_is_a_new_order(z_i):
+    # Z[2i] spans Z^2 over Q and contains 1, but has index 2 in Z[i].
+    sub = embedded_order(z_i, [element((1, 0)), element((0, 2))], z_i.identity())
+    assert sub.order is not z_i
+    assert sub.order.table[1][1] == (-4, 0) and sub.order.discriminant == -16
+
+
+def test_embedded_order_of_the_own_lattice_needs_the_identity(zxz):
+    # (1, 0) is an idempotent of Z x Z, not its identity.
+    with pytest.raises(NoIdentityError):
+        embedded_order(zxz, [element((1, 0)), element((0, 1))], element((1, 0)))
+
+
+def test_embedded_order_equals_the_validated_order(z_i, z_sqrt5):
+    # Z[i]'s own lattice with its identity is Z[i] itself, on the unit basis.
+    own = embedded_order(z_i, [element((1, 0)), element((0, 1))], z_i.identity())
+    assert own.order is z_i and own.basis == (element((1, 0)), element((0, 1)))
+    # A derived order skips only the associativity proof; it is the same
     # value as the order built, and fully checked, from the same table.
-    derived = embedded_order(z_i, [element((1, 0)), element((0, 1))], z_i.identity()).order
-    assert derived == ZOrder(dim=2, table=z_i.table, one=z_i.one)
+    # Z[(1 + sqrt5)/2] is not z_sqrt5's own lattice.
+    derived = embedded_order(z_sqrt5, [element((1, 0)), element(("1/2", "1/2"))], z_sqrt5.identity()).order
+    assert derived is not z_sqrt5
+    assert derived == ZOrder(dim=2, table=derived.table, one=derived.one)
 
 
 def test_is_commutative(m2z, z_i):
