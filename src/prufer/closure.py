@@ -129,7 +129,7 @@ def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice, p: int) -> Embedde
                 raise NotApplicableError("multiplier ring needs an ideal of the order")
             row.extend(c % p for c in coords)
         matrix.append(row)
-    # Where U = pO the step is stable, and embedded_order returns O itself.
+    # Where U = pO the step is stable: U/p is O's unit basis, returned as O.
     u = _modp_kernel_lattice(matrix, p)
     return embedded_order(order, [AlgebraElement(row, p) for row in u.basis], order.identity())
 
@@ -183,9 +183,9 @@ def _enlargements(order: ZOrder, mu: RationalPolynomial) -> Iterator[EmbeddedOrd
     order.  O is maximal exactly when nothing is yielded; the first yield is
     one step's order, in Hermite form, and each of its basis vectors outside
     O is integral over Z (Cohen, GTM 138, Thm 6.1.3)."""
-    # ``running.order`` is the current overorder and ``running`` maps its
-    # coordinates into the input order's; each step is composed through it.
-    running = embedded_order(order, [order.basis_element(i) for i in range(order.dim)], order.identity())
+    # ``running``, O itself on its unit basis at first, maps the current
+    # overorder's coordinates into O's; each step is composed through it.
+    running = EmbeddedOrder(order, order.unit_basis)
     total_index = 1
     disc = discriminant(order)
     for p, v in sorted(factor_int(disc).items()):
@@ -206,7 +206,7 @@ def _enlargements(order: ZOrder, mu: RationalPolynomial) -> Iterator[EmbeddedOrd
 def _round_two(order: ZOrder, mu: RationalPolynomial) -> EmbeddedOrder:
     """The maximal order: ``_enlargements`` run to its end, on the same
     inputs, with the last overorder's basis put in Hermite form."""
-    basis = [order.basis_element(i) for i in range(order.dim)]
+    basis = order.unit_basis
     for running in _enlargements(order, mu):
         basis = running.basis
     return embedded_order(order, basis, order.identity())

@@ -5,16 +5,18 @@ finite product of rings of integers of number fields.  ``decide_pruefer``
 walks the obstruction ladder (noncommutativity, nilpotents, idempotents
 escaping the lattice, a component below its maximal order) and emits a
 ``PrueferCertificate`` whose witness ``verify_certificate`` re-checks
-without rerunning the decision.  Both settle each component A e_i at every p
-with p^2 | disc(A e_i) by Dedekind's criterion on its factor g_i, the minimal
-polynomial of a e_i for the primitive element a.  Where g_i fails, the solver
-takes a round-2 step; the check refuses, or takes one step if p | [A : Z[a]],
-an index read only there.  The check shares ``discriminant``, ``factor_int``,
-``poly_factor``, ``dedekind_p_maximal`` and ``embedded_order`` with the solver,
-and at those p also ``p_radical`` and ``ring_of_multipliers``.  Neither
-guesses: when an ``errors.UnansweredError`` stops the work, ``decide_pruefer``
-raises IndeterminateError with the error's tag as reason, and
-``verify_certificate`` lets the error through instead of returning False.
+without rerunning the decision.  ``splitting.decompose`` splits A; a field
+is its one component, A itself on its unit basis.  Both settle each
+component A e_i at every p with p^2 | disc(A e_i) by Dedekind's criterion on
+its factor g_i, the minimal polynomial of a e_i for the primitive element a.
+Where g_i fails, the solver takes a round-2 step; the check refuses, or takes
+one step if p | [A : Z[a]], an index read only there.  The check shares
+``discriminant``, ``factor_int``, ``poly_factor``, ``dedekind_p_maximal`` and
+``embedded_order`` with the solver, and at those p also ``p_radical`` and
+``ring_of_multipliers``.  Neither guesses: when an ``errors.UnansweredError``
+stops the work, ``decide_pruefer`` raises IndeterminateError with the error's
+tag as reason, and ``verify_certificate`` lets the error through instead of
+returning False.
 
 Certificates serialize to JSON with a fixed field order (verdict, reason,
 witness, citation) so output files are byte-stable.
@@ -58,7 +60,7 @@ from .orders import (
     power,
 )
 from .poly import RationalPolynomial
-from .splitting import _split_reduced, component_order
+from .splitting import component_order, decompose
 
 VERDICT_YES = "YES"
 VERDICT_NO = "NO"
@@ -201,7 +203,7 @@ def _decide(order: ZOrder) -> PrueferCertificate:
             VERDICT_NO, REASON_NOT_REDUCED, witness, _CITATIONS[REASON_NOT_REDUCED]
         )
 
-    dec = _split_reduced(order)
+    dec = decompose(order)
     escaping = next((e for e in dec.idempotents if not e.is_integral_vector), None)
     if escaping is not None:
         mu = minimal_polynomial(order, escaping)

@@ -24,8 +24,8 @@ certificates and the CLI print, and ``coords`` the Fraction view.
 
 An ``EmbeddedOrder`` is an order inside B together with its basis as
 elements of B: a field component A e_i, or an overorder built by round 2.
-``embedded_order`` builds one from generators, and returns the order itself
-when they span its own lattice; ``closure._enlargements`` composes its steps.
+``embedded_order`` builds one from generators, or is the order itself on its
+unit basis, where ``closure._enlargements`` starts composing its steps.
 """
 
 from __future__ import annotations
@@ -161,6 +161,11 @@ class ZOrder:
             object.__setattr__(order, name, value)
         order._check_structure()
         return order
+
+    @cached_property
+    def unit_basis(self) -> tuple[AlgebraElement, ...]:
+        """b_0, ..., b_(n-1) as elements: the basis of the order's own lattice."""
+        return tuple(self.basis_element(i) for i in range(self.dim))
 
     @cached_property
     def _gram(self) -> list[list[int]]:
@@ -362,10 +367,12 @@ def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> Al
     return AlgebraElement(tuple(acc), f.denominator * scale)
 
 
-def power_span(order: ZOrder, y: Sequence[int]) -> tuple[EchelonSpan, list[int]]:
+def power_span(order: ZOrder, y: Sequence[int], start: Sequence[int] | None = None) -> tuple[EchelonSpan, list[int]]:
     """(span, relation) for the integer vector y: the Q-span of 1, y, y^2, ...,
     which is the subalgebra Q[y], and the first relation among those powers,
-    the coefficients of the minimal polynomial of y.
+    the coefficients of the minimal polynomial of y.  From an idempotent
+    ``start`` E instead of 1 it walks E, yE, y^2 E, ..., and the relation is
+    the minimal polynomial of yE in the block A E.
 
     The powers go into one span, each computed only once the ones before it
     are independent.  The first dependent power y^k lies in the span of the
@@ -373,7 +380,7 @@ def power_span(order: ZOrder, y: Sequence[int]) -> tuple[EchelonSpan, list[int]]
     n, so k <= n.
     """
     span = EchelonSpan(order.dim)
-    current = list(order.one)
+    current = list(order.one if start is None else start)
     while (relation := span.add(current)) is None:
         current = order._mul_coords(current, y)
     return span, relation
@@ -539,15 +546,17 @@ def embedded_order(order: ZOrder, rows: Sequence[AlgebraElement], one: AlgebraEl
     basis.  Raises PruferError when the span is not closed under
     multiplication or does not contain ``one``, the suborder's identity.
 
-    The span Z^n with ``order``'s identity is ``order`` itself, on the unit
-    basis.  Any other table is ``order``'s product restricted to a closed
-    lattice, associative as ``order`` is, so ``ZOrder._derived`` builds it.
+    The unit basis with ``order``'s identity is ``order`` itself, with no
+    reduction; callers that mean the order's own lattice pass exactly that.
+    Any other table, even one equal to it from another basis of Z^n, is
+    ``order``'s product restricted to a closed lattice, associative as
+    ``order`` is, so ``ZOrder._derived`` builds it.
     """
+    if tuple(rows) == order.unit_basis and one == order.identity():
+        return EmbeddedOrder(order, order.unit_basis)
     ints, den = _over_common_denominator(rows)
     lat = hnf_reduce(ints)
     basis = tuple(AlgebraElement(row, den) for row in lat.basis)
-    if den == 1 and lat.rank == order.dim and lat.determinant() == 1 and one == order.identity():
-        return EmbeddedOrder(order, basis)
     # Basis row r is y_r / den, so (y_r / den)(y_s / den) is in the span
     # exactly when y_r y_s / den is an integer combination of the y's.
     table = []

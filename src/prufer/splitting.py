@@ -20,9 +20,10 @@ of length n, most often one.  The argument uses only the identity element,
 so it holds in non-reduced algebras too, and the element chosen is the same
 as testing every candidate.
 
-The split does not factor mu_a whole: a rejected b with mu_b = X h(X),
-h(0) != 0, gives the idempotent h(b)/h(0) from its span, these cuts split B
-into blocks, and each block factors its own minimal polynomial.  A block of
+The split, ``decompose``, does not factor mu_a whole: a rejected b with
+mu_b = X h(X), h(0) != 0, gives the idempotent h(b)/h(0) from its span,
+these cuts split B into blocks, and each block E factors its own minimal
+polynomial, which closes the power span of a started at E.  A block of
 several fields is split by ``crt_idempotents``, the CRT split of Q[a] that
 ``ivp``'s pointwise test uses too.  Everything is deterministic: the factors
 are sorted canonically, so component numbering is reproducible.  A component
@@ -38,7 +39,6 @@ from typing import Iterator, Sequence
 
 from .errors import NotApplicableError, PruferError, SearchExhaustedError
 from .factor import check_factor_degree, poly_factor
-from .linalg import EchelonSpan
 from .orders import (
     AlgebraElement,
     EmbeddedOrder,
@@ -46,7 +46,6 @@ from .orders import (
     embedded_order,
     evaluate_poly,
     is_commutative,
-    is_reduced,
     mul,
     power_span,
 )
@@ -137,29 +136,23 @@ class Decomposition:
 def decompose(order: ZOrder) -> Decomposition:
     """Split B into fields via a primitive element.
 
-    Preconditions: B commutative and reduced; violations raise
-    NotApplicableError.  The idempotent identities are verified before
-    returning, so downstream code can rely on them.
+    Preconditions: B commutative and reduced, for a commutative order
+    disc != 0 (``orders.is_reduced``), which the order keeps once computed;
+    violations raise NotApplicableError.  The idempotent identities are
+    verified before returning, so downstream code can rely on them.
+
+    The search's cuts refine {1} into orthogonal blocks E (f -> fE, f - fE);
+    mu_(aE), the power span of a from E, is the product of the factors of
+    mu_a in A E.  Irreducible, it makes E a component's idempotent;
+    reducible, ``crt_idempotents`` splits it, each result times E.  As
+    primitive idempotents are unique, the pairs sorted by factor are those
+    of factoring mu_a whole, which one block does.
     """
     commutative, _ = is_commutative(order)
     if not commutative:
         raise NotApplicableError("NOT_COMMUTATIVE: decompose needs a commutative algebra")
-    reduced, _ = is_reduced(order)
-    if not reduced:
+    if not order.discriminant:
         raise NotApplicableError("NOT_REDUCED: decompose needs a reduced algebra")
-    return _split_reduced(order)
-
-
-def _split_reduced(order: ZOrder) -> Decomposition:
-    """The work of ``decompose`` on an order already known to be commutative
-    and reduced; ``decide_pruefer`` calls it after its own reducedness test.
-
-    The search's cuts refine {1} into orthogonal blocks E (f -> fE, f - fE);
-    mu_(aE) in A E is the product of the factors of mu_a there.  Irreducible,
-    it makes E a component's idempotent; reducible, ``crt_idempotents`` splits
-    it, each result times E.  As primitive idempotents are unique, the pairs
-    sorted by factor are those of factoring mu_a whole, which one block does.
-    """
     a, mu, cuts = find_primitive_element(order)
     check_factor_degree(mu)  # the cap is on mu_a, though no block may reach it
     blocks = [order.identity()]
@@ -168,7 +161,10 @@ def _split_reduced(order: ZOrder) -> Decomposition:
         blocks = [part for f, fe in products for part in (fe, f - fe) if not part.is_zero]
     pairs = []
     for block in blocks:
-        block_mu = mu if len(blocks) == 1 else _block_polynomial(order, a, block)
+        block_mu = mu
+        if len(blocks) > 1:
+            _, relation = power_span(order, a.integer_numerators, block.integer_numerators)
+            block_mu = RationalPolynomial.from_int_coeffs(relation, relation[-1])
         factor_pairs = poly_factor(block_mu)
         if any(mult != 1 for _, mult in factor_pairs):
             raise PruferError("minimal polynomial of a primitive element is not squarefree in a reduced algebra")
@@ -184,14 +180,6 @@ def _split_reduced(order: ZOrder) -> Decomposition:
             if mul(order, ei, ej) != (ei if i == j else order.zero()):
                 raise PruferError("idempotents are not orthogonal")
     return Decomposition(primitive=a, min_poly=mu, factors=factors, idempotents=idempotents)
-
-
-def _block_polynomial(order: ZOrder, a: AlgebraElement, block: AlgebraElement) -> RationalPolynomial:
-    """mu_(aE) in the block A E: the first relation among E, aE, a^2 E, ..."""
-    span, current = EchelonSpan(order.dim), list(block.integer_numerators)
-    while (relation := span.add(current)) is None:
-        current = order._mul_coords(current, a.integer_numerators)
-    return RationalPolynomial.from_int_coeffs(relation, relation[-1])
 
 
 def crt_idempotents(
@@ -214,7 +202,7 @@ def component_order(order: ZOrder, dec: Decomposition, index: int) -> EmbeddedOr
     """The projection A e_i of the order into component i, as an order with
     identity e_i, on the Hermite basis of the lattice spanned by b_j e_i."""
     e = dec.idempotents[index]
-    generators = [mul(order, order.basis_element(j), e) for j in range(order.dim)]
+    generators = [mul(order, b, e) for b in order.unit_basis]
     comp = embedded_order(order, generators, e)
     if comp.order.dim != dec.factors[index].degree:
         raise PruferError("component lattice rank does not match the factor degree")

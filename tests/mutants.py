@@ -98,12 +98,12 @@ MUTANTS = (
         path="src/prufer/factor.py",
         snippet="bound = comb(top, top // 2) * norm2 + 1",
         replacement="bound = norm2 + 1",
-        tests=("tests/test_factor.py", "tests/test_oracle.py", "tests/test_decision.py"),
-        status="survivor",
+        tests=("tests/test_factor.py::test_lift_target_is_the_landau_mignotte_bound",),
+        status="kill",
         reason="the bound of a linear factor is too small for a factor of higher "
-        "degree, but the modulus p^(2^k) overshoots the bound on every input the "
-        "tests use; a factor whose coefficients exceed a too-small modulus would "
-        "be missed and its product reported irreducible",
+        "degree; the modulus p^(2^k) overshoots it on every input the tests "
+        "factor, so the lift's target, the Landau-Mignotte figure itself, is "
+        "pinned: 7 in place of 11 for X^4 + 1",
     ),
     Mutant(
         name="eisenstein-square-test-dropped",
@@ -139,14 +139,14 @@ MUTANTS = (
         "way; only the work grows",
     ),
     Mutant(
-        name="own-lattice-any-determinant",
+        name="own-lattice-any-rows",
         path="src/prufer/orders.py",
-        snippet="lat.determinant() == 1 and ",
-        replacement="",
+        snippet="tuple(rows) == order.unit_basis",
+        replacement="len(rows) == order.dim",
         tests=("tests/test_orders.py::test_embedded_order_of_a_sublattice_is_a_new_order",),
         status="kill",
-        reason="any full-rank integral span with the identity would be taken "
-        "for the order's own lattice: Z[2i] would come back as Z[i]",
+        reason="any n rows with the identity would be taken for the order's "
+        "own unit basis: Z[2i] would come back as Z[i]",
     ),
     Mutant(
         name="own-lattice-any-identity",
@@ -158,6 +158,17 @@ MUTANTS = (
         reason="the order's own lattice would be returned with the order's "
         "identity whatever identity was asked for: Z x Z's lattice with "
         "identity (1, 0) would be accepted",
+    ),
+    Mutant(
+        name="power-span-ignores-start",
+        path="src/prufer/orders.py",
+        snippet="list(order.one if start is None else start)",
+        replacement="list(order.one)",
+        tests=(PRODUCT_BYTES, *EQUIVALENCE),
+        status="kill",
+        reason="every block would take mu_a for its own minimal polynomial and "
+        "split by all of mu_a's factors, so a factor would come back once per "
+        "block, with a zero idempotent outside its own",
     ),
 )
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 import prufer.closure
 import prufer.decision
+import prufer.lattice
 import prufer.linalg
 import prufer.orders
 import prufer.splitting
@@ -83,7 +84,6 @@ def test_is_reduced_runs_once_per_decision(monkeypatch, corpus):
         return original(order)
 
     monkeypatch.setattr(prufer.decision, "is_reduced", counting)
-    monkeypatch.setattr(prufer.splitting, "is_reduced", counting)
     for name in ("z_i", "zxz", "z_sqrt5", "cubic_index2", "z_x_mod_x2"):
         calls.clear()
         decide_pruefer(corpus[name])
@@ -164,6 +164,47 @@ def test_a_product_computes_each_component_discriminant_once_per_order(order_wor
     assert verify_certificate(order, cert)
     assert _work(order_work) == {"gram": 7, "det": 7, "derived": 6, "index": 0}
     assert order_work["gram"] == [9, 2, 3, 4, 2, 3, 4]
+
+
+@pytest.fixture
+def embedding_work(order_work, calls_to):
+    """The Hermite reductions, the ``embedded_order`` calls, the
+    ``ZOrder._derived`` copies and the power walks, each as a list with one
+    entry per call."""
+    return {
+        "hnf": calls_to(prufer.lattice, "hnf_reduce", lambda *args, **kwargs: len(args[0])),
+        "embedded": calls_to(prufer.orders, "embedded_order"),
+        "derived": order_work["derived"],
+        "power_span": calls_to(prufer.orders, "power_span"),
+    }
+
+
+def test_a_field_puts_no_unit_basis_through_a_hermite_reduction(embedding_work):
+    # X^12 - 2 is its own one component.  Round 2 starts from the order
+    # itself, and the decision's and the verifier's embedded_order see its
+    # unit basis and return it unreduced; the one HNF is the verifier's check
+    # that the component bases tile A.
+    order = equation_order(P(-2, *[0] * 11, 1))
+    cert = decide_pruefer(order)
+    assert verify_certificate(order, cert)
+    assert _work(embedding_work) == {"hnf": 1, "embedded": 2, "derived": 0, "power_span": 2}
+
+
+def test_a_product_reduces_only_its_components(embedding_work, equation_product):
+    # Z[i] x Z[2^(1/3)] x Z[3^(1/4)]: three components derived by the decision
+    # and three by the verifier, each from one HNF, plus the tiling check.
+    # The three block polynomials are power walks from their blocks.
+    order = equation_product((1, 0, 1), (-2, 0, 0, 1), (-3, 0, 0, 0, 1))
+    cert = decide_pruefer(order)
+    assert verify_certificate(order, cert)
+    assert _work(embedding_work) == {"hnf": 7, "embedded": 6, "derived": 6, "power_span": 17}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_decompose_runs_once_per_decision(calls_to, corpus, name):
+    calls = calls_to(prufer.splitting, "decompose")
+    decide_pruefer(corpus[name])
+    assert len(calls) == (EXPECTED[name][1] not in ("NONCOMMUTATIVE", "NOT_REDUCED"))
 
 
 # Certificates of the eight products of equation orders in the benchmark's
@@ -546,7 +587,7 @@ def test_unanswered_error_tag_is_the_reason(monkeypatch, z_i, error):
     def unanswered(order):
         raise error
 
-    monkeypatch.setattr(prufer.decision, "_split_reduced", unanswered)
+    monkeypatch.setattr(prufer.decision, "decompose", unanswered)
     with pytest.raises(IndeterminateError) as exc:
         decide_pruefer(z_i)
     assert exc.value.reason == error.tag

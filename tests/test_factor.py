@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -330,6 +330,24 @@ def test_irreducible_without_a_proving_pattern_still_lifts(calls_to):
     f = P(1, 0, 0, 0, 1)
     assert poly_factor(f) == [(f, 1)]
     assert lifts
+
+
+@pytest.mark.parametrize(("n", "target"), [(4, 11), (8, 27), (16, 283)])
+def test_lift_target_is_the_landau_mignotte_bound(calls_to, n, target):
+    # X^n + 1 is cyclotomic of 2-power order, so mod every odd prime it
+    # splits into factors of degree at most n/2, and top = n/2 is a subset
+    # sum.  A factor of degree top has coefficients below
+    # B = C(top, top/2) * (floor(||f||_2) + 1) + 1 (Landau-Mignotte), here
+    # with floor(sqrt(2)) + 1 = 2, and the lift's target is 2B + 1, so that
+    # symmetric residues recover them.  The modulus p^(2^k) overshoots the
+    # target on these inputs, so no output shows a smaller bound; the
+    # target itself does.
+    top = n // 2
+    assert target == 2 * comb(top, top // 2) * 2 + 3
+    targets = calls_to(prufer.factor, "_hensel_lift_tree", lambda f, factors, p, target: target)
+    f = P(1, *[0] * (n - 1), 1)
+    assert poly_factor(f) == [(f, 1)]
+    assert targets and set(targets) == {target}
 
 
 def test_recombination_divisions(monkeypatch):

@@ -355,6 +355,16 @@ def test_embedded_order_equals_the_validated_order(z_i, z_sqrt5):
     assert derived == ZOrder(dim=2, table=derived.table, one=derived.one)
 
 
+def test_embedded_order_of_another_unimodular_basis_is_an_equal_copy(z_i):
+    # (1, 1), (0, 1) span Z[i]'s own lattice, but only the unit basis is
+    # recognised as the order itself: this basis takes the general path and
+    # comes back reduced to the unit basis, as a copy with Z[i]'s table.
+    own = embedded_order(z_i, [element((1, 1)), element((0, 1))], z_i.identity())
+    assert own.order is not z_i
+    assert (own.order.dim, own.order.table, own.order.one) == (z_i.dim, z_i.table, z_i.one)
+    assert own.basis == z_i.unit_basis
+
+
 def test_is_commutative(m2z, z_i):
     flag, pair = is_commutative(z_i)
     assert flag and pair is None
