@@ -44,7 +44,7 @@ from .orders import (
     embedded_order,
     is_commutative,
 )
-from .poly import RationalPolynomial
+from .poly import RationalPolynomial, binary_power
 from .splitting import find_primitive_element
 from .factor import dedekind_p_maximal, factor_int, poly_factor
 
@@ -81,24 +81,16 @@ def p_radical(order: ZOrder, p: int) -> IntegerLattice:
     p^k >= dim, which is F_p-linear on coordinates by Frobenius; the kernel
     lifts to a full-rank lattice containing p*Z^n.
     """
-    commutative, _ = is_commutative(order)
-    if not commutative:
+    if not is_commutative(order)[0]:
         raise NotApplicableError("NOT_COMMUTATIVE: the p-radical construction needs a commutative order")
+
+    def mul_mod_p(x, y):
+        return [c % p for c in order._mul_coords(x, y)]
+
     q = p
     while q < order.dim:
         q *= p
-    return _modp_kernel_lattice([_basis_power_mod_p(order, i, q, p) for i in range(order.dim)], p)
-
-
-def _basis_power_mod_p(order: ZOrder, i: int, e: int, p: int) -> list[int]:
-    base = [1 if j == i else 0 for j in range(order.dim)]
-    result = [c % p for c in order.one]
-    while e:
-        if e & 1:
-            result = [c % p for c in order._mul_coords(result, base)]
-        base = [c % p for c in order._mul_coords(base, base)] if e > 1 else base
-        e >>= 1
-    return result
+    return _modp_kernel_lattice([binary_power(b.integer_numerators, q, mul_mod_p) for b in order.unit_basis], p)
 
 
 def ring_of_multipliers(order: ZOrder, ideal: IntegerLattice, p: int) -> EmbeddedOrder:

@@ -51,7 +51,7 @@ from math import comb, gcd, isqrt
 from typing import Sequence
 
 from .errors import DiscFactorizationError, FactorDegreeError, PruferError, ZeroPolynomialError
-from .poly import RationalPolynomial, squarefree_decomposition
+from .poly import RationalPolynomial, binary_power, squarefree_decomposition
 
 FACTOR_DEGREE_CAP = 32
 
@@ -160,19 +160,9 @@ def _gp_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], 
     return _zp_scale(r0, inv, p), _zp_scale(s0, inv, p), _zp_scale(t0, inv, p)
 
 
-def _gp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    return _gp_rem(_zp_mul(a, b, p), f, p)
-
-
 def _gp_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a^e mod f over F_p, for f monic and e >= 1, square and multiply from
-    the top bit down."""
-    result = base = _gp_rem(a, f, p)
-    for bit in bin(e)[3:]:
-        result = _gp_mulmod(result, result, f, p)
-        if bit == "1":
-            result = _gp_mulmod(result, base, f, p)
-    return result
+    """a^e mod f over F_p, for f monic and e >= 1."""
+    return binary_power(_gp_rem(a, f, p), e, lambda x, y: _gp_rem(_zp_mul(x, y, p), f, p))
 
 
 def _gp_deriv(a: list[int], p: int) -> list[int]:

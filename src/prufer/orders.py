@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from math import gcd, lcm
 from pathlib import Path
 from typing import Sequence, Union
@@ -50,7 +50,7 @@ from .errors import (
 )
 from .lattice import hnf_reduce
 from .linalg import EchelonSpan, bareiss_det
-from .poly import RationalPolynomial, parse_rational, rational_text
+from .poly import RationalPolynomial, binary_power, parse_rational, rational_text
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ def _int_vector(v) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class ZOrder:
-    """A torsion-free Z-order given by structure constants; the Gram matrix
-    of its trace form and its discriminant are computed once, on first use."""
+    """A torsion-free Z-order given by structure constants; its trace form's
+    Gram matrix, discriminant and first noncommuting pair are kept once used."""
 
     dim: int
     table: tuple[tuple[tuple[int, ...], ...], ...]
@@ -166,6 +166,12 @@ class ZOrder:
     def unit_basis(self) -> tuple[AlgebraElement, ...]:
         """b_0, ..., b_(n-1) as elements: the basis of the order's own lattice."""
         return tuple(self.basis_element(i) for i in range(self.dim))
+
+    @cached_property
+    def _noncommuting_pair(self) -> tuple[int, int] | None:
+        """The first (i, j), i < j, with b_i b_j != b_j b_i, or None."""
+        table = self.table
+        return next(((i, j) for i, j in combinations(range(self.dim), 2) if table[i][j] != table[j][i]), None)
 
     @cached_property
     def _gram(self) -> list[list[int]]:
@@ -328,14 +334,9 @@ def mul(order: ZOrder, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 def power(order: ZOrder, x: AlgebraElement, k: int) -> AlgebraElement:
     if k < 0:
         raise ValueError("negative powers are not defined in an order")
-    result = order.identity()
-    base = x
-    while k:
-        if k & 1:
-            result = mul(order, result, base)
-        base = mul(order, base, base) if k > 1 else base
-        k >>= 1
-    return result
+    if x.dim != order.dim:
+        raise DimensionMismatchError("element dimension does not match the order")
+    return binary_power(x, k, lambda u, v: mul(order, u, v)) if k else order.identity()
 
 
 def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> AlgebraElement:
@@ -355,13 +356,8 @@ def evaluate_poly(order: ZOrder, f: RationalPolynomial, x: AlgebraElement) -> Al
     last = positions.pop()
     acc, scale = [g[last] * u for u in order.one], 1
     for i in reversed(positions):
-        step, gap = y, last - i
-        if gap > 1:  # step = y^gap, by squaring from the top bit down
-            for bit in bin(gap)[3:]:
-                step = order._mul_coords(step, step)
-                if bit == "1":
-                    step = order._mul_coords(step, y)
-        scale *= d**gap
+        step = binary_power(y, last - i, order._mul_coords)
+        scale *= d ** (last - i)
         acc = [a + g[i] * scale * u for a, u in zip(order._mul_coords(acc, step), order.one)]
         last = i
     return AlgebraElement(tuple(acc), f.denominator * scale)
@@ -415,11 +411,8 @@ def trace_gram_matrix(order: ZOrder) -> list[list[int]]:
 
 def is_commutative(order: ZOrder) -> tuple[bool, tuple[AlgebraElement, AlgebraElement] | None]:
     """(True, None), or (False, (x, y)) with x*y != y*x; x, y basis vectors."""
-    for i in range(order.dim):
-        for j in range(i + 1, order.dim):
-            if order.table[i][j] != order.table[j][i]:
-                return False, (order.basis_element(i), order.basis_element(j))
-    return True, None
+    pair = order._noncommuting_pair
+    return (True, None) if pair is None else (False, tuple(map(order.basis_element, pair)))
 
 
 def is_reduced(order: ZOrder) -> tuple[bool, tuple[AlgebraElement, int] | None]:

@@ -5,7 +5,9 @@ no trailing zeros) plus one positive common denominator, kept coprime to the
 coefficient gcd.  ``Fraction`` is left for scalars passed in and for the
 views ``coefficients``, ``leading_coefficient`` and ``content_and_primitive``.
 ``rational_text`` writes and ``parse_rational`` reads the text of one rational
-number, a coefficient or an element coordinate.
+number, a coefficient or an element coordinate.  ``binary_power`` is the
+package's one square-and-multiply, for polynomials here, for elements of an
+order and for polynomials mod f over F_p.
 
 The text format used by the CLI and by certificates writes ascending terms:
 ``-4 - 2*X + X^2``.  The parser is a little more lenient than the writer
@@ -51,6 +53,17 @@ def parse_rational(value) -> tuple[int, int]:
             pass
     value = Fraction(value)
     return value.numerator, value.denominator
+
+
+def binary_power(x, k: int, mul):
+    """x^k for k >= 1 under the associative product ``mul``: start from x and
+    square from the top bit of k down, multiplying by x at each 1 bit."""
+    result = x
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -202,14 +215,7 @@ class RationalPolynomial:
     def __pow__(self, k: int) -> "RationalPolynomial":
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = RationalPolynomial._raw((1,), 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return binary_power(self, k, RationalPolynomial.__mul__) if k else RationalPolynomial.one_poly
 
     def __divmod__(self, other) -> tuple["RationalPolynomial", "RationalPolynomial"]:
         other = _coerce(other)

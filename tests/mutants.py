@@ -170,6 +170,59 @@ MUTANTS = (
         "split by all of mu_a's factors, so a factor would come back once per "
         "block, with a zero idempotent outside its own",
     ),
+    Mutant(
+        name="binary-power-skips-odd-bits",
+        path="src/prufer/poly.py",
+        snippet='        if bit == "1":\n            result = mul(result, x)\n',
+        replacement="",
+        tests=(FACTOR_GOLDENS,),
+        status="kill",
+        reason="x^k would become x^(2^(bit length - 1)) at every site of the one "
+        "square-and-multiply: the powers mod f in distinct-degree and "
+        "Cantor-Zassenhaus splitting among them",
+    ),
+    Mutant(
+        name="binary-power-extra-square",
+        path="src/prufer/poly.py",
+        snippet="for bit in bin(k)[3:]:",
+        replacement="for bit in bin(k)[2:]:",
+        tests=(FACTOR_GOLDENS,),
+        status="kill",
+        reason="walking the top bit too squares x once more than k asks: x^k "
+        "becomes x^(k + 2^(bit length - 1))",
+    ),
+    Mutant(
+        name="first-non-integral-none",
+        path="src/prufer/closure.py",
+        snippet="return next((x for x in closure.basis if not x.is_integral_vector), None)",
+        replacement="return None",
+        tests=("tests/test_decision.py::test_corpus_verdicts",),
+        status="kill",
+        reason="a round-2 step that enlarges the order would yield no "
+        "element outside it, so a NO verdict has no witness: deciding Z[3i] "
+        "fails",
+    ),
+    Mutant(
+        name="crt-drops-an-idempotent",
+        path="src/prufer/splitting.py",
+        snippet="return tuple(idempotents)",
+        replacement="return tuple(idempotents[1:])",
+        tests=("tests/test_ivp.py::test_pointwise_escaping_witness",),
+        status="kill",
+        reason="the first component of every split is lost: the pointwise "
+        "test at [[0,4],[1,2]] in M_2(Z) no longer finds its escaping witness "
+        "and calls the point closed",
+    ),
+    Mutant(
+        name="search-accepts-rank-n-minus-1",
+        path="src/prufer/splitting.py",
+        snippet="if span.rank == n:",
+        replacement="if span.rank >= n - 1:",
+        tests=(PRODUCT_BYTES,),
+        status="kill",
+        reason="an element whose powers span only a hyperplane would be taken "
+        "for primitive, with a minimal polynomial of degree n - 1",
+    ),
 )
 
 

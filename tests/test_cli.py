@@ -9,7 +9,7 @@ import prufer.cli
 import prufer.closure
 from conftest import order_to_dict
 from prufer.cli import main
-from prufer.orders import equation_order
+from prufer.orders import equation_order, load_order
 from prufer.poly import RationalPolynomial
 
 ORDERS = pathlib.Path(__file__).resolve().parent.parent / "orders"
@@ -522,6 +522,11 @@ def test_hurwitz_check_names(capsys):
         "norms-2-integral",
     ]
     assert all(c["pass"] for c in doc["checks"])
+
+
+def test_examples_ring_is_the_shipped_m2z():
+    # `prufer examples` builds M_2(Z) itself; it must be the ring the corpus ships.
+    assert prufer.cli._matrix_order() == load_order(ORDERS / "m2z.json")
 
 
 def test_examples_all_pass(capsys):

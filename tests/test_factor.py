@@ -12,7 +12,9 @@ from prufer.factor import (
     _gp_divmod,
     _gp_gcd,
     _gp_monic,
+    _gp_powmod,
     _gp_radical,
+    _gp_rem,
     _pollard_brent,
     _zp_mul,
     dedekind_p_maximal,
@@ -112,6 +114,19 @@ def test_modp_factor_inert():
 
 def test_modp_factor_inseparable():
     assert modp_degrees((0, 0, 1), 2) == [(2, 1)]
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7, 101)),
+    st.lists(st.integers(-100, 100), min_size=1, max_size=6),
+    st.lists(st.integers(-100, 100), max_size=8),
+)
+def test_gp_powmod_is_repeated_multiplication(p, low, a):
+    f = [c % p for c in low] + [1]
+    product = _gp_rem(a, f, p)
+    for e in range(1, 71):
+        assert _gp_powmod(a, e, f, p) == product
+        product = _gp_rem(_zp_mul(product, a, p), f, p)
 
 
 X12_MINUS_2 = (-2,) + (0,) * 11 + (1,)

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from prufer.decision import decide_pruefer
 from prufer.errors import (
+    DimensionMismatchError,
     MalformedInputError,
     NoIdentityError,
     NonAssociativeError,
@@ -15,6 +17,7 @@ from prufer.errors import (
     UnitLineError,
 )
 from prufer.orders import (
+    AlgebraElement,
     ZOrder,
     element,
     embedded_order,
@@ -249,6 +252,25 @@ def test_mul_and_power(z_i):
     assert mul(z_i, i, i).coords == (-1, 0)
     assert power(z_i, i, 4).coords == (1, 0)
     assert power(z_i, i, 0).coords == (1, 0)
+    with pytest.raises(ValueError):
+        power(z_i, i, -1)
+    for k in (0, 1, 2):
+        with pytest.raises(DimensionMismatchError):
+            power(z_i, element((0, 1, 0)), k)
+
+
+# Noncommutative orders too: the powers of one element associate.
+@pytest.mark.parametrize("name", ["m2z", "hurwitz", "z_cbrt2_x_z_i"])
+@given(data=st.data())
+def test_power_is_the_k_fold_product(corpus, equation_product, name, data):
+    order = equation_product([-2, 0, 0, 1], [1, 0, 1]) if name == "z_cbrt2_x_z_i" else corpus[name]
+    nums = data.draw(st.lists(st.integers(-3, 3), min_size=order.dim, max_size=order.dim))
+    x = AlgebraElement(tuple(nums), data.draw(st.sampled_from((1, 2))))
+    assert power(order, x, 0) == order.identity()
+    product = x
+    for k in range(1, 71):
+        assert power(order, x, k) == product
+        product = mul(order, product, x)
 
 
 def test_evaluate_poly(z_i):
@@ -372,6 +394,20 @@ def test_is_commutative(m2z, z_i):
     assert not flag
     x, y = pair
     assert mul(m2z, x, y).coords != mul(m2z, y, x).coords
+
+
+class _Unreadable:
+    def __getitem__(self, index):
+        raise AssertionError("the table was scanned again")
+
+
+@pytest.mark.parametrize("name", ["m2z", "z_i", "zxz"])
+def test_commutativity_is_scanned_once_per_order(name):
+    order = load_order(ORDERS_DIR / f"{name}.json")
+    decide_pruefer(order)
+    answer = is_commutative(load_order(ORDERS_DIR / f"{name}.json"))
+    object.__setattr__(order, "table", _Unreadable())
+    assert is_commutative(order) == answer
 
 
 def test_is_reduced(corpus):

@@ -8,6 +8,7 @@ from prufer.errors import MalformedInputError, ZeroPolynomialError
 from prufer.orders import element, evaluate_poly
 from prufer.poly import (
     RationalPolynomial,
+    binary_power,
     parse_rational,
     poly_gcd,
     poly_xgcd,
@@ -22,6 +23,29 @@ nonzero_polys = rational_polys.filter(lambda f: not f.is_zero)
 
 def P(*coeffs):
     return RationalPolynomial(coeffs)
+
+
+@given(st.integers(min_value=2, max_value=10**6), st.integers())
+def test_binary_power_is_the_k_fold_product_mod_m(m, x):
+    x %= m
+    product = x
+    for k in range(1, 71):
+        assert binary_power(x, k, lambda u, v: u * v % m) == product
+        product = product * x % m
+
+
+@given(st.lists(fractions, min_size=1, max_size=3).map(RationalPolynomial))
+def test_polynomial_power_is_the_k_fold_product(f):
+    product = f
+    for k in range(1, 71):
+        assert f**k == product
+        product *= f
+
+
+def test_polynomial_power_zero_and_negative():
+    assert P(1, 2) ** 0 == RationalPolynomial.one_poly
+    with pytest.raises(ValueError):
+        P(1, 2) ** -1
 
 
 def test_construction_strips_leading_zeros():
