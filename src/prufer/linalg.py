@@ -5,9 +5,10 @@ dense; orders in this package have dimension at most a few dozen, so clarity
 beats asymptotics.  Elimination over Q is fraction-free: a rational question
 is asked of integer rows (one common denominator cleared by the caller), and
 rows are kept primitive by dividing out their content (Bareiss, Math. Comp.
-22, 1968; Cohen, GTM 138, 2.3-2.4).  Callers hand over integer vectors
-directly: an element of an order's ambient algebra already is integer
-coordinates over one denominator (``orders.AlgebraElement``).
+22, 1968; Cohen, GTM 138, 2.3-2.4).  A span grows by forward elimination
+alone, and its reduced form is formed only when asked.  Callers hand over
+integer vectors directly: an element of an order's ambient algebra already
+is integer coordinates over one denominator (``orders.AlgebraElement``).
 
 One contract answers both questions asked of a stream of vectors: is this
 vector in the span of the ones before it, and if so, which relation puts it
@@ -44,43 +45,71 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 class EchelonSpan:
     """The Q-span of integer vectors v_0, v_1, ..., grown one vector at a time.
 
-    It is kept in reduced row echelon form over one common denominator: row r
-    is ``rows[r] / den``, equal to 1 at column ``pivots[r]`` and to 0 at every
-    other pivot.  So v lies in the span exactly when
+    ``add`` keeps it in echelon form, forward only: the new row is v reduced
+    by the rows before it in insertion order, divided by its content, and
+    its first nonzero column is its pivot, zero in every later row.  The
+    reduced row echelon form over one common denominator is formed on the
+    first request after the span grows: row r is ``rows[r] / den``, equal to
+    1 at column ``pivots[r]`` and to 0 at every other pivot, with den > 0
+    and content 1, so it is unique.  v lies in the span exactly when
     den * v = sum_r v[pivots[r]] * rows[r], that is when every annihilator
     f_j = den e_j - sum_r rows[r][j] e_(pivots[r]), one per free column j,
-    has f_j . v = 0.  The annihilators are built once per span, on the first
-    membership question after it grows; a vector outside usually fails at
-    the first one.  ``kept`` holds the vectors kept so far as given; a
-    relation among them is solved for only when a dependent vector arrives.
+    has f_j . v = 0; a vector outside usually fails at the first one.
+    ``kept`` holds the vectors kept so far as given; a relation among them
+    is solved for only when a dependent vector arrives.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.den = 1
         self.pivots: list[int] = []
-        self.rows: list[list[int]] = []
         self.kept: list[list[int]] = []
-        self._free = list(range(width))
-        self._annihilators: list[list[int]] | None = None
+        self._echelon: list[list[int]] = []
+        self._reduced: tuple[int, list[list[int]], list[list[int]]] | None = None
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def den(self) -> int:
+        return self._reduce()[0]
+
+    @property
+    def rows(self) -> list[list[int]]:
+        return self._reduce()[1]
 
     @property
     def annihilators(self) -> list[list[int]]:
         """The integer functionals f_j, one per free column j, whose common
         kernel is the span."""
-        if self._annihilators is None:
-            self._annihilators = []
-            for j in self._free:
+        return self._reduce()[2]
+
+    def _reduce(self) -> tuple[int, list[list[int]], list[list[int]]]:
+        """(den, rows, annihilators): each echelon row in turn becomes a
+        reduced row, its pivot cleared from the rows before it by one integer
+        cross-multiplication each."""
+        if self._reduced is None:
+            den, rows = 1, []
+            for q, e in zip(self.pivots, self._echelon):
+                a = e[q]
+                rows = [[a * x - row[q] * y for x, y in zip(row, e)] if row[q] else [a * x for x in row] for row in rows]
+                rows.append([den * x for x in e])
+                den *= a
+            content = gcd(den, *(x for row in rows for x in row))
+            if den < 0:
+                content = -content
+            den //= content
+            rows = [[x // content for x in row] for row in rows]
+            free = (j for j in range(self.width) if j not in self.pivots)
+            annihilators = []
+            for j in free:
                 f = [0] * self.width
-                f[j] = self.den
-                for p, row in zip(self.pivots, self.rows):
+                f[j] = den
+                for p, row in zip(self.pivots, rows):
                     f[p] = -row[j]
-                self._annihilators.append(f)
-        return self._annihilators
+                annihilators.append(f)
+            self._reduced = den, rows, annihilators
+        return self._reduced
 
     def __contains__(self, v: Sequence[int]) -> bool:
         if len(v) != self.width:
@@ -95,35 +124,26 @@ class EchelonSpan:
         vectors kept so far; they are independent, so it is unique up to
         scale, and it comes back primitive with c_k > 0.
 
-        The residual w = den * v - sum_r v[pivots[r]] * rows[r] is zero at
-        every pivot.  If it is zero everywhere, v is dependent.  Otherwise its
-        first nonzero column q becomes a new pivot, cleared from the other
-        rows by one integer cross-multiplication each.
+        The residual w, v reduced by each echelon row in turn, is zero at
+        every pivot.  If it is zero everywhere, v is dependent.  Otherwise
+        its first nonzero column becomes a new pivot.
         """
         if len(v) != self.width:
             raise DimensionMismatchError(f"vector of length {len(v)} added to a span of width {self.width}")
-        den = self.den
-        w = [den * x for x in v]
-        for p, row in zip(self.pivots, self.rows):
-            c = v[p]
+        w = v
+        for p, e in zip(self.pivots, self._echelon):
+            c = w[p]
             if c:
-                w = [x - c * y for x, y in zip(w, row)]
-        q = next((j for j in range(self.width) if w[j]), None)
+                a = e[p]
+                w = [a * x - c * y for x, y in zip(w, e)]
+        q = next((j for j, x in enumerate(w) if x), None)
         if q is None:
             return self._relation(v)
-        a = w[q]
-        rows = [[a * x - row[q] * y for x, y in zip(row, w)] for row in self.rows]
-        rows.append([den * x for x in w])
-        den *= a
-        content = gcd(den, *(x for row in rows for x in row))
-        if den < 0:
-            content = -content
-        self.den = den // content
-        self.rows = [[x // content for x in row] for row in rows]
+        content = gcd(*w)
+        self._echelon.append([x // content for x in w])
         self.pivots.append(q)
-        self._free.remove(q)
         self.kept.append(list(v))
-        self._annihilators = None
+        self._reduced = None
         return None
 
     def _relation(self, v: Sequence[int]) -> list[int]:

@@ -15,10 +15,12 @@ Every later candidate c inside a rejected candidate's Q[a] has Q[c] <= Q[a],
 so it is not primitive either and is skipped without computing one power of
 it.  Whether c lies in Q[a] is read off the span's annihilators
 (``linalg.EchelonSpan.annihilators``), integer functionals built once per
-rejected a, so each kept span costs a candidate a few integer dot products
-of length n, most often one.  The argument uses only the identity element,
-so it holds in non-reduced algebras too, and the element chosen is the same
-as testing every candidate.
+rejected a.  The walk is an odometer, and one test of a span's annihilators
+on the fixed coordinates skips a whole subtree of candidates when the span
+holds the unit vectors of the free ones, so most candidates are never looked
+at one by one.  The argument uses only the identity element, so it holds in
+non-reduced algebras too, and the element chosen is the same as testing
+every candidate.
 
 The split, ``decompose``, does not factor mu_a whole: a rejected b with
 mu_b = X h(X), h(0) != 0, gives the idempotent h(b)/h(0) from its span,
@@ -34,8 +36,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import NotApplicableError, PruferError, SearchExhaustedError
 from .factor import check_factor_degree, poly_factor
@@ -54,26 +55,52 @@ from .poly import RationalPolynomial, poly_xgcd
 SEARCH_CAP = 200000
 
 
-def shell_vectors(dim: int, shell_max: int) -> Iterator[tuple[int, ...]]:
+def shell_vectors(
+    dim: int, shell_max: int, covered: Callable[[int, list[int]], bool] | None = None
+) -> Iterator[tuple[int, ...]]:
     """Integer vectors ordered by max-norm shell, then little-endian within a
     shell with per-coordinate value order 0, 1, -1, 2, -2, ...
 
     The first coordinate varies fastest, so sparse vectors supported on early
     coordinates come before their mirror images.  Yields at most
     ``SEARCH_CAP`` vectors (the zero vector is skipped).
+
+    Within a shell the walk is an odometer, coordinate dim - 1 slowest.
+    Before each subtree of the vectors that agree with ``vec`` on coordinates
+    k..dim-1, 0 < k <= dim, whose coordinates below k are 0, it asks
+    ``covered(k, vec)``; on True it skips the subtree, whose shell vectors
+    still count toward the cap, so the walk stops where it would have.
     """
     seen = 0
-    for m in range(1, shell_max + 1):
-        values = [0]
-        for v in range(1, m + 1):
-            values.extend((v, -v))
-        for rev in product(values, repeat=dim):
-            if m not in rev and -m not in rev:
-                continue
-            yield rev[::-1]
-            seen += 1
+
+    def subtree(k: int, on_shell: bool) -> Iterator[tuple[int, ...]]:
+        nonlocal seen
+        if covered is not None and covered(k, vec):
+            seen += (2 * m + 1) ** k - (0 if on_shell else (2 * m - 1) ** k)
+            return
+        for x in values:
+            vec[k - 1] = x
+            if k > 1:
+                yield from subtree(k - 1, on_shell or abs(x) == m)
+            elif on_shell or abs(x) == m:
+                yield tuple(vec)
+                seen += 1
             if seen >= SEARCH_CAP:
                 return
+        vec[k - 1] = 0
+
+    for m in range(1, shell_max + 1):
+        values = [0, *(s * v for v in range(1, m + 1) for s in (1, -1))]
+        vec = [0] * dim
+        yield from subtree(dim, False)
+        if seen >= SEARCH_CAP:
+            return
+
+
+def _inside(rejected: list[tuple[tuple[int, ...], int, list[list[int]]]], vec: Sequence[int]) -> bool:
+    """Whether vec lies in some rejected span Q[b]: every annihilator f of
+    Q[b] has f . vec = 0."""
+    return any(not any(sum(map(operator.mul, vec, f)) for f in fs) for _, _, fs in rejected)
 
 
 def find_primitive_element(order: ZOrder) -> tuple[AlgebraElement, RationalPolynomial, tuple[AlgebraElement, ...]]:
@@ -84,15 +111,17 @@ def find_primitive_element(order: ZOrder) -> tuple[AlgebraElement, RationalPolyn
     that closes a's power span.  Each rejected candidate b leaves its span
     Q[b], a proper subalgebra; a later candidate c in Q[b] has Q[c] <= Q[b]
     and is skipped untested.  c lies in Q[b] exactly when every annihilator f
-    of Q[b] has f . c = 0; outside it, the first f usually shows a nonzero, so
-    a candidate costs about one dot product of length dim per kept span before
-    it is skipped or tested.  A span inside a newer one is dropped, as the
-    newer one rejects everything it would.  A rejected b whose relation has
-    c_0 = 0 != c_1 has mu_b = X h(X) with h(0) = c_1, and h(b)/h(0), 1 mod X
-    and 0 mod h, is an idempotent summed from the powers the span kept;
-    ``cuts`` holds the distinct ones in the order found.  Requires the
-    ambient algebra to be commutative; in a reduced (etale) algebra primitive
-    elements exist and small integer combinations of the basis hit one quickly.
+    of Q[b] has f . c = 0 (``_inside``).  A whole subtree of the walk, the
+    vectors that agree with vec on coordinates k.., lies in Q[b] when every
+    f vanishes on coordinates below k, that is k is at most Q[b]'s zero
+    prefix, and on vec; the walk skips it unseen, so most candidates cost
+    nothing.  A span inside a newer one is dropped, as the newer one rejects
+    everything it would.  A rejected b whose relation has c_0 = 0 != c_1 has
+    mu_b = X h(X) with h(0) = c_1, and h(b)/h(0), 1 mod X and 0 mod h, is an
+    idempotent summed from the powers the span kept; ``cuts`` holds the
+    distinct ones in the order found.  Requires the ambient algebra to be
+    commutative; in a reduced (etale) algebra primitive elements exist and
+    small integer combinations of the basis hit one quickly.
     """
     commutative, _ = is_commutative(order)
     if not commutative:
@@ -100,24 +129,24 @@ def find_primitive_element(order: ZOrder) -> tuple[AlgebraElement, RationalPolyn
     n = order.dim
     if n == 1:
         return order.identity(), RationalPolynomial((-1, 1)), ()
-    rejected: list[tuple[tuple[int, ...], list[list[int]]]] = []  # (b, annihilators of Q[b])
+    rejected: list[tuple[tuple[int, ...], int, list[list[int]]]] = []  # (b, zero prefix, annihilators of Q[b])
     cuts: dict[AlgebraElement, None] = {}
-    for vec in shell_vectors(n, shell_max=max(4, n)):
-        for _, annihilators in rejected:
-            for f in annihilators:
-                if sum(map(operator.mul, vec, f)):
-                    break
-            else:
-                break  # every f_j . vec = 0: vec lies in this Q[b]
-        else:
-            span, relation = power_span(order, vec)
-            if span.rank == n:
-                return AlgebraElement(vec), RationalPolynomial.from_int_coeffs(relation, relation[-1]), tuple(cuts)
-            if relation[0] == 0 != relation[1]:
-                h_b = tuple(sum(map(operator.mul, relation[1:], column)) for column in zip(*span.kept))
-                cuts[AlgebraElement(h_b, relation[1])] = None
-            rejected = [(b, kept) for b, kept in rejected if b not in span]
-            rejected.append((vec, span.annihilators))
+
+    def covered(k: int, vec: list[int]) -> bool:
+        return any(prefix >= k and not any(sum(map(operator.mul, vec, f)) for f in fs) for _, prefix, fs in rejected)
+
+    for vec in shell_vectors(n, max(4, n), covered):
+        if _inside(rejected, vec):
+            continue
+        span, relation = power_span(order, vec)
+        if span.rank == n:
+            return AlgebraElement(vec), RationalPolynomial.from_int_coeffs(relation, relation[-1]), tuple(cuts)
+        if relation[0] == 0 != relation[1]:
+            h_b = tuple(sum(map(operator.mul, relation[1:], column)) for column in zip(*span.kept))
+            cuts[AlgebraElement(h_b, relation[1])] = None
+        rejected = [entry for entry in rejected if entry[0] not in span]
+        fs = span.annihilators
+        rejected.append((vec, min(next(j for j, x in enumerate(f) if x) for f in fs), fs))
     raise SearchExhaustedError("no primitive element found within the search budget")
 
 

@@ -51,6 +51,9 @@ class Mutant(NamedTuple):
 
 
 PRODUCT_BYTES = "tests/test_decision.py::test_product_certificate_bytes"
+WALK_PIN = "tests/test_splitting.py::test_walk_matches_the_flat_walk_on_products"
+CAP_PIN = "tests/test_splitting.py::test_skipped_subtrees_count_toward_the_cap"
+SPAN_PIN = "tests/test_linalg.py::test_echelon_span_matches_the_eager_reduced_form"
 FACTOR_GOLDENS = "tests/test_factor_goldens.py::test_factor_goldens"
 SYMPY_FACTORS = "tests/test_oracle.py::test_poly_factor_matches_sympy"
 # Outputs only: the skew-basis test also pins which blocks reach the CRT.
@@ -222,6 +225,51 @@ MUTANTS = (
         status="kill",
         reason="an element whose powers span only a hyperplane would be taken "
         "for primitive, with a minimal polynomial of degree n - 1",
+    ),
+    Mutant(
+        name="walk-skip-ignores-fixed-part",
+        path="src/prufer/splitting.py",
+        snippet="prefix >= k and not any(sum(map(operator.mul, vec, f)) for f in fs)",
+        replacement="prefix >= k",
+        tests=("tests/test_splitting.py::test_find_primitive_element", WALK_PIN),
+        status="kill",
+        reason="a subtree would be skipped whenever a rejected span holds the "
+        "unit vectors of its free coordinates, though its fixed part lies "
+        "outside the span: on Z[i] the span Q[1] of the first vector holds "
+        "e_0, every later subtree (c, x) is skipped, and the search exhausts",
+    ),
+    Mutant(
+        name="walk-cap-ignores-skipped",
+        path="src/prufer/splitting.py",
+        snippet="            seen += (2 * m + 1) ** k - (0 if on_shell else (2 * m - 1) ** k)\n",
+        replacement="",
+        tests=(CAP_PIN,),
+        status="kill",
+        reason="the walk would count only the vectors it hands out, and go on "
+        "past the SEARCH_CAP-th shell vector: with the cap at 6644 the "
+        "dimension-12 product finds its element, the 6645th vector",
+    ),
+    Mutant(
+        name="span-keeps-stale-reduced-form",
+        path="src/prufer/linalg.py",
+        snippet="        self.kept.append(list(v))\n        self._reduced = None\n",
+        replacement="        self.kept.append(list(v))\n",
+        tests=("tests/test_linalg.py::test_echelon_span_agrees_with_lattice_rank", SPAN_PIN),
+        status="kill",
+        reason="a membership question asked before an add would fix the "
+        "reduced form and its annihilators, and the span would answer from "
+        "them after it grew",
+    ),
+    Mutant(
+        name="span-row-without-content",
+        path="src/prufer/linalg.py",
+        snippet="self._echelon.append([x // content for x in w])",
+        replacement="self._echelon.append(list(w))",
+        tests=(PRODUCT_BYTES, SPAN_PIN),
+        status="equivalent",
+        reason="the content only keeps the echelon rows small: the pivots do "
+        "not depend on it, and the reduced form over one positive denominator "
+        "with content 1 is unique",
     ),
 )
 

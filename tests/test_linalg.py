@@ -280,3 +280,83 @@ def test_echelon_span_over_a_denominator():
     assert span.den == 2
     assert span.add([1, 2, 1]) == [-1, -2, 2]
     assert [1, 2, 1] in span and [0, 1, 0] not in span
+
+
+class _EagerSpan:
+    """``EchelonSpan`` as it kept its reduced row echelon form at every add:
+    the reference for the span that forms it only when asked."""
+
+    def __init__(self, width):
+        self.width, self.den, self.pivots, self.rows, self.kept = width, 1, [], [], []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    @property
+    def annihilators(self):
+        result = []
+        for j in range(self.width):
+            if j not in self.pivots:
+                f = [0] * self.width
+                f[j] = self.den
+                for p, row in zip(self.pivots, self.rows):
+                    f[p] = -row[j]
+                result.append(f)
+        return result
+
+    def __contains__(self, v):
+        return not any(sum(a * x for a, x in zip(v, f)) for f in self.annihilators)
+
+    _relation = EchelonSpan._relation
+
+    def add(self, v):
+        den = self.den
+        w = [den * x for x in v]
+        for p, row in zip(self.pivots, self.rows):
+            c = v[p]
+            if c:
+                w = [x - c * y for x, y in zip(w, row)]
+        q = next((j for j in range(self.width) if w[j]), None)
+        if q is None:
+            return self._relation(v)
+        a = w[q]
+        rows = [[a * x - row[q] * y for x, y in zip(row, w)] for row in self.rows]
+        rows.append([den * x for x in w])
+        den *= a
+        content = gcd(den, *(x for row in rows for x in row))
+        if den < 0:
+            content = -content
+        self.den = den // content
+        self.rows = [[x // content for x in row] for row in rows]
+        self.pivots.append(q)
+        self.kept.append(list(v))
+        return None
+
+
+def _span_state(span):
+    return span.rows, span.den, span.annihilators, span.pivots, span.kept, span.rank
+
+
+@given(st.integers(1, 5), st.data())
+def test_echelon_span_matches_the_eager_reduced_form(width, data):
+    # Each step adds a new vector, a combination of the vectors so far (in
+    # the span) or zero, after an optional membership question; the span
+    # that reduces on request answers everything as the eager one did.
+    span, eager, added = EchelonSpan(width), _EagerSpan(width), []
+    vectors = st.lists(small_ints, min_size=width, max_size=width)
+    for _ in range(data.draw(st.integers(0, 8))):
+        kind = data.draw(st.sampled_from(("new", "combination", "zero")))
+        if kind == "new" or not added:
+            v = data.draw(vectors)
+        elif kind == "combination":
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(added), max_size=len(added)))
+            v = [sum(c * u[j] for c, u in zip(coeffs, added)) for j in range(width)]
+        else:
+            v = [0] * width
+        if data.draw(st.booleans()):
+            question = data.draw(vectors)
+            assert (question in span) == (question in eager)
+        assert span.add(v) == eager.add(v)
+        added.append(v)
+        assert _span_state(span) == _span_state(eager)

@@ -409,3 +409,100 @@ def test_product_splits_along_rejected_zero_divisors(calls_to, equation_product)
     assert decide_pruefer(order).verdict == "YES"
     assert sorted(degrees) == [2, 3, 4]
     assert crt == []
+
+
+def _flat_walk(order):
+    """The search as one flat walk: every shell vector in turn, skipped when
+    some rejected span's annihilators all vanish on it.  Returns the vectors
+    it tested exactly and (a, mu_a, cuts)."""
+    n, tested, rejected, cuts = order.dim, [], [], {}
+    if n == 1:
+        return tested, (order.identity(), RationalPolynomial((-1, 1)), ())
+    for vec in shell_vectors(n, max(4, n)):
+        if any(all(sum(a * x for a, x in zip(f, vec)) == 0 for f in fs) for _, fs in rejected):
+            continue
+        tested.append(vec)
+        span, relation = power_span(order, vec)
+        if span.rank == n:
+            return tested, (AlgebraElement(vec), RationalPolynomial.from_int_coeffs(relation, relation[-1]), tuple(cuts))
+        if relation[0] == 0 != relation[1]:
+            h_b = tuple(sum(c * x for c, x in zip(relation[1:], column)) for column in zip(*span.kept))
+            cuts[AlgebraElement(h_b, relation[1])] = None
+        rejected = [(b, fs) for b, fs in rejected if b not in span]
+        rejected.append((vec, span.annihilators))
+    raise SearchExhaustedError("no primitive element")
+
+
+def _assert_walk_matches_flat_walk(order):
+    # Wrapped by hand, not with ``calls_to``: hypothesis refuses
+    # function-scoped fixtures, whose state would carry over between examples.
+    tested, expected = _flat_walk(order)
+    walked = []
+
+    def recording(order, vec):
+        walked.append(tuple(vec))
+        return power_span(order, vec)
+
+    prufer.splitting.power_span = recording
+    try:
+        assert find_primitive_element(order) == expected
+    finally:
+        prufer.splitting.power_span = power_span
+    assert walked == tested
+
+
+@settings(max_examples=30)
+@given(st.lists(st.sampled_from(PRODUCT_POOL), min_size=2, max_size=4), st.none() | st.integers(0, 29))
+def test_walk_matches_the_flat_walk_on_products(equation_product, polys, seed):
+    # Skipping a subtree of the walk skips only vectors the flat walk skips
+    # one at a time, in the standard basis and in skew ones.
+    assume(sum(len(f) - 1 for f in polys) <= 12)
+    order = equation_product(*polys)
+    _assert_walk_matches_flat_walk(order if seed is None else _base_change(order, seed))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_walk_matches_the_flat_walk_on_z_powers(corpus, k):
+    order = corpus["z"]
+    for _ in range(k - 1):
+        order = product_order(order, corpus["z"])
+    _assert_walk_matches_flat_walk(order)
+
+
+@pytest.mark.parametrize("name", [name for name in COMMUTATIVE_CORPUS if name != "z_x_mod_x2"])
+def test_walk_matches_the_flat_walk_on_the_corpus(corpus, name):
+    _assert_walk_matches_flat_walk(corpus[name])
+
+
+@pytest.mark.parametrize("cap, found", [(6644, False), (6645, True)])
+def test_skipped_subtrees_count_toward_the_cap(monkeypatch, equation_product, cap, found):
+    # The primitive element is the 6645th shell vector; all but 14 of the
+    # vectors before it lie in skipped subtrees or rejected spans.
+    order = equation_product(CBRT2, QRT3, (-5, 0, 0, 0, 0, 1))
+    monkeypatch.setattr(prufer.splitting, "SEARCH_CAP", cap)
+    if found:
+        assert find_primitive_element(order)[0].coords == (0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0)
+    else:
+        with pytest.raises(SearchExhaustedError):
+            find_primitive_element(order)
+
+
+@pytest.mark.parametrize(
+    "polys, found, max_checks",
+    [
+        ((CBRT2, QRT3, (-5, 0, 0, 0, 0, 1)), True, 50),
+        ((GAUSS, SQRT2, CBRT2, QRT3, (-5, 0, 0, 0, 0, 1)), False, 1000),
+    ],
+)
+def test_search_checks_few_vectors(calls_to, equation_product, polys, found, max_checks):
+    # The work, not the time: the walk hands few vectors to the per-vector
+    # membership check, on the dimension-12 product that finds its element
+    # (6645 shell vectors) and on the dimension-16 one that reaches the cap.
+    order = equation_product(*polys)
+    checks = calls_to(prufer.splitting, "_inside")
+    if found:
+        find_primitive_element(order)
+    else:
+        with pytest.raises(SearchExhaustedError):
+            find_primitive_element(order)
+    assert 0 < len(checks) <= max_checks
