@@ -104,6 +104,12 @@ class DiscFactorizationError(UnansweredError):
     tag = "DISC_FACTORIZATION_FAILED"
 
 
+class SplitDrawsExhaustedError(UnansweredError):
+    """Equal-degree splitting mod p found no split within its random draws."""
+
+    tag = "SPLIT_DRAWS_EXHAUSTED"
+
+
 class IndeterminateError(PruferError):
     """The decision procedure ran out of resources before reaching a verdict.
 

@@ -50,7 +50,7 @@ from itertools import combinations, compress, islice, zip_longest
 from math import comb, gcd, isqrt
 from typing import Sequence
 
-from .errors import DiscFactorizationError, FactorDegreeError, PruferError, ZeroPolynomialError
+from .errors import DiscFactorizationError, FactorDegreeError, PruferError, SplitDrawsExhaustedError, ZeroPolynomialError
 from .poly import RationalPolynomial, binary_power, squarefree_decomposition
 
 FACTOR_DEGREE_CAP = 32
@@ -194,7 +194,7 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
 
 
 # Each draw splits with probability at least 1/2, so running out of draws
-# means something is wrong, not that the split was unlucky.
+# has odds below 2^-64; it is a refusal (SPLIT_DRAWS_EXHAUSTED), not a guess.
 _EQUAL_DEGREE_DRAWS = 64
 
 
@@ -210,7 +210,7 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
         u = _gp_gcd(g, _zp_sub(_gp_powmod(a, (p**d - 1) // 2, g, p), [1], p), p)
         if 0 < len(u) - 1 < n:
             return _equal_degree(u, d, p, rng) + _equal_degree(_zp_divmod_monic(g, u, p)[0], d, p, rng)
-    raise PruferError(f"equal-degree splitting mod {p} found no split in {_EQUAL_DEGREE_DRAWS} draws")
+    raise SplitDrawsExhaustedError(f"equal-degree splitting mod {p} found no split in {_EQUAL_DEGREE_DRAWS} draws")
 
 
 # -- Hensel lifting ---------------------------------------------------------

@@ -5,10 +5,12 @@ dense; orders in this package have dimension at most a few dozen, so clarity
 beats asymptotics.  Elimination over Q is fraction-free: a rational question
 is asked of integer rows (one common denominator cleared by the caller), and
 rows are kept primitive by dividing out their content (Bareiss, Math. Comp.
-22, 1968; Cohen, GTM 138, 2.3-2.4).  A span grows by forward elimination
-alone, and its reduced form is formed only when asked.  Callers hand over
-integer vectors directly: an element of an order's ambient algebra already
-is integer coordinates over one denominator (``orders.AlgebraElement``).
+22, 1968; Cohen, GTM 138, 2.3-2.4).  Bareiss elimination rescales a row
+with a zero pivot-column entry only when it is next read, so mostly-zero
+trace forms cost little.  A span grows by forward elimination alone, and its
+reduced form is formed only when asked.  Callers hand over integer vectors
+directly: an element of an order's ambient algebra already is integer
+coordinates over one denominator (``orders.AlgebraElement``).
 
 One contract answers both questions asked of a stream of vectors: is this
 vector in the span of the ones before it, and if so, which relation puts it
@@ -165,20 +167,44 @@ def _bareiss(m: list[list[int]]) -> int:
     """Fraction-free Gaussian elimination (Bareiss) of the leading n x n block
     of the n integer rows m, in place, further columns carried along: m ends
     upper triangular with m[n-1][n-1] = +-det.  Returns the sign of the row
-    swaps, 0 once a column has no pivot."""
-    n, sign, prev = len(m), 1, 1
+    swaps, 0 once a column has no pivot.
+
+    Step k only rescales a row that is 0 in column k, by pivot / prev; such a
+    row waits, and is rescaled once by the telescoped product
+    prevs[k] / prevs[levels[i]] when next read: as the pivot, for a nonzero
+    pivot-column entry, or at the end.  Zero entries stay zero under the
+    rescale, so the swaps and every final entry are those of plain Bareiss."""
+    n, sign = len(m), 1
+    prevs, levels = [1], [0] * n
+
+    def lift(i: int, k: int) -> None:
+        hi, lo = prevs[k], prevs[levels[i]]
+        m[i][k:] = [x * hi // lo for x in m[i][k:]]
+        levels[i] = k
+
     for k in range(n - 1):
         if m[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if swap is None:
+                for i in range(k, n):
+                    lift(i, k)
                 return 0
             m[k], m[swap] = m[swap], m[k]
+            levels[k], levels[swap] = levels[swap], levels[k]
             sign = -sign
-        top = m[k]
+        if levels[k] != k:
+            lift(k, k)
+        top, pivot, prev = m[k][k:], m[k][k], prevs[k]
         for i in range(k + 1, n):
-            b = m[i][k]
-            m[i][k:] = [(top[k] * x - b * y) // prev for x, y in zip(m[i][k:], top[k:])]
-        prev = top[k]
+            if m[i][k]:
+                if levels[i] != k:
+                    lift(i, k)
+                b = m[i][k]
+                m[i][k:] = [(pivot * x - b * y) // prev for x, y in zip(m[i][k:], top)]
+                levels[i] = k + 1
+        prevs.append(pivot)
+    if n:
+        lift(n - 1, n - 1)
     return sign
 
 

@@ -402,11 +402,19 @@ def trace_gram_matrix(order: ZOrder) -> list[list[int]]:
     The trace is linear, so with the trace vector t_k = Tr(b_k), the trace
     of left multiplication by b_k, each entry is sum_k table[i][j][k] * t_k
     (Cohen, GTM 138, 4.1), over the k with t_k != 0 only: for X^n + c that
-    is k = 0, and in a product order one k per block.
+    is k = 0, and in a product order one k per block.  G is symmetric in
+    every associative algebra, Tr(L_x L_y) = Tr(L_y L_x), so row i sums the
+    pairs i <= j only and copies G[i][j], j < i, from the rows above it.
     """
-    n = order.dim
-    t = [(k, tk) for k in range(n) if (tk := sum(order.table[k][j][j] for j in range(n)))]
-    return [[sum(cell[k] * tk for k, tk in t) for cell in row] for row in order.table]
+    n, table = order.dim, order.table
+    t = [(k, tk) for k, row in enumerate(table) if (tk := sum([cell[j] for j, cell in enumerate(row)]))]
+    gram = []
+    for i, row in enumerate(table):
+        upper = [0] * (n - i)
+        for k, tk in t:
+            upper = [x + cell[k] * tk for x, cell in zip(upper, row[i:])]
+        gram.append([g[i] for g in gram] + upper)
+    return gram
 
 
 def is_commutative(order: ZOrder) -> tuple[bool, tuple[AlgebraElement, AlgebraElement] | None]:
@@ -543,7 +551,9 @@ def embedded_order(order: ZOrder, rows: Sequence[AlgebraElement], one: AlgebraEl
     reduction; callers that mean the order's own lattice pass exactly that.
     Any other table, even one equal to it from another basis of Z^n, is
     ``order``'s product restricted to a closed lattice, associative as
-    ``order`` is, so ``ZOrder._derived`` builds it.
+    ``order`` is, so ``ZOrder._derived`` builds it.  When ``order`` is
+    commutative, y_r y_s = y_s y_r, so each unordered pair of basis rows is
+    multiplied and tested once and its coordinates fill both cells.
     """
     if tuple(rows) == order.unit_basis and one == order.identity():
         return EmbeddedOrder(order, order.unit_basis)
@@ -552,20 +562,21 @@ def embedded_order(order: ZOrder, rows: Sequence[AlgebraElement], one: AlgebraEl
     basis = tuple(AlgebraElement(row, den) for row in lat.basis)
     # Basis row r is y_r / den, so (y_r / den)(y_s / den) is in the span
     # exactly when y_r y_s / den is an integer combination of the y's.
-    table = []
-    for yr in lat.basis:
-        row = []
-        for ys in lat.basis:
-            product = order._mul_coords(yr, ys)
+    mirror = order._noncommuting_pair is None
+    table = [[None] * lat.rank for _ in lat.basis]
+    for r, yr in enumerate(lat.basis):
+        for s in range(r if mirror else 0, lat.rank):
+            product = order._mul_coords(yr, lat.basis[s])
             coords = None if any(c % den for c in product) else lat.coordinates([c // den for c in product])
             if coords is None:
                 raise PruferError("embedded order basis is not closed under multiplication")
-            row.append(coords)
-        table.append(tuple(row))
+            table[r][s] = coords
+            if mirror:
+                table[s][r] = coords
     # one = u/e is in the span L/den exactly when e divides den and u*den/e is in L.
     one_coords = None
     if den % one.denominator == 0:
         one_coords = lat.coordinates([c * (den // one.denominator) for c in one.integer_numerators])
     if one_coords is None:
         raise PruferError("the identity does not lie in the embedded order")
-    return EmbeddedOrder(ZOrder._derived(lat.rank, tuple(table), one_coords), basis)
+    return EmbeddedOrder(ZOrder._derived(lat.rank, tuple(map(tuple, table)), one_coords), basis)

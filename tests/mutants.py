@@ -54,6 +54,7 @@ PRODUCT_BYTES = "tests/test_decision.py::test_product_certificate_bytes"
 WALK_PIN = "tests/test_splitting.py::test_walk_matches_the_flat_walk_on_products"
 CAP_PIN = "tests/test_splitting.py::test_skipped_subtrees_count_toward_the_cap"
 SPAN_PIN = "tests/test_linalg.py::test_echelon_span_matches_the_eager_reduced_form"
+BAREISS_PIN = "tests/test_linalg.py::test_bareiss_matches_the_plain_elimination"
 FACTOR_GOLDENS = "tests/test_factor_goldens.py::test_factor_goldens"
 SYMPY_FACTORS = "tests/test_oracle.py::test_poly_factor_matches_sympy"
 # Outputs only: the skew-basis test also pins which blocks reach the CRT.
@@ -270,6 +271,48 @@ MUTANTS = (
         reason="the content only keeps the echelon rows small: the pivots do "
         "not depend on it, and the reduced form over one positive denominator "
         "with content 1 is unique",
+    ),
+    Mutant(
+        name="bareiss-lift-skipped",
+        path="src/prufer/linalg.py",
+        snippet="        m[i][k:] = [x * hi // lo for x in m[i][k:]]\n",
+        replacement="",
+        tests=(BAREISS_PIN,),
+        status="kill",
+        reason="a row that skipped steps would miss their rescales, pivot / "
+        "prev each, and the entries computed from it would not be minors: "
+        "the upper triangular [[2, 1], [0, 3]] would end with 3, not 6",
+    ),
+    Mutant(
+        name="bareiss-stale-pivot-entry",
+        path="src/prufer/linalg.py",
+        snippet="                if levels[i] != k:\n                    lift(i, k)\n                b = m[i][k]\n",
+        replacement="                b = m[i][k]\n                if levels[i] != k:\n                    lift(i, k)\n",
+        tests=(BAREISS_PIN,),
+        status="kill",
+        reason="the pivot-column entry read before the rescale belongs to the "
+        "row's old level, so the row is eliminated with the wrong multiple "
+        "of the pivot row and its column-k entry is no longer cleared",
+    ),
+    Mutant(
+        name="gram-upper-triangle-only",
+        path="src/prufer/orders.py",
+        snippet="gram.append([g[i] for g in gram] + upper)",
+        replacement="gram.append([0] * i + upper)",
+        tests=("tests/test_orders.py::test_trace_gram_matrix_matches_the_ordered_pair_sum",),
+        status="kill",
+        reason="the lower triangle of the trace form would stay 0: on a skew "
+        "basis the Gram matrix and the discriminant would be wrong",
+    ),
+    Mutant(
+        name="table-mirror-noncommutative",
+        path="src/prufer/orders.py",
+        snippet="mirror = order._noncommuting_pair is None",
+        replacement="mirror = True",
+        tests=("tests/test_orders.py::test_embedded_order_of_upper_triangular_matrices_keeps_both_products",),
+        status="kill",
+        reason="a noncommutative order's table would be mirrored: in the upper "
+        "triangular matrices e12 e11 would read e11 e12 = e12, not 0",
     ),
 )
 

@@ -7,8 +7,11 @@ import pytest
 
 import prufer.cli
 import prufer.closure
+import prufer.factor
 from conftest import order_to_dict
 from prufer.cli import main
+from prufer.decision import decide_pruefer
+from prufer.errors import IndeterminateError
 from prufer.orders import equation_order, load_order
 from prufer.poly import RationalPolynomial
 
@@ -147,6 +150,23 @@ def test_analyze_degree_cap_names_the_tag_once(capsys, tmp_path):
     assert out == ""
     assert err.count("DEGREE_CAP") == 1
     assert err.startswith("indeterminate: DEGREE_CAP: degree 33")
+
+
+def test_exhausted_equal_degree_draws_are_a_refusal(capsys, monkeypatch, tmp_path):
+    # X^4 + 3X^2 + 2 = (X^2 + 1)(X^2 + 2): the search makes no cut, so mu is
+    # factored whole, and mod 7 both factors have degree 2 and must be split
+    # by Cantor-Zassenhaus draws, here none.
+    monkeypatch.setattr(prufer.factor, "_EQUAL_DEGREE_DRAWS", 0)
+    order = equation_order(RationalPolynomial((2, 0, 3, 0, 1)))
+    with pytest.raises(IndeterminateError) as caught:
+        decide_pruefer(order)
+    assert caught.value.reason == "SPLIT_DRAWS_EXHAUSTED"
+    assert str(caught.value) == (
+        "indeterminate: SPLIT_DRAWS_EXHAUSTED: equal-degree splitting mod 7 found no split in 0 draws"
+    )
+    code, out, err = run(capsys, "analyze", order_file(tmp_path, order))
+    assert (code, out) == (4, "")
+    assert err.count("SPLIT_DRAWS_EXHAUSTED") == 1
 
 
 def test_analyze_non_associative_table(capsys, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from prufer.closure import _modp_kernel_lattice
 from prufer.errors import DimensionMismatchError
 from prufer.lattice import hnf_reduce
-from prufer.linalg import EchelonSpan, bareiss_det, modp_span_add, xgcd
+from prufer.linalg import EchelonSpan, _bareiss, bareiss_det, modp_span_add, xgcd
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -360,3 +360,74 @@ def test_echelon_span_matches_the_eager_reduced_form(width, data):
         assert span.add(v) == eager.add(v)
         added.append(v)
         assert _span_state(span) == _span_state(eager)
+
+
+def _plain_bareiss(m):
+    """``_bareiss`` as it rescaled every row at every step: the reference
+    for the elimination that leaves a row with a zero pivot-column entry
+    as it is until it is next read."""
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top = m[k]
+        for i in range(k + 1, n):
+            b = m[i][k]
+            m[i][k:] = [(top[k] * x - b * y) // prev for x, y in zip(m[i][k:], top[k:])]
+        prev = top[k]
+    return sign
+
+
+@st.composite
+def bareiss_inputs(draw):
+    """n x (n + 0..2) integer rows, n <= 10, with a zero density of 0 to 95 %
+    in steps of 5 %; optionally made singular, by one row that is a
+    combination of the others or by a zero column in the leading block."""
+    n = draw(st.integers(0, 10))
+    width = n + draw(st.integers(0, 2))
+    zeros = draw(st.integers(0, 19))
+    m = [[draw(small_ints) if draw(st.integers(0, 19)) >= zeros else 0 for _ in range(width)] for _ in range(n)]
+    if n >= 2:
+        kind = draw(st.sampled_from(("regular", "dependent row", "zero column")))
+        if kind == "dependent row":
+            r = draw(st.integers(0, n - 1))
+            coeffs = [0 if i == r else draw(st.integers(-2, 2)) for i in range(n)]
+            m[r] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(width)]
+        elif kind == "zero column":
+            c = draw(st.integers(0, n - 2))
+            for row in m:
+                row[c] = 0
+    return m
+
+
+# The first row is the pivot (2) of step 0; the other two lag at level 0 and
+# column 1 has no pivot, so the early return lifts them by 2 / 1.
+LAGGING_AT_THE_EARLY_RETURN = [[2, 1, 3], [0, 0, 5], [0, 0, 7]]
+# Upper triangular: every row lags until it is the pivot, and the last row
+# until the end, where it is lifted by 2 * 3 * 5 / 1 at once.
+LAGGING_TO_THE_END = [[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 5, 1], [0, 0, 0, 7]]
+
+
+@given(bareiss_inputs())
+@example(LAGGING_AT_THE_EARLY_RETURN)
+@example(LAGGING_TO_THE_END)
+@example([[0, 0], [0, 1]])
+@example([])
+def test_bareiss_matches_the_plain_elimination(m):
+    # Entry for entry the same final matrix and the same sign, early
+    # return 0 included.
+    lazy, plain = [row[:] for row in m], [row[:] for row in m]
+    assert (_bareiss(lazy), lazy) == (_plain_bareiss(plain), plain)
+
+
+def test_bareiss_lifts_lagging_rows_when_read():
+    m = [row[:] for row in LAGGING_AT_THE_EARLY_RETURN]
+    assert _bareiss(m) == 0
+    assert m == [[2, 1, 3], [0, 0, 10], [0, 0, 14]]
+    m = [row[:] for row in LAGGING_TO_THE_END]
+    assert _bareiss(m) == 1
+    assert m == [[2, 1, 0, 0], [0, 6, 2, 0], [0, 0, 30, 6], [0, 0, 0, 210]]

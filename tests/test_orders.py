@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from prufer.decision import decide_pruefer
+from prufer.decision import decide_pruefer, verify_certificate
 from prufer.errors import (
     DimensionMismatchError,
     MalformedInputError,
@@ -34,7 +34,8 @@ from prufer.orders import (
 )
 import pathlib
 
-from conftest import order_to_dict
+import prufer.orders
+from conftest import PRODUCT_FAMILY, base_change, order_to_dict
 from prufer.poly import RationalPolynomial
 
 ORDERS_DIR = pathlib.Path(__file__).resolve().parent.parent / "orders"
@@ -341,6 +342,60 @@ def test_trace_gram_matrix_matches_reference(corpus, equation_product):
     orders["Z[i] x Z[2^(1/3)]"] = equation_product((1, 0, 1), (-2, 0, 0, 1))
     for name, order in orders.items():
         assert trace_gram_matrix(order) == _trace_gram_reference(order), name
+
+
+def _trace_gram_every_ordered_pair(order):
+    """``trace_gram_matrix`` as it summed each ordered pair (i, j): the
+    reference for the one that sums each unordered pair once."""
+    n = order.dim
+    t = [(k, tk) for k in range(n) if (tk := sum(order.table[k][j][j] for j in range(n)))]
+    return [[sum(cell[k] * tk for k, tk in t) for cell in row] for row in order.table]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_trace_gram_matrix_matches_the_ordered_pair_sum(corpus, equation_product, seed):
+    # The corpus (m2z and hurwitz included) and the benchmark's products, on
+    # their own bases and on seeded skew ones, where few entries are zero.
+    orders = dict(corpus)
+    orders.update({f"product {k}": equation_product(*polys) for k, polys in enumerate(PRODUCT_FAMILY)})
+    for name, order in orders.items():
+        if seed is not None and order.dim > 1:
+            order = base_change(order, seed)
+        assert trace_gram_matrix(order) == _trace_gram_every_ordered_pair(order), (name, seed)
+
+
+def _assert_table_holds_every_product(order, sub):
+    """Each of the n^2 cells of ``sub``'s table, read in ``order``'s ambient
+    algebra, is the product of its two basis elements."""
+    for r, x in enumerate(sub.basis):
+        for s, y in enumerate(sub.basis):
+            assert sub.to_ambient(AlgebraElement(sub.order.table[r][s])) == mul(order, x, y), (r, s)
+
+
+def test_embedded_order_tables_hold_every_product(calls_to, corpus, equation_product):
+    # Every embedded order that deciding and verifying builds: components,
+    # round-2 steps and maximal orders, on standard and skew bases.
+    calls = calls_to(prufer.orders, "embedded_order")
+    orders = list(corpus.values()) + [equation_product(*polys) for polys in PRODUCT_FAMILY]
+    orders += [equation_order(P(108, 0, 0, 0, 0, 0, 1)), equation_order(P(-162, *[0] * 7, 1))]
+    orders += [base_change(equation_product(*PRODUCT_FAMILY[k]), k) for k in (1, 5, 7)]
+    for order in orders:
+        cert = decide_pruefer(order)
+        assert verify_certificate(order, cert)
+    assert len(calls) > 40
+    for order, rows, one in calls:
+        _assert_table_holds_every_product(order, embedded_order(order, rows, one))
+
+
+def test_embedded_order_of_upper_triangular_matrices_keeps_both_products(m2z):
+    # The upper triangular matrices in M_2(Z): e11 e12 = e12 but e12 e11 = 0,
+    # so the table of a noncommutative order is not mirrored.
+    e11, e12, e22 = (m2z.basis_element(i) for i in (0, 1, 3))
+    sub = embedded_order(m2z, [e11, e12, e22], m2z.identity())
+    assert sub.basis == (e11, e12, e22)
+    assert (sub.order.table[0][1], sub.order.table[1][0]) == ((0, 1, 0), (0, 0, 0))
+    assert is_commutative(sub.order) == (False, (sub.order.basis_element(0), sub.order.basis_element(1)))
+    _assert_table_holds_every_product(m2z, sub)
 
 
 def test_embedded_order_rejects_bad_spans(z_i):

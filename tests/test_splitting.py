@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from itertools import islice, product
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import prufer.splitting
+from conftest import CBRT2, CBRT3, GAUSS, QRT3, SQRT2, SQRT5, THREE_I, base_change
 from prufer.decision import decide_pruefer
 from prufer.errors import NotApplicableError, SearchExhaustedError
 from prufer.factor import poly_factor
@@ -80,14 +80,6 @@ def test_decompose_refuses_non_reduced(corpus):
     with pytest.raises(NotApplicableError):
         decompose(corpus["z_x_mod_x2"])
 
-
-GAUSS = (1, 0, 1)
-SQRT2 = (-2, 0, 1)
-SQRT5 = (-5, 0, 1)
-THREE_I = (9, 0, 1)
-CBRT2 = (-2, 0, 0, 1)
-CBRT3 = (-3, 0, 0, 1)
-QRT3 = (-3, 0, 0, 0, 1)
 
 # The first primitive element in shell order on products of equation orders,
 # as the minimal-polynomial search found it.
@@ -336,30 +328,6 @@ def _reference_decomposition(order):
     return Decomposition(a, mu, factors, crt_idempotents(order, a, mu, factors))
 
 
-def _base_change(order, seed):
-    """The order on the basis c = U b for a seeded unimodular U, made of 3n
-    moves row_i += s row_j with s in {-1, 0, 1}; V = U^-1 takes coordinates
-    on b to coordinates on c."""
-    n, rng = order.dim, random.Random(seed)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [row[:] for row in u]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        s = rng.choice((-1, 0, 1))
-        u[i] = [x + s * y for x, y in zip(u[i], u[j])]
-        for row in v:
-            row[j] -= s * row[i]
-
-    def to_c(w):
-        return tuple(sum(w[k] * v[k][m] for k in range(n)) for m in range(n))
-
-    def product_on_b(x, y):
-        return [sum(x[p] * y[q] * order.table[p][q][k] for p in range(n) for q in range(n)) for k in range(n)]
-
-    table = tuple(tuple(to_c(product_on_b(u[i], u[j])) for j in range(n)) for i in range(n))
-    return ZOrder(dim=n, table=table, one=to_c(order.one))
-
-
 PRODUCT_POOL = (GAUSS, SQRT2, SQRT5, THREE_I, CBRT2, CBRT3, QRT3)
 
 
@@ -393,7 +361,7 @@ def test_decompose_in_a_skew_basis_matches_factoring_mu_whole(calls_to, equation
     # No idempotent is a shell vector here.  In the first two the search's one
     # cut leaves a block of two components, of dimension 5 in 7 and 7 in 9,
     # which the CRT splits; the third has no cut and one CRT over all of Q[a].
-    order = _base_change(equation_product(*polys), seed)
+    order = base_change(equation_product(*polys), seed)
     crt = calls_to(prufer.splitting, "crt_idempotents", lambda order, a, mu, factors: mu.degree)
     dec = decompose(order)
     assert crt == crt_degrees
@@ -458,7 +426,7 @@ def test_walk_matches_the_flat_walk_on_products(equation_product, polys, seed):
     # one at a time, in the standard basis and in skew ones.
     assume(sum(len(f) - 1 for f in polys) <= 12)
     order = equation_product(*polys)
-    _assert_walk_matches_flat_walk(order if seed is None else _base_change(order, seed))
+    _assert_walk_matches_flat_walk(order if seed is None else base_change(order, seed))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
